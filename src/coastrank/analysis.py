@@ -29,7 +29,6 @@ from .perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
-    hamming_cross,
     num_pairs,
     pair_list,
     pairwise_marginals,
@@ -51,10 +50,18 @@ class DepthRecord:
 
 
 def _mean_depths(qx: np.ndarray, fx: np.ndarray, max_depth: float) -> np.ndarray:
-    """Depth of each query row against the uniform mixture of the fit rows."""
-    if fx.shape[0] == 0:
+    """Depth of each query row against the uniform mixture of the fit rows.
+
+    The summed Kendall distance from a query q to N fit rows with column
+    counts cnt is sum(cnt) + q @ (N - 2 cnt): per pair, the fit rows that
+    disagree with q. Exact in int64, and no Q x N matrix is formed.
+    """
+    m = fx.shape[0]
+    if m == 0:
         return np.zeros(qx.shape[0])
-    return max_depth - hamming_cross(qx, fx).mean(axis=1)
+    cnt = fx.sum(axis=0, dtype=np.int64)
+    total = int(cnt.sum()) + qx.astype(np.int64) @ (m - 2 * cnt)
+    return max_depth - total / m
 
 
 def _check_same_n(tree: CoastTree, *samples: RankingSample) -> None:

@@ -43,6 +43,16 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
+def _fmt_opt(x: float | None) -> str:
+    """A number, or a blank field where it was not computed."""
+    return "" if x is None else _fmt(x)
+
+
+def _flag(b: bool | None):
+    """1/0 for an inequality that held/failed, blank where it was not checked."""
+    return "" if b is None else int(b)
+
+
 def _manifest_path(out_path: str) -> str:
     return f"{out_path}.manifest.json"
 
@@ -148,13 +158,13 @@ def cmd_eval(args) -> int:
             [
                 step,
                 sub.leaf_count,
-                _fmt(rep.w),
-                "" if rep.e is None else _fmt(rep.e),
+                _fmt_opt(rep.w),
+                _fmt_opt(rep.e),
                 _fmt(rep.e_prime),
                 _fmt(rep.e_dprime),
-                "" if rep.w_le_e is None else int(rep.w_le_e),
-                int(rep.e_le_two_e_prime),
-                "" if rep.e_le_e_dprime is None else int(rep.e_le_e_dprime),
+                _flag(rep.w_le_e),
+                _flag(rep.e_le_two_e_prime),
+                _flag(rep.e_le_e_dprime),
             ]
         )
     with open(args.out, "w", newline="") as fh:

@@ -20,8 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import RankingParseError, RejectedInputError
-from .perms import Permutation, RankingSample
+from .perms import RankingSample, inverse_rows, non_permutation_rows
+
+
+#: Rows split and converted together by ``load_rankings``.
+_BLOCK_ROWS = 1024
 
 
 class RankingFileFormat(str, Enum):
@@ -57,15 +63,59 @@ def _split_row(line: str, delimiter: str | None) -> list[str]:
     return [t.strip() for t in line.split(delimiter)]
 
 
-def _perm_from_row(vals: list[int], fmt: RankingFileFormat, row_no: int) -> Permutation:
-    n = len(vals)
-    if sorted(vals) != list(range(1, n + 1)):
-        raise RankingParseError(
-            f"fields {vals} are not a permutation of 1..{n}", row=row_no
-        )
-    if fmt is RankingFileFormat.ORDERING:
-        return Permutation.from_ordering(tuple(v - 1 for v in vals))
-    return Permutation(tuple(v - 1 for v in vals))
+def _scan_rows(data, delimiter, labeled: bool) -> tuple[list[list[int]], list[str]]:
+    """Check rows one at a time; raises RankingParseError at the first bad row."""
+    vals_rows: list[list[int]] = []
+    raw_labels: list[str] = []
+    n: int | None = None
+    for row_no, line in data:
+        tokens = _split_row(line, delimiter)
+        if labeled:
+            if len(tokens) < 2:
+                raise RankingParseError("labeled row needs at least 2 fields", row=row_no)
+            raw_labels.append(tokens[-1])
+            tokens = tokens[:-1]
+        bad = [t for t in tokens if not _is_int(t)]
+        if bad:
+            raise RankingParseError(f"non-integer field {bad[0]!r}", row=row_no)
+        vals = [int(t) for t in tokens]
+        if n is None:
+            n = len(vals)
+        elif len(vals) != n:
+            raise RankingParseError(
+                f"expected {n} ranking fields, found {len(vals)}", row=row_no
+            )
+        if sorted(vals) != list(range(1, n + 1)):
+            raise RankingParseError(
+                f"fields {vals} are not a permutation of 1..{n}", row=row_no
+            )
+        vals_rows.append(vals)
+    return vals_rows, raw_labels
+
+
+def _parse_all(data, delimiter, labeled: bool) -> tuple[np.ndarray, list[str]]:
+    """0-based field values of every row, split and checked a block at a time.
+
+    Blocks bound the number of field strings alive at once. Raises
+    ValueError or OverflowError on any bad row without saying which; the
+    caller then rescans row by row to report it.
+    """
+    sep = None if delimiter == "whitespace" else delimiter
+    blocks, raw_labels = [], []
+    for start in range(0, len(data), _BLOCK_ROWS):
+        lines = [line for _, line in data[start : start + _BLOCK_ROWS]]
+        if delimiter is None:
+            tokens = [ln.split(",") if "," in ln else ln.split() for ln in lines]
+        else:
+            tokens = [ln.split(sep) for ln in lines]
+        if labeled:
+            raw_labels += [t.pop().strip() for t in tokens]
+        # converts each field as int() does; a ragged or non-integer row raises
+        block = np.array(tokens, dtype=np.int64) - 1
+        if block.shape[1] == 0 or non_permutation_rows(block).size:
+            raise ValueError("rows are not all permutations of 1..n")
+        blocks.append(block.astype(np.int32))
+    return np.concatenate(blocks), raw_labels  # raises if blocks differ in width
 
 
 def load_rankings(path, format="ordering", delimiter: str | None = None) -> RankingSample:
@@ -87,37 +137,22 @@ def load_rankings(path, format="ordering", delimiter: str | None = None) -> Rank
     if not data:
         raise RankingParseError(f"{path}: no ranking rows after the header")
 
-    perms: list[Permutation] = []
-    raw_labels: list[str] = []
-    n: int | None = None
-    for row_no, line in data:
-        tokens = _split_row(line, delimiter)
-        if labeled:
-            if len(tokens) < 2:
-                raise RankingParseError("labeled row needs at least 2 fields", row=row_no)
-            raw_labels.append(tokens[-1])
-            tokens = tokens[:-1]
-        bad = [t for t in tokens if not _is_int(t)]
-        if bad:
-            raise RankingParseError(f"non-integer field {bad[0]!r}", row=row_no)
-        vals = [int(t) for t in tokens]
-        if n is None:
-            n = len(vals)
-        elif len(vals) != n:
-            raise RankingParseError(
-                f"expected {n} ranking fields, found {len(vals)}", row=row_no
-            )
-        perms.append(_perm_from_row(vals, fmt, row_no))
+    try:
+        vals, raw_labels = _parse_all(data, delimiter, labeled)
+    except (ValueError, OverflowError):
+        rows_vals, raw_labels = _scan_rows(data, delimiter, labeled)
+        vals = np.array(rows_vals, dtype=np.int32) - 1
+    # an ordering row lists items by rank, so its inverse permutation is the ranks
+    ranks = inverse_rows(vals) if fmt is RankingFileFormat.ORDERING else vals
 
     labels = None
     if labeled:
         # numeric-looking labels come back as ints so component ids round-trip
-        labels = (
-            tuple(int(t) for t in raw_labels)
-            if all(_is_int(t) for t in raw_labels)
-            else tuple(raw_labels)
-        )
-    return RankingSample(tuple(perms), labels)
+        try:
+            labels = tuple(map(int, raw_labels))
+        except ValueError:
+            labels = tuple(raw_labels)
+    return RankingSample.from_ranks(ranks, labels)
 
 
 def write_rankings(sample: RankingSample, path, format="ordering", delimiter=",") -> None:
@@ -128,12 +163,10 @@ def write_rankings(sample: RankingSample, path, format="ordering", delimiter=","
     if labels is not None:
         stem = "item" if fmt is RankingFileFormat.ORDERING else "rank"
         out.append(sep.join([f"{stem}_{k + 1}" for k in range(sample.n)] + ["label"]))
-    for i, p in enumerate(sample.rankings):
-        if fmt is RankingFileFormat.ORDERING:
-            vals = [v + 1 for v in p.ordering()]
-        else:
-            vals = [r + 1 for r in p.ranks]
-        row = [str(v) for v in vals]
+    ranks = sample.ranks_matrix
+    vals = inverse_rows(ranks) if fmt is RankingFileFormat.ORDERING else ranks
+    for i, row_vals in enumerate((vals + 1).tolist()):
+        row = [str(v) for v in row_vals]
         if labels is not None:
             row.append(str(labels[i]))
         out.append(sep.join(row))

@@ -162,11 +162,6 @@ def _pl_ranks(params: PlackettLuceParams, size: int, rng: np.random.Generator) -
     return ranks
 
 
-def _sample_from_ranks(ranks: np.ndarray, labels=None) -> RankingSample:
-    perms = tuple(Permutation(tuple(int(x) for x in row)) for row in ranks)
-    return RankingSample(perms, labels=labels)
-
-
 def _check_draw_args(size: int, rng) -> None:
     if not (isinstance(size, (int, np.integer)) and size >= 1):
         raise RejectedInputError(f"sample size must be >= 1, got {size!r}")
@@ -177,7 +172,7 @@ def _check_draw_args(size: int, rng) -> None:
 def sample_mallows(params: MallowsParams, size: int, rng: np.random.Generator) -> RankingSample:
     """Draw ``size`` i.i.d. rankings; exact via the repeated-insertion code."""
     _check_draw_args(size, rng)
-    return _sample_from_ranks(_mallows_ranks(params, int(size), rng))
+    return RankingSample.from_ranks(_mallows_ranks(params, int(size), rng))
 
 
 def sample_plackett_luce(
@@ -185,7 +180,7 @@ def sample_plackett_luce(
 ) -> RankingSample:
     """Draw ``size`` i.i.d. rankings by repeated worth-proportional choice."""
     _check_draw_args(size, rng)
-    return _sample_from_ranks(_pl_ranks(params, int(size), rng))
+    return RankingSample.from_ranks(_pl_ranks(params, int(size), rng))
 
 
 @dataclass(frozen=True)
@@ -285,7 +280,7 @@ def sample_mixture(spec: MixtureSpec, size: int) -> RankingSample:
             ranks[idx] = _mallows_ranks(params, idx.size, children[k])
         else:
             ranks[idx] = _pl_ranks(params, idx.size, children[k])
-    return _sample_from_ranks(ranks, labels=tuple(int(x) for x in labels))
+    return RankingSample.from_ranks(ranks, labels=tuple(int(x) for x in labels))
 
 
 def _separated_centers(

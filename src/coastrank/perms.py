@@ -43,6 +43,13 @@ class Permutation:
 
     ranks: tuple[int, ...]
 
+    @classmethod
+    def _trusted(cls, ranks) -> "Permutation":
+        """Wrap ranks already known to be a permutation of 0..n-1, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ranks", tuple(ranks))
+        return p
+
     def __post_init__(self):
         r = self.ranks
         if not isinstance(r, tuple):
@@ -180,11 +187,28 @@ def hamming_cross(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return np.rint(a @ (1.0 - b.T) + (1.0 - a) @ b.T).astype(np.int64)
 
 
+def non_permutation_rows(a: np.ndarray) -> np.ndarray:
+    """Indices of the rows of an (N, n) integer array that are not permutations of 0..n-1."""
+    n = a.shape[1]
+    in_range = ((a >= 0) & (a < n)).all(axis=1)
+    seen = np.zeros(a.shape, dtype=bool)
+    np.put_along_axis(seen, np.where(in_range[:, None], a, 0), True, axis=1)
+    return np.flatnonzero(~(in_range & seen.all(axis=1)))
+
+
+def inverse_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise inverse of an (N, n) array of permutations of 0..n-1."""
+    out = np.empty_like(a)
+    np.put_along_axis(out, a, np.arange(a.shape[1], dtype=a.dtype), axis=1)
+    return out
+
+
 class RankingSample:
     """An immutable batch of N full rankings over the same n items.
 
-    Caches the rank matrix, the pairwise comparison matrix, and the N x N
-    Kendall distance matrix, which back the partitioning and analysis code.
+    The (N, n) matrix of 0-based ranks is the primary state, and the
+    pairwise comparison matrix is cached from it. ``Permutation`` objects are
+    built only when ``rankings`` or indexing asks for them.
     """
 
     def __init__(self, rankings, labels=None):
@@ -197,45 +221,74 @@ class RankingSample:
                 raise RejectedInputError(f"not a Permutation: {p!r}")
             if p.n != n:
                 raise DimensionMismatchError(f"sample mixes n={n} and n={p.n}")
+        self._set_state(np.array([p.ranks for p in rankings], dtype=np.int32), labels)
+        self._rankings = rankings
+
+    @classmethod
+    def from_ranks(cls, ranks, labels=None) -> "RankingSample":
+        """Build from an (N, n) integer array of 0-based ranks, one row per ranking.
+
+        The whole array is checked at once; a row that is not a permutation
+        of 0..n-1 raises RejectedInputError naming the first such row.
+        """
+        a = np.asarray(ranks)
+        if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
+            raise RejectedInputError(f"need a nonempty (N, n) rank array, got shape {a.shape}")
+        if not np.issubdtype(a.dtype, np.integer):
+            raise RejectedInputError(f"ranks must be integers, got dtype {a.dtype}")
+        bad = non_permutation_rows(a)
+        if bad.size:
+            k = int(bad[0])
+            raise RejectedInputError(
+                f"row {k} is not a permutation of 0..{a.shape[1] - 1}: {a[k].tolist()!r}"
+            )
+        s = cls.__new__(cls)
+        s._set_state(a.astype(np.int32), labels)
+        return s
+
+    def _set_state(self, ranks: np.ndarray, labels) -> None:
         if labels is not None:
             labels = tuple(labels)
-            if len(labels) != len(rankings):
+            if len(labels) != ranks.shape[0]:
                 raise DimensionMismatchError("labels length != sample size")
-        self._rankings = rankings
+        ranks.setflags(write=False)
+        self._ranks = ranks
         self._labels = labels
-        self._n = n
+        self._rankings = None
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._ranks.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self._rankings)
+        return self._ranks.shape[0]
 
     @property
     def rankings(self) -> tuple[Permutation, ...]:
+        if self._rankings is None:
+            self._rankings = tuple(Permutation._trusted(r) for r in self._ranks.tolist())
         return self._rankings
 
     @property
     def labels(self):
         return self._labels
 
-    def __len__(self) -> int:
-        return len(self._rankings)
-
-    def __getitem__(self, i: int) -> Permutation:
-        return self._rankings[i]
-
-    @cached_property
+    @property
     def ranks_matrix(self) -> np.ndarray:
-        m = np.array([p.ranks for p in self._rankings], dtype=np.int32)
-        m.setflags(write=False)
-        return m
+        return self._ranks
+
+    def __len__(self) -> int:
+        return self._ranks.shape[0]
+
+    def __getitem__(self, i):
+        if self._rankings is not None or isinstance(i, slice):
+            return self.rankings[i]
+        return Permutation._trusted(self._ranks[i].tolist())
 
     @cached_property
     def comparisons(self) -> np.ndarray:
-        x = comparison_matrix(self.ranks_matrix)
+        x = comparison_matrix(self._ranks)
         x.setflags(write=False)
         return x
 
@@ -243,14 +296,22 @@ class RankingSample:
     def distance_matrix(self) -> np.ndarray:
         x = self.comparisons.astype(np.float64)
         agree = x @ x.T + (1.0 - x) @ (1.0 - x.T)
-        d = np.rint(num_pairs(self._n) - agree).astype(np.int64)
+        d = np.rint(num_pairs(self.n) - agree).astype(np.int64)
         d.setflags(write=False)
         return d
 
     def subset(self, indices) -> "RankingSample":
-        idx = list(indices)
-        labels = None if self._labels is None else tuple(self._labels[i] for i in idx)
-        return RankingSample(tuple(self._rankings[i] for i in idx), labels)
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.size == 0:
+            raise RejectedInputError("empty sample")
+        labels = None if self._labels is None else tuple(self._labels[i] for i in idx.tolist())
+        sub = RankingSample.__new__(RankingSample)
+        sub._set_state(self._ranks[idx], labels)
+        if "comparisons" in self.__dict__:
+            x = self.comparisons[idx]
+            x.setflags(write=False)
+            sub.comparisons = x
+        return sub
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,13 +416,9 @@ class DiscreteRankingDistribution:
     @classmethod
     def empirical(cls, s: RankingSample) -> "DiscreteRankingDistribution":
         """The empirical distribution of a sample (support sorted, weights k/N)."""
-        counts: dict[tuple[int, ...], int] = {}
-        for p in s.rankings:
-            counts[p.ranks] = counts.get(p.ranks, 0) + 1
-        items = sorted(counts.items())
-        support = tuple(Permutation(r) for r, _ in items)
-        weights = np.array([c for _, c in items], dtype=np.float64) / s.size
-        return cls(s.n, support, weights)
+        rows, counts = np.unique(s.ranks_matrix, axis=0, return_counts=True)
+        support = tuple(Permutation._trusted(r) for r in rows.tolist())
+        return cls(s.n, support, counts / s.size)
 
     @cached_property
     def support_comparisons(self) -> np.ndarray:

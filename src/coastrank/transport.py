@@ -282,19 +282,20 @@ class DistortionReport:
     """How much structure a cell partition loses, bounded from both sides.
 
     w        — transport distance from the distribution to its consensus atoms
+               (None when the supports exceed the exact solver's limit)
     e        — mass-weighted optimal risk inside each cell (None beyond the
                exact-enumeration limit)
     e_prime  — mass-weighted sum-of-p(1-p) dispersion per cell
     e_dprime — mass-weighted sum-of-min(p,1-p) dispersion per cell
 
     The boolean fields record which of the advertised inequalities hold on
-    this instance (None when e is unavailable). w_le_e requires the supplied
+    this instance (None when a side is unavailable). w_le_e requires the supplied
     medians to be exact conditional medians; e_le_e_dprime can genuinely fail
     when a cell's conditional marginals are cyclic, so it is reported, not
     asserted.
     """
 
-    w: float
+    w: float | None
     e: float | None
     e_prime: float
     e_dprime: float
@@ -314,7 +315,8 @@ def distortion_report(
 
     Each support point must fall in exactly one cell. Cell masses and
     conditionals come from the distribution itself, the consensus atoms from
-    the supplied medians, and the transport term from the exact solver.
+    the supplied medians, and the transport term from the exact solver (w is
+    None when either support exceeds ``solver_limit``).
     """
     cells = list(cells)
     medians = list(medians)
@@ -358,13 +360,16 @@ def distortion_report(
                 e = None
 
     crd_dist = DiscreteRankingDistribution.from_pairs(atoms)
-    w, _ = wasserstein(dist, crd_dist, solver_limit=solver_limit)
+    try:
+        w, _ = wasserstein(dist, crd_dist, solver_limit=solver_limit)
+    except CapacityError:
+        w = None
     return DistortionReport(
         w=w,
         e=e,
         e_prime=e_prime,
         e_dprime=e_dprime,
-        w_le_e=None if e is None else w <= e + tol,
+        w_le_e=None if w is None or e is None else w <= e + tol,
         e_le_two_e_prime=None if e is None else e <= 2.0 * e_prime + tol,
         e_le_e_dprime=None if e is None else e <= e_dprime + tol,
     )

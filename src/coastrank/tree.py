@@ -239,8 +239,8 @@ class CoastTree:
                 out[idx] = nid
                 continue
             node = self.nodes[nid]
-            bits = x[idx, self._columns[tuple(sorted(node.split))]]
-            # child 0 keeps "i before j"; the stored split is already (i, j), i < j
+            bits = x[idx, self._columns[node.split]]
+            # child 0 keeps "i before j"; stored splits are (i, j) with i < j
             stack.append((node.children[0], idx[bits]))
             stack.append((node.children[1], idx[~bits]))
         return out
@@ -306,14 +306,21 @@ class CoastTree:
             split = r.get("split")
             children = r.get("children")
             median = r.get("median")
+            if split is not None:
+                split = (int(split[0]) - 1, int(split[1]) - 1)
+            if children is not None:
+                children = (int(children[0]), int(children[1]))
+            if split is not None and children is not None and split[0] > split[1]:
+                # child 0 holds "split[0] before split[1]": flip both to keep i < j
+                split, children = split[::-1], children[::-1]
             node = CoastNode(
                 node_id=int(r["id"]),
                 cell=cell,
                 depth=len(cell.constraints),
                 weight=float(r["weight"]),
                 v_hat=float(r["v_hat"]),
-                split=None if split is None else (int(split[0]) - 1, int(split[1]) - 1),
-                children=None if children is None else (int(children[0]), int(children[1])),
+                split=split,
+                children=children,
                 median=None if median is None else Permutation.from_one_based(median),
             )
             by_id[node.node_id] = node
@@ -362,6 +369,10 @@ def _child_score(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.where(m >= 2, s / denom, 0.0)
 
 
+#: Rows per chunk of the split search's Gram matrix.
+_GRAM_ROWS = 1024
+
+
 @dataclass(frozen=True)
 class _SplitPlan:
     node_id: int
@@ -377,8 +388,13 @@ def _plan_min_distortion(
 ) -> _SplitPlan:
     idx = node.indices
     m = node.count
-    xi = x[idx].astype(np.float64)
-    gram = np.rint(xi.T @ xi).astype(np.int64)
+    # X'X over row chunks: exact (integer sums in float64), and no float copy
+    # of all m rows
+    gram = np.zeros((x.shape[1], x.shape[1]))
+    for start in range(0, m, _GRAM_ROWS):
+        xc = x[idx[start : start + _GRAM_ROWS]].astype(np.float64)
+        gram += xc.T @ xc
+    gram = np.rint(gram).astype(np.int64)
     t = np.diag(gram)
     c0 = gram[candidates, :]
     m0 = t[candidates][:, None]
@@ -479,10 +495,13 @@ def choose_split_balanced(cell: Cell, s: RankingSample) -> tuple[int, int]:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
+        raw = os.environ.get("RANK_THREADS", "1")
         try:
-            threads = int(os.environ.get("RANK_THREADS", "1"))
+            threads = int(raw)
         except ValueError:
-            threads = 1
+            threads = 0
+        if threads < 1:
+            raise RejectedInputError(f"RANK_THREADS must be a positive integer, got {raw!r}")
     return max(1, int(threads))
 
 
@@ -556,6 +575,10 @@ def grow(
             )
             if not eligible:
                 break
+            # every eligible leaf splits (or only the best one), so check the
+            # leaf budget before planning rather than discard a round of plans
+            if len(frontier) + (1 if one_split_per_iter else len(eligible)) > max_leaves:
+                break
 
             def plan_for(nid: int) -> _SplitPlan | None:
                 node = nodes[nid]
@@ -573,8 +596,6 @@ def grow(
             if one_split_per_iter:
                 best = max(plans, key=lambda p: (p.reduction, -p.node_id))
                 plans = [best]
-            if len(frontier) + len(plans) > max_leaves:
-                break  # halt before exceeding the leaf budget
 
             applied = []
             for plan in plans:

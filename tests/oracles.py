@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from coastrank.perms import DiscreteRankingDistribution, Permutation, RankingSample
 
 
@@ -56,6 +58,26 @@ def brute_v_hat(sample: RankingSample, indices) -> float:
         for b in range(a + 1, m):
             total += naive_kendall(sample[idx[a]], sample[idx[b]])
     return total / (m * (m - 1))
+
+
+def hamming_depths(qx: np.ndarray, fx: np.ndarray, max_depth: float) -> np.ndarray:
+    """Depth of each query row from the full Q x N Hamming distance matrix."""
+    if fx.shape[0] == 0:
+        return np.zeros(qx.shape[0])
+    dist = (qx[:, None, :] != fx[None, :, :]).sum(axis=2, dtype=np.int64)
+    return max_depth - dist.mean(axis=1)
+
+
+def brute_local_depths(tree, s_fit: RankingSample, s_query: RankingSample):
+    """(local, global) depth arrays, routing every ranking one at a time."""
+    top = float(tree.n * (tree.n - 1) // 2)
+    qx, fx = s_query.comparisons, s_fit.comparisons
+    q_leaf = [tree.route_one(p) for p in s_query.rankings]
+    f_leaf = np.array([tree.route_one(p) for p in s_fit.rankings])
+    local = np.array(
+        [hamming_depths(qx[k : k + 1], fx[f_leaf == leaf], top)[0] for k, leaf in enumerate(q_leaf)]
+    )
+    return local, hamming_depths(qx, fx, top)
 
 
 def _solve_basis_flow(chosen, supply, demand, m, k):

@@ -48,6 +48,7 @@ from coastrank.perms import (
 from coastrank.tree import CoastTree, grow
 
 from conftest import random_permutation, random_rational_distribution, random_sample
+from oracles import brute_local_depths, hamming_depths
 
 
 def two_leaf_tree(n, pair):
@@ -153,6 +154,52 @@ def test_empty_leaf_gets_zero_depth():
     empty_leaf = records[0]
     assert empty_leaf.local_depth == 0.0
     assert records[1].local_depth == num_pairs(4)  # identical to all fit points
+
+
+def _depth_arrays(records):
+    return (
+        np.array([r.local_depth for r in records]),
+        np.array([r.global_depth for r in records]),
+    )
+
+
+@pytest.mark.parametrize("q", [1, 40])
+def test_depths_match_hamming_oracle(q):
+    spec = random_mallows_mixture_spec(n=7, k=3, phi=1.0, seed=11)
+    s_fit = sample_mixture(spec, 300)
+    s_query = sample_mixture(spec.with_seed(12), q)
+    tree, _ = grow(s_fit, epsilon=0.0, rule="min-distortion", max_leaves=6)
+    local, global_depth = _depth_arrays(local_depths(tree, s_fit, s_query))
+    want_local, want_global = brute_local_depths(tree, s_fit, s_query)
+    assert np.array_equal(local, want_local)
+    assert np.array_equal(global_depth, want_global)
+    top = float(num_pairs(7))
+    for leaf in tree.frontier:
+        table = ddplot_table(tree, s_fit, s_query, leaf)
+        ref_rows = s_fit.comparisons[tree.route_sample(s_fit) == leaf]
+        local, global_depth = _depth_arrays(table)
+        assert np.array_equal(local, hamming_depths(s_query.comparisons, ref_rows, top))
+        assert np.array_equal(global_depth, want_global)
+
+
+def test_depths_match_oracle_with_empty_leaf():
+    tree = two_leaf_tree(4, (0, 1))
+    rng = np.random.default_rng(5)
+    # every fit row puts item 0 first, so leaf 2 ("1 before 0") holds none
+    fit = RankingSample(
+        tuple(Permutation((0,) + tuple(int(v) + 1 for v in rng.permutation(3))) for _ in range(9))
+    )
+    query = random_sample(rng, 4, 12)
+    local, global_depth = _depth_arrays(local_depths(tree, fit, query))
+    want_local, want_global = brute_local_depths(tree, fit, query)
+    assert np.array_equal(local, want_local)
+    assert np.array_equal(global_depth, want_global)
+    assert (tree.route_sample(query) == 2).any()
+    empty = _depth_arrays(ddplot_table(tree, fit, query, 2))[0]
+    assert np.array_equal(empty, np.zeros(12))
+    single = _depth_arrays(local_depths(tree, fit, query.subset([0])))
+    assert np.array_equal(single[0], want_local[:1])
+    assert np.array_equal(single[1], want_global[:1])
 
 
 def test_depths_invariant_under_relabeling(rng):

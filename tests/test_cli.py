@@ -294,3 +294,31 @@ def test_manifest_override_path(tmp_path, spec_path):
     assert doc["command"] == "sample"
     assert doc["config"]["size"] == 20
     assert not (tmp_path / "r.csv.manifest.json").exists()
+
+
+def test_eval_blank_fields_beyond_enumeration_limit(tmp_path):
+    spec = random_mallows_mixture_spec(n=10, k=2, phi=1.0, seed=5)
+    spec_file = tmp_path / "spec10.json"
+    spec_file.write_text(json.dumps(spec.to_json_obj()))
+    rank, tree_path = tmp_path / "r10.csv", tmp_path / "t10.json"
+    report_path = tmp_path / "report10.csv"
+    assert run("sample", "--spec", spec_file, "--size", 600, "--out", rank) == 0
+    assert run(
+        "fit", "--input", rank, "--epsilon", 0, "--max-leaves", 4, "--out", tree_path
+    ) == 0
+    assert run("eval", "--tree", tree_path, "--input", rank, "--out", report_path) == 0
+    report = read_csv(report_path)
+    assert len(report) == 4
+    for row in report:
+        assert float(row["w"]) >= 0.0 and float(row["e_prime"]) > 0.0
+        for col in ("e", "w_le_e", "e_le_two_e_prime", "e_le_e_dprime"):
+            assert row[col] == ""
+
+
+def test_invalid_rank_threads_exits_one(tmp_path, spec_path, monkeypatch, capsys):
+    rank = tmp_path / "r.csv"
+    assert run("sample", "--spec", spec_path, "--size", 30, "--out", rank) == 0
+    monkeypatch.setenv("RANK_THREADS", "abc")
+    assert run("fit", "--input", rank, "--epsilon", 0.2, "--out", tmp_path / "t.json") == 1
+    assert "RANK_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()

@@ -173,3 +173,61 @@ def test_manifest_round_trip(tmp_path):
     }
     with pytest.raises(RejectedInputError):
         RunManifest.from_json_obj({"command": "fit"})
+
+
+def _mixed_rows(rng, n, count, labeled):
+    """Ordering rows alternating comma and whitespace fields, with their ranks."""
+    lines, ranks = [], []
+    for k in range(count):
+        order = [int(v) + 1 for v in rng.permutation(n)]
+        fields = [str(v) for v in order] + ([f"c{k % 3}"] if labeled else [])
+        lines.append(", ".join(fields) if k % 2 else " ".join(fields))
+        ranks.append(Permutation.from_ordering([v - 1 for v in order]).ranks)
+    return lines, ranks
+
+
+@pytest.mark.parametrize("header", [None, "item_1,item_2,item_3,item_4,item_5", "a b c d e label"])
+def test_mixed_delimiters_parse_like_single_rows(tmp_path, rng, header):
+    labeled = header is not None and header.endswith("label")
+    lines, ranks = _mixed_rows(rng, 5, 300, labeled)
+    path = tmp_path / "r.txt"
+    path.write_text("\n".join(([header] if header else []) + lines) + "\n")
+    s = load_rankings(path)
+    assert [p.ranks for p in s.rankings] == ranks
+    assert s.labels == (tuple(f"c{k % 3}" for k in range(300)) if labeled else None)
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("1 2 x 4 5", "non-integer field 'x'"),
+        ("1, 2, 3.0, 4, 5", "non-integer field '3.0'"),
+        ("1 2 3 4", "expected 5 ranking fields, found 4"),
+        ("1, 2, 3, 4, 5, 6", "expected 5 ranking fields, found 6"),
+        ("1 2 2 4 5", "fields [1, 2, 2, 4, 5] are not a permutation of 1..5"),
+        ("0, 1, 2, 3, 4", "fields [0, 1, 2, 3, 4] are not a permutation of 1..5"),
+        ("1 2 3 4 99999999999999999999", "are not a permutation of 1..5"),
+    ],
+)
+@pytest.mark.parametrize("labeled", [False, True])
+def test_bad_row_deep_in_file_is_reported(tmp_path, rng, bad_row, message, labeled):
+    lines, _ = _mixed_rows(rng, 5, 400, labeled)
+    if labeled:
+        bad_row += ", c9" if "," in bad_row else " c9"
+    lines[250] = bad_row
+    header = "item_1,item_2,item_3,item_4,item_5" + (",label" if labeled else "")
+    path = tmp_path / "r.txt"
+    # a blank line before the bad row: row numbers count every line of the file
+    path.write_text("\n".join([header] + lines[:100] + [""] + lines[100:]) + "\n")
+    with pytest.raises(RankingParseError) as err:
+        load_rankings(path)
+    assert err.value.row == 253
+    assert str(err.value).startswith("row 253: ") and message in str(err.value)
+
+
+def test_labeled_row_without_ranking_fields_reported(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_text("item_1,item_2,label\n1,2,a\n2,1,b\nc\n")
+    with pytest.raises(RankingParseError) as err:
+        load_rankings(path)
+    assert err.value.row == 4 and "at least 2 fields" in str(err.value)

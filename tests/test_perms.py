@@ -213,3 +213,48 @@ def test_sample_validation():
         RankingSample((Permutation.identity(3), Permutation.identity(4)))
     with pytest.raises(DimensionMismatchError):
         RankingSample((Permutation.identity(3),), labels=("a", "b"))
+
+
+def test_from_ranks_matches_permutation_constructor(rng):
+    s = random_sample(rng, 6, 40)
+    t = RankingSample.from_ranks(s.ranks_matrix.astype(np.int64), labels=range(40))
+    assert t.rankings == s.rankings
+    assert t[7] == s[7] and t[-1] == s[-1]
+    assert np.array_equal(t.comparisons, s.comparisons)
+    assert t.labels == tuple(range(40))
+    sub = t.subset([3, 1, 3])
+    assert sub.rankings == (s[3], s[1], s[3]) and sub.labels == (3, 1, 3)
+    assert np.array_equal(sub.comparisons, s.comparisons[[3, 1, 3]])
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [
+        [[0, 1, 2], [2, 1, 0], [0, 0, 2]],
+        [[0, 1, 2], [1, 2, 3]],
+        [[0, 1, 2], [-1, 0, 1]],
+        [[0.0, 1.0, 2.0]],
+        [[]],
+        [0, 1, 2],
+    ],
+)
+def test_from_ranks_rejects_non_permutations(ranks):
+    with pytest.raises(RejectedInputError):
+        RankingSample.from_ranks(np.array(ranks))
+
+
+def test_from_ranks_names_first_bad_row():
+    with pytest.raises(RejectedInputError, match="row 2 "):
+        RankingSample.from_ranks(np.array([[0, 1], [1, 0], [1, 1], [0, 0]]))
+    with pytest.raises(DimensionMismatchError):
+        RankingSample.from_ranks(np.array([[0, 1]]), labels=("a", "b"))
+
+
+def test_empirical_support_in_sorted_tuple_order(rng):
+    s = RankingSample(tuple(random_permutation(rng, 4) for _ in range(200)))
+    counts = {}
+    for p in s.rankings:
+        counts[p.ranks] = counts.get(p.ranks, 0) + 1
+    dist = DiscreteRankingDistribution.empirical(s)
+    assert [p.ranks for p in dist.support] == sorted(counts)
+    assert dist.weights.tolist() == [counts[r] / 200 for r in sorted(counts)]

@@ -361,3 +361,19 @@ def test_report_empty_cells_carry_no_mass(rng):
     c0, c1 = Cell.root(3).split((0, 1))  # identity lies in c0 (0 before 1)
     rep = distortion_report(dist, [c0, c1], [Permutation.identity(3), Permutation.reverse(3)])
     assert rep.w == 0.0 and rep.e == 0.0
+
+
+def test_distortion_report_blank_w_beyond_solver_limit(rng):
+    dist = random_rational_distribution(rng, 4, max_support=10)
+    while dist.size <= 3:
+        dist = random_rational_distribution(rng, 4, max_support=10)
+    cells = Cell.root(4).split((0, 1))
+    meds = conditional_medians(dist, cells)
+    full = distortion_report(dist, cells, meds)
+    capped = distortion_report(dist, cells, meds, solver_limit=3)
+    assert capped.w is None and capped.w_le_e is None
+    assert full.w is not None and full.w_le_e is True
+    assert capped.e == full.e
+    assert capped.e_prime == full.e_prime and capped.e_dprime == full.e_dprime
+    assert capped.e_le_two_e_prime == full.e_le_two_e_prime
+    assert capped.e_le_e_dprime == full.e_le_e_dprime

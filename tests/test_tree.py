@@ -407,3 +407,75 @@ def test_select_subtree_rules():
         select_subtree(seq, -1.0)
     with pytest.raises(RejectedInputError):
         select_subtree([], 0.0)
+
+
+@pytest.mark.parametrize("one_split", [False, True])
+def test_grow_plans_no_split_past_the_leaf_budget(monkeypatch, one_split):
+    import coastrank.tree as tree_mod
+
+    s = mixture_sample(n=8, k=4, phi=1.2, seed=3, size=400)
+    want, _ = grow(s, epsilon=0.0, max_leaves=6, one_split_per_iter=one_split)
+    calls = []
+    plan = tree_mod._plan_min_distortion
+
+    def counting(x, node, candidates, pairs):
+        calls.append(node.node_id)
+        return plan(x, node, candidates, pairs)
+
+    monkeypatch.setattr(tree_mod, "_plan_min_distortion", counting)
+    tree, trace = grow(s, epsilon=0.0, max_leaves=6, one_split_per_iter=one_split)
+    assert json.dumps(tree.to_json_obj()) == json.dumps(want.to_json_obj())
+
+    def eligible(nid):
+        return tree.node(nid).v_hat > 0 and tree.node(nid).count >= 2
+
+    # the budget binds: growth stops with leaves still eligible to split
+    assert tree.leaf_count <= 6 and any(map(eligible, tree.frontier))
+    # replay growth: each applied round planned exactly the leaves eligible
+    # then, and the round that would pass the budget planned nothing
+    frontier, planned = {0}, 0
+    for step in trace.steps[1:]:
+        planned += sum(map(eligible, frontier))
+        for nid, _ in step.splits:
+            frontier.remove(nid)
+            frontier.update(tree.node(nid).children)
+    assert frontier == set(tree.frontier)
+    assert len(calls) == planned
+    if not one_split:
+        assert planned == sum(len(step.splits) for step in trace.steps)
+
+
+def test_reversed_split_routes_alike():
+    s = mixture_sample(n=4, k=2, phi=1.0, seed=6, size=120)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=4)
+    doc = tree.to_json_obj()
+    for node in doc["nodes"]:
+        if node["split"] is not None:
+            node["split"] = node["split"][::-1]
+            node["children"] = node["children"][::-1]
+    flipped = CoastTree.from_json_obj(doc)
+    assert json.dumps(flipped.to_json_obj()) == json.dumps(tree.to_json_obj())
+    probes = [Permutation.identity(4)] + list(s.rankings[:30])
+    routed = flipped.route_sample(RankingSample(tuple(probes)))
+    for sigma, leaf in zip(probes, routed):
+        assert flipped.route_one(sigma) == leaf
+        assert flipped.node(leaf).cell.contains(sigma)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_invalid_rank_threads_rejected(monkeypatch, value):
+    s = random_sample(np.random.default_rng(0), 4, 10)
+    monkeypatch.setenv("RANK_THREADS", value)
+    with pytest.raises(RejectedInputError, match="RANK_THREADS"):
+        grow(s, epsilon=0.0)
+    grow(s, epsilon=0.0, threads=1)  # an explicit count does not read the variable
+
+
+def test_gram_chunks_do_not_change_the_tree(monkeypatch):
+    import coastrank.tree as tree_mod
+
+    s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
+    whole, _ = grow(s, epsilon=0.0, max_leaves=8)
+    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", 7)
+    chunked, _ = grow(s, epsilon=0.0, max_leaves=8)
+    assert json.dumps(chunked.to_json_obj()) == json.dumps(whole.to_json_obj())
