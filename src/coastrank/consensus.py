@@ -7,7 +7,9 @@ transitivity, and depth climbing is the general-purpose local search.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,46 +106,49 @@ def copeland_median(m: PairwiseMatrix) -> Permutation:
     return Permutation(ranks)
 
 
+#: Rows of the S_n table scored per matrix product in exact_kemeny.
+_KEMENY_CHUNK = 50000
+
+
+@functools.lru_cache(maxsize=1)
+def _symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n! rank vectors in lexicographic order, with their uint8 comparison rows.
+
+    The pair is n!·(n + C(n,2)) bytes: 250 KB at n = 7, 16 MB at n = 9.
+    """
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    ranks = np.fromiter(flat, dtype=np.uint8, count=math.factorial(n) * n).reshape(-1, n)
+    cmp = comparison_matrix(ranks).view(np.uint8)
+    ranks.setflags(write=False)
+    cmp.setflags(write=False)
+    return ranks, cmp
+
+
 def exact_kemeny(
     d: DiscreteRankingDistribution, limit: int = ENUMERATION_LIMIT
 ) -> MedianResult:
     """Exhaustive Kemeny median set over the whole symmetric group.
 
     Risks are computed through the pairwise decomposition of the Kendall
-    distance, chunked so memory stays flat at n = limit.
+    distance, one 50000-row chunk of the cached S_n table at a time.
     """
     n = d.n
     if n > limit:
         raise EnumerationLimitError(f"exact_kemeny: n={n} exceeds limit {limit}")
     m = d.marginals()
-    upper = np.array([m.p[i, j] for i, j in pair_list(n)])
+    upper = m.p[np.triu_indices(n, 1)]
     base = float(upper.sum())
     coef = 1.0 - 2.0 * upper
-    best = np.inf
-    kept: list[tuple[float, tuple[int, ...]]] = []
-    chunk: list[tuple[int, ...]] = []
-
-    def flush():
-        nonlocal best, kept
-        if not chunk:
-            return
-        ranks = np.array(chunk, dtype=np.int32)
-        risks = comparison_matrix(ranks).astype(np.float64) @ coef + base
-        lo = float(risks.min())
-        if lo < best:
-            best = lo
-        sel = np.flatnonzero(risks <= best + 1e-9)
-        kept = [kv for kv in kept if kv[0] <= best + 1e-9]
-        kept.extend((float(risks[s]), chunk[s]) for s in sel)
-
-    for ranks in itertools.permutations(range(n)):
-        chunk.append(ranks)
-        if len(chunk) >= 50000:
-            flush()
-            chunk = []
-    flush()
+    ranks, cmp = _symmetric_group(n)
+    risks = np.concatenate(
+        [
+            cmp[k : k + _KEMENY_CHUNK].astype(np.float64) @ coef + base
+            for k in range(0, len(cmp), _KEMENY_CHUNK)
+        ]
+    )
+    best = float(risks.min())
     medians = tuple(
-        sorted((Permutation(r) for rv, r in kept if rv <= best + 1e-9), key=lambda p: p.ranks)
+        Permutation._trusted(r) for r in ranks[np.flatnonzero(risks <= best + 1e-9)].tolist()
     )
     return MedianResult(medians=medians, risk=best, method="exact")
 

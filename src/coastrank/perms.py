@@ -116,7 +116,7 @@ def enumerate_permutations(n: int, limit: int = ENUMERATION_LIMIT):
     if n > limit:
         raise EnumerationLimitError(f"n={n} exceeds enumeration limit {limit}")
     for ranks in itertools.permutations(range(n)):
-        yield Permutation(ranks)
+        yield Permutation._trusted(ranks)
 
 
 def _count_inversions(seq: list[int]) -> int:

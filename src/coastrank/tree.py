@@ -292,6 +292,13 @@ class CoastTree:
 
     @classmethod
     def from_json_obj(cls, obj: dict, aggregator=None) -> "CoastTree":
+        """Load a tree document, rejecting any node that cannot route.
+
+        Every node needs ``id``, ``constraints``, ``weight`` and ``v_hat``; a
+        split names two distinct items in 1..n and comes with two children;
+        each child exists and has one parent, and every node is reachable from
+        the one root. Splits are normalized to i < j.
+        """
         try:
             n = int(obj["n"])
             raw = list(obj["nodes"])
@@ -300,41 +307,31 @@ class CoastTree:
         if not raw:
             raise RejectedInputError("tree document has no nodes")
         by_id: dict[int, CoastNode] = {}
-        referenced: set[int] = set()
-        for r in raw:
-            cell = Cell.from_json_obj(n, r["constraints"])
-            split = r.get("split")
-            children = r.get("children")
-            median = r.get("median")
-            if split is not None:
-                split = (int(split[0]) - 1, int(split[1]) - 1)
-            if children is not None:
-                children = (int(children[0]), int(children[1]))
-            if split is not None and children is not None and split[0] > split[1]:
-                # child 0 holds "split[0] before split[1]": flip both to keep i < j
-                split, children = split[::-1], children[::-1]
-            node = CoastNode(
-                node_id=int(r["id"]),
-                cell=cell,
-                depth=len(cell.constraints),
-                weight=float(r["weight"]),
-                v_hat=float(r["v_hat"]),
-                split=split,
-                children=children,
-                median=None if median is None else Permutation.from_one_based(median),
-            )
+        parent_of: dict[int, int] = {}
+        for pos, r in enumerate(raw):
+            node = _node_from_json(n, r, pos)
+            if node.node_id in by_id:
+                raise RejectedInputError(f"tree node {node.node_id}: duplicate id")
             by_id[node.node_id] = node
-            if children is not None:
-                referenced.update(node.children)
-        roots = [nid for nid in by_id if nid not in referenced]
+        for nid, node in by_id.items():
+            for c in node.children or ():
+                if c not in by_id:
+                    raise RejectedInputError(f"tree node {nid}: child {c} does not exist")
+                if c in parent_of:
+                    raise RejectedInputError(
+                        f"tree node {nid}: child {c} is already a child of node {parent_of[c]}"
+                    )
+                parent_of[c] = nid
+        roots = [nid for nid in by_id if nid not in parent_of]
         if len(roots) != 1:
             raise RejectedInputError(f"tree document must have exactly one root, found {len(roots)}")
-        # normalize ids to list positions
+        # normalize ids to list positions; with one parent per child this visits each node once
         order = [roots[0]]
         for nid in order:
-            node = by_id[nid]
-            if node.children is not None:
-                order.extend(node.children)
+            order.extend(by_id[nid].children or ())
+        if len(order) != len(by_id):
+            lost = min(set(by_id) - set(order))
+            raise RejectedInputError(f"tree node {lost}: not reachable from root {roots[0]}")
         renum = {nid: k for k, nid in enumerate(order)}
         nodes = []
         for nid in order:
@@ -345,6 +342,43 @@ class CoastTree:
             nodes.append(node)
         frontier = [node.node_id for node in nodes if node.children is None]
         return cls(n, nodes, frontier, aggregator=aggregator)
+
+
+def _node_from_json(n: int, r, pos: int) -> CoastNode:
+    """One node of a tree document; errors name the node id."""
+    if not isinstance(r, dict) or "id" not in r:
+        raise RejectedInputError(f"tree node at position {pos}: missing 'id'")
+    try:
+        nid = int(r["id"])
+    except (TypeError, ValueError) as exc:
+        raise RejectedInputError(f"tree node at position {pos}: bad id {r['id']!r}") from exc
+    for key in ("constraints", "weight", "v_hat"):
+        if key not in r:
+            raise RejectedInputError(f"tree node {nid}: missing {key!r}")
+    try:
+        cell = Cell.from_json_obj(n, r["constraints"])
+        split, children, median = r.get("split"), r.get("children"), r.get("median")
+        if (split is None) != (children is None):
+            raise ValueError("split and children must be given together")
+        if split is not None:
+            i, j = (int(v) for v in split)
+            if i == j or not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"split {[i, j]} needs two distinct items in 1..{n}")
+            a, b = (int(v) for v in children)
+            # child 0 holds "split[0] before split[1]": flip both to keep i < j
+            split, children = ((i - 1, j - 1), (a, b)) if i < j else ((j - 1, i - 1), (b, a))
+        return CoastNode(
+            node_id=nid,
+            cell=cell,
+            depth=len(cell.constraints),
+            weight=float(r["weight"]),
+            v_hat=float(r["v_hat"]),
+            split=split,
+            children=children,
+            median=None if median is None else Permutation.from_one_based(median),
+        )
+    except (TypeError, ValueError) as exc:  # RejectedInputError is a ValueError
+        raise RejectedInputError(f"tree node {nid}: {exc}") from exc
 
 
 # --- split search -----------------------------------------------------------

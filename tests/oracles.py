@@ -60,6 +60,28 @@ def brute_v_hat(sample: RankingSample, indices) -> float:
     return total / (m * (m - 1))
 
 
+def streamed_kemeny(dist: DiscreteRankingDistribution):
+    """(medians, risk) by streaming S_n in lexicographic 50000-row chunks.
+
+    The same float arithmetic as a chunked exact Kemeny median: risks are
+    comparison rows times (1 - 2p) plus sum(p), one float64 product per chunk.
+    """
+    n = dist.n
+    pairs = list(itertools.combinations(range(n), 2))
+    p = dist.marginals().p
+    upper = np.array([p[i, j] for i, j in pairs])
+    base = float(upper.sum())
+    coef = 1.0 - 2.0 * upper
+    all_ranks = list(itertools.permutations(range(n)))
+    risks = []
+    for k in range(0, len(all_ranks), 50000):
+        chunk = all_ranks[k : k + 50000]
+        bits = np.array([[r[i] < r[j] for i, j in pairs] for r in chunk], dtype=np.float64)
+        risks.extend((bits.reshape(len(chunk), len(pairs)) @ coef + base).tolist())
+    best = min(risks)
+    return tuple(Permutation(r) for r, v in zip(all_ranks, risks) if v <= best + 1e-9), best
+
+
 def hamming_depths(qx: np.ndarray, fx: np.ndarray, max_depth: float) -> np.ndarray:
     """Depth of each query row from the full Q x N Hamming distance matrix."""
     if fx.shape[0] == 0:
@@ -136,6 +158,113 @@ def brute_transport(costs, supply, demand):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def _northwest_corner(a: np.ndarray, b: np.ndarray):
+    """Initial basic feasible flow; returns (flow, basis cells in build order)."""
+    m, n = len(a), len(b)
+    flow = np.zeros((m, n), dtype=np.int64)
+    ra, rb = a.copy(), b.copy()
+    basis: list[tuple[int, int]] = []
+    i = j = 0
+    while True:
+        f = min(ra[i], rb[j])
+        flow[i, j] = f
+        basis.append((i, j))
+        ra[i] -= f
+        rb[j] -= f
+        if i == m - 1 and j == n - 1:
+            break
+        if ra[i] == 0 and i < m - 1:
+            i += 1
+        else:
+            j += 1
+    return flow, basis
+
+
+def _potentials(m: int, n: int, cost: np.ndarray, adj: dict):
+    """Solve u_i + v_j = c_ij over the basis tree (nodes: rows 0..m-1, cols m..)."""
+    u = np.zeros(m, dtype=np.int64)
+    v = np.zeros(n, dtype=np.int64)
+    seen = [False] * (m + n)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        node = stack.pop()
+        for nxt in adj[node]:
+            if seen[nxt]:
+                continue
+            seen[nxt] = True
+            if node < m:  # row -> col: v_j = c_ij - u_i
+                v[nxt - m] = cost[node, nxt - m] - u[node]
+            else:  # col -> row: u_i = c_ij - v_j
+                u[nxt] = cost[nxt, node - m] - v[node - m]
+            stack.append(nxt)
+    return u, v
+
+
+def _tree_path(adj: dict, start: int, goal: int) -> list[int]:
+    """Unique path between two nodes of the basis tree (BFS with parents)."""
+    parent = {start: -1}
+    frontier = [start]
+    while frontier:
+        nxt_frontier = []
+        for node in frontier:
+            for nxt in adj[node]:
+                if nxt in parent:
+                    continue
+                parent[nxt] = node
+                if nxt == goal:
+                    path = [nxt]
+                    while path[-1] != start:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                nxt_frontier.append(nxt)
+        frontier = nxt_frontier
+    raise AssertionError("basis graph is not a spanning tree")
+
+
+def bland_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact transportation simplex on integer supplies/costs: a north-west
+    corner start, Bland's rule at every pivot, all potentials and the cycle
+    recomputed from scratch each time. Slow but simple; the reference for
+    the network simplex in coastrank.transport."""
+    m, n = cost.shape
+    flow, basis_list = _northwest_corner(a, b)
+    basis = set(basis_list)
+    adj: dict[int, set[int]] = {k: set() for k in range(m + n)}
+    for i, j in basis:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+
+    while True:
+        u, v = _potentials(m, n, cost, adj)
+        rc = cost - u[:, None] - v[None, :]
+        neg = np.flatnonzero((rc < 0).ravel())
+        if neg.size == 0:
+            return flow
+        enter = int(neg[0])  # Bland: smallest row-major index, no cycling
+        ei, ej = divmod(enter, n)
+
+        node_path = _tree_path(adj, ei, m + ej)
+        cells = []
+        for x, y in zip(node_path, node_path[1:]):
+            cells.append((x, y - m) if x < m else (y, x - m))
+        # entering cell gets +theta; path cells alternate -,+,- ... from ei
+        minus = cells[0::2]
+        plus = [(ei, ej)] + cells[1::2]
+        theta = min(int(flow[c]) for c in minus)
+        leave = min(c for c in minus if flow[c] == theta)
+        for c in plus:
+            flow[c] += theta
+        for c in minus:
+            flow[c] -= theta
+        basis.discard(leave)
+        basis.add((ei, ej))
+        adj[leave[0]].discard(m + leave[1])
+        adj[m + leave[1]].discard(leave[0])
+        adj[ei].add(m + ej)
+        adj[m + ej].add(ei)
 
 
 def brute_wasserstein(p: DiscreteRankingDistribution, q: DiscreteRankingDistribution) -> float:

@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -322,3 +327,87 @@ def test_invalid_rank_threads_exits_one(tmp_path, spec_path, monkeypatch, capsys
     assert run("fit", "--input", rank, "--epsilon", 0.2, "--out", tmp_path / "t.json") == 1
     assert "RANK_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
+
+
+# --- malformed tree documents ------------------------------------------------
+
+
+@pytest.fixture
+def fitted(tmp_path, spec_path):
+    """A fitted 4-leaf tree document and the ranking file it came from."""
+    rank = tmp_path / "r.csv"
+    assert run("sample", "--spec", spec_path, "--size", 120, "--out", rank) == 0
+    tree = tmp_path / "tree.json"
+    assert run("fit", "--input", rank, "--epsilon", 0, "--max-leaves", 4, "--out", tree) == 0
+    return read_json(tree), rank
+
+
+def depth_on(tmp_path, doc, rank):
+    """Run `coastrank depth` on a tree document in a fresh interpreter."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "coastrank.cli", "depth", "--tree", str(bad), "--fit", str(rank),
+         "--query", str(rank), "--out", str(tmp_path / "d.csv")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_memory,
+    )
+
+
+def cap_memory():
+    # a loader that loops while growing a list fails fast instead of filling the host
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def assert_rejected(proc, needle):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and needle in proc.stderr, proc.stderr
+
+
+def inner_node(doc):
+    return next(nd for nd in doc["nodes"] if nd["id"] != 0 and nd["children"] is not None)
+
+
+@pytest.mark.parametrize("split", [[2, 2], [1, 7], [0, 3]])
+def test_tree_with_bad_split_exits_one(tmp_path, fitted, split):
+    doc, rank = fitted
+    doc["nodes"][0]["split"] = split
+    assert_rejected(depth_on(tmp_path, doc, rank), "tree node 0: split")
+
+
+@pytest.mark.parametrize("key", ["constraints", "id", "weight", "v_hat"])
+def test_tree_node_missing_field_exits_one(tmp_path, fitted, key):
+    doc, rank = fitted
+    node = doc["nodes"][2]
+    del node[key]
+    where = "tree node at position 2" if key == "id" else f"tree node {node['id']}"
+    assert_rejected(depth_on(tmp_path, doc, rank), f"{where}: missing '{key}'")
+
+
+def test_tree_child_missing_or_shared_exits_one(tmp_path, fitted):
+    doc, rank = fitted
+    missing = json.loads(json.dumps(doc))
+    missing["nodes"][0]["children"][1] = 99
+    assert_rejected(depth_on(tmp_path, missing, rank), "tree node 0: child 99 does not exist")
+    # a leaf whose children loop back to its own ancestor
+    looped = json.loads(json.dumps(doc))
+    inner = inner_node(looped)
+    leaf = next(looped["nodes"][c] for c in inner["children"] if looped["nodes"][c]["children"] is None)
+    leaf["split"], leaf["children"] = [1, 2], [inner["id"], 0 if inner["id"] else 1]
+    assert_rejected(depth_on(tmp_path, looped, rank), f"child {inner['id']} is already a child of")
+
+
+def test_tree_node_unreachable_from_root_exits_one(tmp_path, fitted):
+    doc, rank = fitted
+    # two nodes that are each other's child: one parent each, but no path from the root
+    leaf = {"constraints": [], "weight": 0.0, "v_hat": 0.0, "split": None, "children": None}
+    doc["nodes"] += [
+        dict(leaf, id=90, split=[1, 2], children=[91, 92]),
+        dict(leaf, id=91, split=[1, 2], children=[90, 93]),
+        dict(leaf, id=92),
+        dict(leaf, id=93),
+    ]
+    assert_rejected(depth_on(tmp_path, doc, rank), "tree node 90: not reachable from root 0")

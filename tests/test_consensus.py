@@ -31,7 +31,7 @@ from coastrank.perms import (
 )
 
 from conftest import random_permutation, random_rational_distribution, random_sample
-from oracles import brute_kemeny, brute_risk, naive_kendall
+from oracles import brute_kemeny, brute_risk, naive_kendall, streamed_kemeny
 
 
 def matrix_from_upper(entries: dict, n: int) -> PairwiseMatrix:
@@ -287,3 +287,18 @@ def test_aggregator_copeland_fallback(rng):
 def test_aggregator_unknown_kind():
     with pytest.raises(RejectedInputError):
         make_aggregator("magic")
+
+
+def test_exact_kemeny_cached_table_matches_streamed_enumeration(rng):
+    # the cached S_n table gives the same medians, ties and risk bits as
+    # scoring freshly enumerated chunks; n alternates so the cache refills
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 3, 8):
+        dists = [random_rational_distribution(rng, n, max_support=30)]
+        if n >= 2:
+            # a two-point distribution has many tied medians
+            dists.append(DiscreteRankingDistribution.from_pairs(
+                [(Permutation.identity(n), 0.5), (Permutation.reverse(n), 0.5)]
+            ))
+        for d in dists:
+            medians, risk = streamed_kemeny(d)
+            assert exact_kemeny(d) == MedianResult(medians=medians, risk=risk, method="exact")

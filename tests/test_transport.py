@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from coastrank.cells import Cell
 from coastrank.consensus import exact_kemeny
@@ -24,13 +24,15 @@ from coastrank.perms import (
 )
 from coastrank.transport import (
     TransportPlan,
+    _integer_weights,
+    _solve_transport,
     distortion_report,
     l2_distance,
     wasserstein,
 )
 
 from conftest import random_permutation, random_rational_distribution
-from oracles import brute_wasserstein
+from oracles import bland_transport, brute_wasserstein
 
 
 def tiny_distribution(rng, n, max_support):
@@ -377,3 +379,110 @@ def test_distortion_report_blank_w_beyond_solver_limit(rng):
     assert capped.e_prime == full.e_prime and capped.e_dprime == full.e_dprime
     assert capped.e_le_two_e_prime == full.e_le_two_e_prime
     assert capped.e_le_e_dprime == full.e_le_e_dprime
+
+
+# --- network simplex ----------------------------------------------------------
+
+
+def seeded_transport_problems(rng, count):
+    """Integer problems, many degenerate: {0, 1} costs, equal supplies, one row or column."""
+    for t in range(count):
+        m, n = int(rng.integers(1, 14)), int(rng.integers(1, 9))
+        if t % 5 == 3:
+            m = 1
+        elif t % 5 == 4:
+            n = 1
+        hi = 2 if t % 2 == 0 else 25
+        cost = rng.integers(0, hi, size=(m, n)).astype(np.int64)
+        total = m * n * int(rng.integers(1, 4))
+        if t % 3 == 0:
+            a = np.full(m, total // m, dtype=np.int64)
+            b = np.full(n, total // n, dtype=np.int64)
+        else:
+            a = rng.multinomial(total, np.full(m, 1.0 / m)).astype(np.int64) + 1
+            b = rng.multinomial(total, np.full(n, 1.0 / n)).astype(np.int64)
+            b[0] += m  # keep the totals equal after lifting every supply by 1
+        yield cost, a, b
+
+
+def test_network_simplex_matches_bland_oracle(rng):
+    for cost, a, b in seeded_transport_problems(rng, 150):
+        flow, pivots, _ = _solve_transport(cost, a, b)
+        assert flow.dtype == np.int64 and (flow >= 0).all()
+        assert (flow.sum(axis=1) == a).all() and (flow.sum(axis=0) == b).all()
+        assert np.count_nonzero(flow) <= len(a) + len(b) - 1  # a basic solution
+        assert int((flow * cost).sum()) == int((bland_transport(cost, a, b) * cost).sum())
+
+
+def test_crd_problem_matches_linear_programming():
+    # an n=7 empirical distribution against the 8 atoms of its fitted CRD,
+    # the shape of problem eval solves at every pruning step
+    from coastrank.models import MixtureSpec, sample_mixture
+    from coastrank.tree import grow
+
+    rng = np.random.default_rng(7)
+    spec = MixtureSpec.from_json_obj({"n": 7, "seed": 1, "components": [
+        {"type": "mallows", "center": [int(x) + 1 for x in rng.permutation(7)],
+         "phi": 0.7, "mix": 1 / 3} for _ in range(3)]})
+    s = sample_mixture(spec, 350)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=8)
+    p = DiscreteRankingDistribution.empirical(s)
+    q = tree.crd().to_distribution()
+    assert p.size > 250 and q.size == 8
+    w, plan = wasserstein(p, q)
+    plan.verify(p, q)
+    assert plan.exact
+    cost = hamming_cross(p.support_comparisons, q.support_comparisons)
+    m1, m2 = p.size, q.size
+    a_eq = np.zeros((m1 + m2, m1 * m2))
+    for i in range(m1):
+        a_eq[i, i * m2 : (i + 1) * m2] = 1.0
+    for j in range(m2):
+        a_eq[m1 + j, j::m2] = 1.0
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p.weights, q.weights]),
+                  method="highs")
+    assert res.status == 0
+    assert w == pytest.approx(res.fun, abs=1e-7)
+
+
+def test_degenerate_assignment_terminates_through_bland_fallback():
+    # a 60 x 60 assignment problem: every basis carries 59 zero-flow cells,
+    # so Dantzig pricing stalls and the Bland fallback has to take over
+    rng = np.random.default_rng(0)
+    cost = rng.integers(0, 30, size=(60, 60)).astype(np.int64)
+    ones = np.ones(60, dtype=np.int64)
+    flow, pivots, bland = _solve_transport(cost, ones, ones)
+    assert bland > 0
+    assert pivots <= 60 * 60
+    assert (flow.sum(axis=0) == 1).all() and (flow.sum(axis=1) == 1).all()
+    r, c = linear_sum_assignment(cost)
+    assert int((flow * cost).sum()) == int(cost[r, c].sum())
+
+
+def test_rounded_weights_are_flagged_inexact(rng):
+    # 1/p for two large primes: the common denominator overflows int64 pipelines
+    w1, w2 = 1 / 9999991, 1 / 9999973
+    perms = [Permutation.identity(4), Permutation.reverse(4), random_permutation(rng, 4)]
+    p = DiscreteRankingDistribution(4, tuple(sorted(perms, key=lambda x: x.ranks)),
+                                    np.array([w1, w2, 1 - w1 - w2]))
+    q = tiny_distribution(rng, 4, 5)
+    *_, exact = _integer_weights(p, q)
+    assert exact is False
+    w, plan = wasserstein(p, q)
+    assert plan.exact is False
+    assert w == pytest.approx(brute_wasserstein(p, q), abs=1e-6)
+    rep = distortion_report(p, [Cell.root(4)], [exact_kemeny(p).median])
+    assert rep.w_exact is False
+
+
+def test_empirical_weights_are_exact(rng):
+    from conftest import random_sample
+
+    dist = DiscreteRankingDistribution.empirical(random_sample(rng, 5, 200))
+    cells = Cell.root(5).split((0, 1))
+    rep = distortion_report(dist, cells, conditional_medians(dist, cells))
+    assert rep.w_exact is True
+    _, plan = wasserstein(dist, dist)
+    assert plan.exact is True
+    capped = distortion_report(dist, cells, conditional_medians(dist, cells), solver_limit=3)
+    assert capped.w is None and capped.w_exact is None
