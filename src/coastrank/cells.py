@@ -19,7 +19,6 @@ from .errors import (
     RejectedInputError,
 )
 from .perms import (
-    PairwiseMatrix,
     Permutation,
     RankingSample,
     enumerate_permutations,
@@ -76,10 +75,13 @@ class Cell:
         """Boolean mask of sample rows lying in this cell (vectorized)."""
         if s.n != self.n:
             raise DimensionMismatchError("membership: size mismatch")
-        mask = np.ones(s.size, dtype=bool)
+        return self.comparison_mask(s.comparisons)
+
+    def comparison_mask(self, x: np.ndarray) -> np.ndarray:
+        """Boolean mask of the rows of a comparison matrix lying in this cell."""
+        mask = np.ones(x.shape[0], dtype=bool)
         if not self.constraints:
             return mask
-        x = s.comparisons
         col = {pair: c for c, pair in enumerate(pair_list(self.n))}
         for a, b in self.constraints:
             mask &= x[:, col[(a, b)]] if a < b else ~x[:, col[(b, a)]]
@@ -133,63 +135,49 @@ class Cell:
         return cls(n, frozenset((int(a) - 1, int(b) - 1) for a, b in obj))
 
 
-@dataclass(frozen=True, eq=False)
-class LocalStats:
-    """Per-cell empirical summary of a sample."""
+def pair_distance_sum(counts: np.ndarray, m: int) -> int:
+    """Sum of Kendall distances over all pairs of m rankings, from their column counts.
 
-    cell: Cell
-    count: int
-    marginals: PairwiseMatrix
-    v_hat: float
-
-
-def v_hat_of_indices(
-    s: RankingSample,
-    indices: np.ndarray,
-    pair_cap: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Cell variability estimate: sum of pairwise distances over N(N-1).
-
-    With ``pair_cap`` set and more member pairs than the cap, a seeded random
-    subset of pairs is averaged instead (and halved, matching the estimand
-    of half the expected pairwise distance).
+    Rankings that disagree on comparison column p come in counts[p] * (m - counts[p])
+    pairs, so no m x m distance matrix is needed.
     """
-    m = int(len(indices))
-    if m <= 1:
-        return 0.0
-    total_pairs = m * (m - 1) // 2
-    if pair_cap is not None and total_pairs > pair_cap:
-        if rng is None:
-            raise RejectedInputError("pair_cap subsampling requires an rng")
-        ks = rng.integers(0, m, size=pair_cap)
-        ls = rng.integers(0, m - 1, size=pair_cap)
-        ls = np.where(ls >= ks, ls + 1, ls)  # ordered pairs, k != l
-        vals = (s.comparisons[indices[ks]] != s.comparisons[indices[ls]]).sum(axis=1)
-        return float(vals.mean() / 2.0)
-    # sum of pairwise distances without forming the m x m matrix: rankings
-    # disagreeing on comparison column p come in count_p * (m - count_p) pairs
-    counts = s.comparisons[indices].sum(axis=0, dtype=np.int64)
-    pair_sum = int((counts * (m - counts)).sum())
-    return float(pair_sum / (m * (m - 1)))
+    return int((counts * (m - counts)).sum())
 
 
-def local_stats(
-    s: RankingSample,
-    c: Cell,
-    pair_cap: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> LocalStats:
-    """Count, pairwise marginals, and variability of the sample inside a cell.
+def v_hat_of_counts(counts: np.ndarray, m: int) -> float:
+    """Cell variability estimate of m rankings: sum of pairwise distances over m(m-1)."""
+    return pair_distance_sum(counts, m) / (m * (m - 1)) if m >= 2 else 0.0
 
-    Empty cells are legal: they report neutral marginals (all 1/2) and zero
-    variability. Cells with a single member also have zero variability.
+
+def v_hat_of_indices(s: RankingSample, indices: np.ndarray) -> float:
+    """Cell variability estimate of the given sample rows."""
+    return v_hat_of_counts(s.comparisons[indices].sum(axis=0, dtype=np.int64), len(indices))
+
+
+def cell_owners(n: int, x: np.ndarray, cells) -> np.ndarray:
+    """Index of the one cell holding each comparison row of x.
+
+    Raises PartitionIntegrityError unless the cells tile the rows (every row
+    matched by exactly one cell).
     """
-    mask = c.membership_mask(s)
-    idx = np.flatnonzero(mask)
-    marg = PairwiseMatrix.from_comparisons(s.n, s.comparisons[mask])
-    v = v_hat_of_indices(s, idx, pair_cap=pair_cap, rng=rng)
-    return LocalStats(cell=c, count=int(idx.size), marginals=marg, v_hat=v)
+    cells = list(cells)
+    if not cells:
+        raise PartitionIntegrityError("no cells given")
+    owners = np.full(x.shape[0], -1, dtype=np.int64)
+    cover = np.zeros(x.shape[0], dtype=np.int64)
+    for ci, cell in enumerate(cells):
+        if cell.n != n:
+            raise DimensionMismatchError("cell over wrong item count")
+        mask = cell.comparison_mask(x)
+        owners[mask] = ci
+        cover += mask
+    if np.any(cover != 1):
+        over = int(np.sum(cover > 1))
+        under = int(np.sum(cover == 0))
+        raise PartitionIntegrityError(
+            f"cells do not tile the rankings: {over} multiply covered, {under} uncovered"
+        )
+    return owners
 
 
 def partition_criterion(s: RankingSample, cells) -> float:
@@ -199,22 +187,9 @@ def partition_criterion(s: RankingSample, cells) -> float:
     ranking matched by exactly one cell).
     """
     cells = list(cells)
-    if not cells:
-        raise PartitionIntegrityError("no cells given")
-    cover = np.zeros(s.size, dtype=np.int64)
-    masks = []
-    for c in cells:
-        m = c.membership_mask(s)
-        masks.append(m)
-        cover += m.astype(np.int64)
-    if np.any(cover != 1):
-        over = int(np.sum(cover > 1))
-        under = int(np.sum(cover == 0))
-        raise PartitionIntegrityError(
-            f"cells do not tile the sample: {over} rankings multiply covered, {under} uncovered"
-        )
+    owners = cell_owners(s.n, s.comparisons, cells)
     total = 0.0
-    for mask in masks:
-        idx = np.flatnonzero(mask)
+    for ci in range(len(cells)):
+        idx = np.flatnonzero(owners == ci)
         total += (idx.size / s.size) * v_hat_of_indices(s, idx)
     return float(total)

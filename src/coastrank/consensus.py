@@ -21,11 +21,8 @@ from .perms import (
     DiscreteRankingDistribution,
     PairwiseMatrix,
     Permutation,
-    RankingSample,
     comparison_matrix,
-    num_pairs,
     pair_list,
-    pairwise_marginals,
     risk_from_marginals,
 )
 
@@ -125,17 +122,18 @@ def _symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_kemeny(
-    d: DiscreteRankingDistribution, limit: int = ENUMERATION_LIMIT
+    d: DiscreteRankingDistribution | PairwiseMatrix, limit: int = ENUMERATION_LIMIT
 ) -> MedianResult:
     """Exhaustive Kemeny median set over the whole symmetric group.
 
-    Risks are computed through the pairwise decomposition of the Kendall
-    distance, one 50000-row chunk of the cached S_n table at a time.
+    Takes a distribution or its pairwise marginals: risks are computed
+    through the pairwise decomposition of the Kendall distance, one
+    50000-row chunk of the cached S_n table at a time.
     """
     n = d.n
     if n > limit:
         raise EnumerationLimitError(f"exact_kemeny: n={n} exceeds limit {limit}")
-    m = d.marginals()
+    m = d if isinstance(d, PairwiseMatrix) else d.marginals()
     upper = m.p[np.triu_indices(n, 1)]
     base = float(upper.sum())
     coef = 1.0 - 2.0 * upper
@@ -168,41 +166,39 @@ def dispersion_v_prime(m: PairwiseMatrix) -> float:
 
 
 def _climb(m: PairwiseMatrix, start: Permutation) -> Permutation:
-    """Greedy adjacent-transposition ascent in depth (descent in risk)."""
-    order = list(start.ordering())
-    n = len(order)
-    improved = True
-    while improved:
-        improved = False
-        best_r, best_delta = -1, -1e-15
-        for r in range(n - 1):
-            w, l = order[r], order[r + 1]
-            delta = 2.0 * m.p[w, l] - 1.0  # risk change if w and l swap
-            if delta < best_delta:
-                best_delta, best_r = delta, r
-        if best_r >= 0:
-            order[best_r], order[best_r + 1] = order[best_r + 1], order[best_r]
-            improved = True
-    return Permutation.from_ordering(order)
+    """Greedy adjacent-transposition ascent in depth (descent in risk).
+
+    Each step makes the adjacent swap that lowers the risk most; ties go to
+    the first such position.
+    """
+    p = m.p
+    order = np.array(start.ordering())
+    while len(order) > 1:
+        delta = 2.0 * p[order[:-1], order[1:]] - 1.0  # risk change of each swap
+        r = int(np.argmin(delta))
+        if not delta[r] < -1e-15:
+            break
+        order[r], order[r + 1] = order[r + 1], order[r]
+    return Permutation.from_ordering(order.tolist())
 
 
 def depth_climb_median(
-    s: RankingSample, restarts: int = 8, rng: np.random.Generator | None = None
+    m: PairwiseMatrix, restarts: int = 8, rng: np.random.Generator | None = None
 ) -> MedianResult:
     """Local search for a deep ranking: hill-climb over adjacent swaps.
 
     From each random start, repeatedly move to the neighboring ranking with
-    the largest empirical depth until no neighbor improves. Best endpoint
-    over restarts wins; exact ties go to the lexicographically smallest.
+    the largest depth under the marginals m until no neighbor improves. Best
+    endpoint over restarts wins; exact ties go to the lexicographically
+    smallest.
     """
     if restarts < 1:
         raise RejectedInputError("restarts must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
-    m = pairwise_marginals(s)
     best: Permutation | None = None
     best_risk = np.inf
     for _ in range(restarts):
-        start = Permutation(tuple(int(x) for x in rng.permutation(s.n)))
+        start = Permutation(tuple(int(x) for x in rng.permutation(m.n)))
         end = _climb(m, start)
         r = risk_from_marginals(m, end)
         if r < best_risk - 1e-12 or (
@@ -215,35 +211,31 @@ def depth_climb_median(
 #: Names accepted for aggregation strategies.
 AGGREGATOR_KINDS = ("auto", "exact", "copeland", "depth-climb")
 
+#: Largest n for which 'auto' enumerates S_n for an exact median.
+EXACT_N_LIMIT = 7
 
-def make_aggregator(
-    kind: str = "auto",
-    seed: int = 0,
-    exact_n_limit: int = 7,
-    restarts: int = 8,
-):
+#: Random starts per depth-climbing median.
+CLIMB_RESTARTS = 8
+
+
+def make_aggregator(kind: str = "auto", seed: int = 0):
     """Build the per-cell consensus routine used by tree growth.
 
-    auto: exact enumeration when n <= exact_n_limit, else Copeland when the
-    local marginals are strictly SST, else depth climbing. The explicit
-    'copeland' choice also falls back to depth climbing on ties/cycles
-    rather than failing mid-fit.
+    The routine maps a cell's pairwise marginals and its node id to a median.
+    auto: exact enumeration when n <= EXACT_N_LIMIT, else Copeland when the
+    marginals are strictly SST, else depth climbing. The explicit 'copeland'
+    choice also falls back to depth climbing on ties/cycles rather than
+    failing mid-fit.
     """
     if kind not in AGGREGATOR_KINDS:
         raise RejectedInputError(f"unknown aggregator {kind!r}; pick from {AGGREGATOR_KINDS}")
 
-    def aggregate(sub: RankingSample, node_id: int = 0) -> Permutation:
+    def aggregate(m: PairwiseMatrix, node_id: int = 0) -> Permutation:
+        if kind == "exact" or (kind == "auto" and m.n <= EXACT_N_LIMIT):
+            return exact_kemeny(m).median
+        if kind in ("copeland", "auto") and sst_status(m).kind is SstKind.STRICT:
+            return copeland_median(m)
         rng = np.random.default_rng([seed, node_id])
-        if kind == "exact" or (kind == "auto" and sub.n <= exact_n_limit):
-            return exact_kemeny(
-                DiscreteRankingDistribution.empirical(sub), limit=max(ENUMERATION_LIMIT, exact_n_limit)
-            ).median
-        if kind in ("copeland", "auto"):
-            m = pairwise_marginals(sub)
-            if sst_status(m).kind is SstKind.STRICT:
-                return copeland_median(m)
-        return depth_climb_median(sub, restarts=restarts, rng=rng).median
+        return depth_climb_median(m, restarts=CLIMB_RESTARTS, rng=rng).median
 
-    aggregate.kind = kind
-    aggregate.seed = seed
     return aggregate

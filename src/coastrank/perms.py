@@ -158,18 +158,6 @@ def kendall_tau(a: Permutation, b: Permutation) -> int:
     return _count_inversions(seq)
 
 
-def kendall_tau_pairs(a: Permutation, b: Permutation) -> int:
-    """O(n^2) pair-enumeration reference implementation, kept for tests."""
-    if a.n != b.n:
-        raise DimensionMismatchError(f"kendall_tau: {a.n} vs {b.n} items")
-    ra, rb = a.ranks, b.ranks
-    return sum(
-        1
-        for i, j in itertools.combinations(range(a.n), 2)
-        if (ra[i] - ra[j]) * (rb[i] - rb[j]) < 0
-    )
-
-
 def comparison_matrix(ranks: np.ndarray) -> np.ndarray:
     """Boolean (N, C(n,2)) matrix of 'i before j' bits over lexicographic pairs."""
     n = ranks.shape[1]
@@ -292,14 +280,6 @@ class RankingSample:
         x.setflags(write=False)
         return x
 
-    @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        x = self.comparisons.astype(np.float64)
-        agree = x @ x.T + (1.0 - x) @ (1.0 - x.T)
-        d = np.rint(num_pairs(self.n) - agree).astype(np.int64)
-        d.setflags(write=False)
-        return d
-
     def subset(self, indices) -> "RankingSample":
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
@@ -348,21 +328,31 @@ class PairwiseMatrix:
         The upper triangle is the (weighted) mean of each pair column and the
         lower triangle is its exact complement, so p + p.T == 1 holds exactly.
         """
-        if x.shape[0] == 0:
-            upper = np.full(num_pairs(n), 0.5)
-        elif weights is None:
-            upper = x.sum(axis=0) / x.shape[0]
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            total = w.sum()
-            if total <= 0:
-                upper = np.full(num_pairs(n), 0.5)
-            else:
-                upper = (w @ x.astype(np.float64)) / total
+        if weights is None:
+            return cls.from_counts(n, x.sum(axis=0), x.shape[0])
+        w = np.asarray(weights, dtype=np.float64)
+        total = w.sum()
+        if x.shape[0] == 0 or total <= 0:
+            return cls._from_upper(n, 0.5)
+        # in the column-major layout comparison_matrix produces, so the BLAS
+        # summation order does not depend on how x was sliced
+        return cls._from_upper(n, (w @ x.astype(np.float64, order="F")) / total)
+
+    @classmethod
+    def from_counts(cls, n: int, counts, m: int) -> "PairwiseMatrix":
+        """Marginals of m rankings from their per-pair 'i before j' counts.
+
+        No rankings (m = 0) give the neutral 1/2 everywhere.
+        """
+        return cls._from_upper(n, counts / m if m else 0.5)
+
+    @classmethod
+    def _from_upper(cls, n: int, upper) -> "PairwiseMatrix":
+        # triu_indices lists the pairs in lexicographic order, as pair_list does
+        iu = np.triu_indices(n, 1)
         p = np.full((n, n), 0.5)
-        for c, (i, j) in enumerate(pair_list(n)):
-            p[i, j] = upper[c]
-            p[j, i] = 1.0 - upper[c]
+        p[iu] = upper
+        p[iu[::-1]] = 1.0 - upper
         return cls(n, p)
 
 

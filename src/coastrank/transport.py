@@ -14,24 +14,25 @@ they are rounded first, and the result is marked inexact.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .cells import cell_owners
 from .consensus import dispersion_v, dispersion_v_prime, exact_kemeny
 from .errors import (
     CapacityError,
     DimensionMismatchError,
     EnumerationLimitError,
-    PartitionIntegrityError,
     RejectedInputError,
 )
-from .perms import DiscreteRankingDistribution, Permutation, hamming_cross
+from .perms import DiscreteRankingDistribution, PairwiseMatrix, Permutation, hamming_cross
 
 SOLVER_LIMIT = 2000
+#: Slack allowed when distortion_report checks its inequalities.
+_TOL = 1e-9
 _WEIGHT_DENOMINATOR_CAP = 10**7
 
 
@@ -81,18 +82,6 @@ class TransportPlan:
         d = hamming_cross(source.support_comparisons, target.support_comparisons)
         if abs(float((self.flow * d).sum()) - self.cost) > tol:
             raise RejectedInputError("stored cost disagrees with the flow")
-
-    def to_csv(self, path) -> None:
-        """Write the nonzero flows as (source index, target index, mass, unit cost)."""
-        d = hamming_cross(
-            np.array([p.comparison_bits() for p in self.rows], dtype=np.uint8),
-            np.array([p.comparison_bits() for p in self.cols], dtype=np.uint8),
-        )
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["source", "target", "mass", "unit_cost"])
-            for a, b in zip(*np.nonzero(self.flow > 0)):
-                w.writerow([int(a), int(b), "%.12g" % self.flow[a, b], int(d[a, b])])
 
 
 _DENOMINATOR_OVERFLOW_GUARD = 10**12  # keeps flows and costs inside int64
@@ -301,20 +290,6 @@ def wasserstein(
     return value, plan
 
 
-def l2_distance(
-    p: DiscreteRankingDistribution, q: DiscreteRankingDistribution
-) -> float:
-    """Euclidean distance between the two probability vectors on the union support."""
-    if p.n != q.n:
-        raise DimensionMismatchError("l2_distance: distributions over different n")
-    diff: dict[tuple[int, ...], float] = {}
-    for perm, w in zip(p.support, p.weights):
-        diff[perm.ranks] = diff.get(perm.ranks, 0.0) + float(w)
-    for perm, w in zip(q.support, q.weights):
-        diff[perm.ranks] = diff.get(perm.ranks, 0.0) - float(w)
-    return math.sqrt(sum(d * d for d in diff.values()))
-
-
 @dataclass(frozen=True)
 class DistortionReport:
     """How much structure a cell partition loses, bounded from both sides.
@@ -350,7 +325,6 @@ def distortion_report(
     cells,
     medians,
     solver_limit: int = SOLVER_LIMIT,
-    tol: float = 1e-9,
 ) -> DistortionReport:
     """Evaluate the consensus summary (cells, medians) against the source.
 
@@ -367,36 +341,25 @@ def distortion_report(
         if med.n != dist.n:
             raise DimensionMismatchError("median over wrong item count")
 
-    owners = np.full(dist.size, -1, dtype=np.int64)
-    for ci, cell in enumerate(cells):
-        if cell.n != dist.n:
-            raise DimensionMismatchError("cell over wrong item count")
-        for si, perm in enumerate(dist.support):
-            if cell.contains(perm):
-                if owners[si] >= 0:
-                    raise PartitionIntegrityError(
-                        f"support point {si} lies in cells {owners[si]} and {ci}"
-                    )
-                owners[si] = ci
-    if np.any(owners < 0):
-        missing = int(np.flatnonzero(owners < 0)[0])
-        raise PartitionIntegrityError(f"support point {missing} lies in no cell")
-
+    owners = cell_owners(dist.n, dist.support_comparisons, cells)
+    x, weights = dist.support_comparisons, dist.weights
     e: float | None = 0.0
     e_prime = 0.0
     e_dprime = 0.0
     atoms = []
     for ci in range(len(cells)):
-        mass, cond = dist.condition(owners == ci)
-        if cond is None:
+        mask = owners == ci
+        mass = float(weights[mask].sum())
+        if mass <= 0.0:
             continue
         atoms.append((medians[ci], mass))
-        marg = cond.marginals()
+        # the cell's conditional marginals, from its support points' comparison rows
+        marg = PairwiseMatrix.from_comparisons(dist.n, x[mask], weights[mask] / mass)
         e_prime += mass * dispersion_v_prime(marg)
         e_dprime += mass * dispersion_v(marg)
         if e is not None:
             try:
-                e += mass * exact_kemeny(cond).risk
+                e += mass * exact_kemeny(marg).risk
             except EnumerationLimitError:
                 e = None
 
@@ -411,8 +374,8 @@ def distortion_report(
         e=e,
         e_prime=e_prime,
         e_dprime=e_dprime,
-        w_le_e=None if w is None or e is None else w <= e + tol,
-        e_le_two_e_prime=None if e is None else e <= 2.0 * e_prime + tol,
-        e_le_e_dprime=None if e is None else e <= e_dprime + tol,
+        w_le_e=None if w is None or e is None else w <= e + _TOL,
+        e_le_two_e_prime=None if e is None else e <= 2.0 * e_prime + _TOL,
+        e_le_e_dprime=None if e is None else e <= e_dprime + _TOL,
         w_exact=w_exact,
     )

@@ -24,14 +24,14 @@ from enum import Enum
 
 import numpy as np
 
-from .cells import Cell
+from .cells import Cell, pair_distance_sum, v_hat_of_counts
 from .consensus import make_aggregator
 from .errors import (
     InadmissiblePairError,
     RejectedInputError,
     TreeStateError,
 )
-from .perms import Permutation, RankingSample, pair_list
+from .perms import PairwiseMatrix, Permutation, RankingSample, pair_list
 
 __all__ = [
     "SplitRule",
@@ -43,7 +43,6 @@ __all__ = [
     "choose_split_min_distortion",
     "choose_split_balanced",
     "grow",
-    "crd_of",
     "prune_sequence",
     "select_subtree",
 ]
@@ -66,7 +65,12 @@ def _as_rule(rule) -> SplitRule:
 
 @dataclass
 class CoastNode:
-    """One cell of the partition tree plus its cached sample statistics."""
+    """One cell of the partition tree plus its cached sample statistics.
+
+    ``counts`` holds the int64 column counts of the node's rows (how many
+    rank i before j, per item pair); with ``count`` they fix the cell's
+    variability, split scores and pairwise marginals.
+    """
 
     node_id: int
     cell: Cell
@@ -74,7 +78,7 @@ class CoastNode:
     weight: float
     v_hat: float
     count: int | None = None
-    pair_sum: int | None = None  # sum of pairwise distances inside the cell
+    counts: np.ndarray | None = field(default=None, repr=False)
     split: tuple[int, int] | None = None
     children: tuple[int, int] | None = None
     median: Permutation | None = None
@@ -296,8 +300,9 @@ class CoastTree:
 
         Every node needs ``id``, ``constraints``, ``weight`` and ``v_hat``; a
         split names two distinct items in 1..n and comes with two children;
-        each child exists and has one parent, and every node is reachable from
-        the one root. Splits are normalized to i < j.
+        each child exists and has one parent, every node is reachable from
+        the one root, and a child's constraints are its parent's plus the
+        split in the child's orientation. Splits are normalized to i < j.
         """
         try:
             n = int(obj["n"])
@@ -332,6 +337,17 @@ class CoastTree:
         if len(order) != len(by_id):
             lost = min(set(by_id) - set(order))
             raise RejectedInputError(f"tree node {lost}: not reachable from root {roots[0]}")
+        for nid in order:
+            node = by_id[nid]
+            if node.children is None:
+                continue
+            i, j = node.split
+            for c, (a, b) in zip(node.children, ((i, j), (j, i))):
+                if by_id[c].cell.constraints != node.cell.constraints | {(a, b)}:
+                    raise RejectedInputError(
+                        f"tree node {c}: constraints are not those of parent {nid} "
+                        f"plus {a + 1} before {b + 1}"
+                    )
         renum = {nid: k for k, nid in enumerate(order)}
         nodes = []
         for nid in order:
@@ -384,23 +400,15 @@ def _node_from_json(n: int, r, pos: int) -> CoastNode:
 # --- split search -----------------------------------------------------------
 
 
-def _subset_stats(x: np.ndarray, indices: np.ndarray) -> tuple[int, int]:
-    """(count, sum of pairwise distances) for the given sample rows."""
-    m = int(len(indices))
-    if m <= 1:
-        return m, 0
-    counts = x[indices].sum(axis=0, dtype=np.int64)
-    return m, int((counts * (m - counts)).sum())
-
-
-def _v_of(m: int, pair_sum: int) -> float:
-    return float(pair_sum) / (m * (m - 1)) if m >= 2 else 0.0
-
-
 def _child_score(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Unnormalized criterion term m * v_hat = pair_sum / (m - 1), 0 for m <= 1."""
     denom = np.maximum(m - 1, 1)
     return np.where(m >= 2, s / denom, 0.0)
+
+
+def _score(m: int, counts: np.ndarray) -> float:
+    """_child_score of one cell of m rows with the given column counts."""
+    return pair_distance_sum(counts, m) / (m - 1) if m >= 2 else 0.0
 
 
 #: Rows per chunk of the split search's Gram matrix.
@@ -414,7 +422,7 @@ class _SplitPlan:
     column: int
     reduction: float  # parent score minus both child scores (N-free units)
     child_ms: tuple[int, int]
-    child_sums: tuple[int, int]
+    child_counts: tuple[np.ndarray, np.ndarray]
 
 
 def _plan_min_distortion(
@@ -429,7 +437,7 @@ def _plan_min_distortion(
         xc = x[idx[start : start + _GRAM_ROWS]].astype(np.float64)
         gram += xc.T @ xc
     gram = np.rint(gram).astype(np.int64)
-    t = np.diag(gram)
+    t = node.counts  # the diagonal of gram
     c0 = gram[candidates, :]
     m0 = t[candidates][:, None]
     c1 = t[None, :] - c0
@@ -439,51 +447,34 @@ def _plan_min_distortion(
     score = _child_score(m0[:, 0], s0) + _child_score(m1[:, 0], s1)
     k = int(np.argmin(score))  # first minimum = lexicographic tie-break
     col = int(candidates[k])
-    parent_score = _child_score(np.array([m]), np.array([node.pair_sum]))[0]
     return _SplitPlan(
         node_id=node.node_id,
         pair=pairs[col],
         column=col,
-        reduction=float(parent_score - score[k]),
+        reduction=float(_score(m, t) - score[k]),
         child_ms=(int(m0[k, 0]), int(m1[k, 0])),
-        child_sums=(int(s0[k]), int(s1[k])),
+        child_counts=(gram[col].copy(), t - gram[col]),  # a copy frees the Gram matrix
     )
 
 
 def _plan_balanced(
     x: np.ndarray, node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
 ) -> _SplitPlan:
-    idx = node.indices
     m = node.count
-    t = x[idx].sum(axis=0, dtype=np.int64)
+    t = node.counts
     k = int(np.argmin(np.abs(t[candidates] / m - 0.5)))
     col = int(candidates[k])
-    bits = x[idx, col]
-    m0, s0 = _subset_stats(x, idx[bits])
-    m1, s1 = _subset_stats(x, idx[~bits])
-    parent_score = _child_score(np.array([m]), np.array([node.pair_sum]))[0]
-    child_score = _child_score(np.array([m0]), np.array([s0]))[0] + _child_score(
-        np.array([m1]), np.array([s1])
-    )[0]
+    rows0 = node.indices[x[node.indices, col]]
+    m0, c0 = len(rows0), x[rows0].sum(axis=0, dtype=np.int64)
+    m1, c1 = m - m0, t - c0
     return _SplitPlan(
         node_id=node.node_id,
         pair=pairs[col],
         column=col,
-        reduction=float(parent_score - child_score),
+        reduction=float(_score(m, t) - (_score(m0, c0) + _score(m1, c1))),
         child_ms=(m0, m1),
-        child_sums=(s0, s1),
+        child_counts=(c0, c1),
     )
-
-
-def _candidate_columns(x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Columns where the subsample genuinely disagrees (both children nonempty).
-
-    Any such column's pair is automatically admissible in the cell: a pair
-    ordered by the cell's closure is constant across member rankings.
-    """
-    m = len(indices)
-    t = x[indices].sum(axis=0, dtype=np.int64)
-    return np.nonzero((t > 0) & (t < m))[0]
 
 
 def _choose_split(cell: Cell, s: RankingSample, rule: SplitRule) -> tuple[int, int]:
@@ -493,25 +484,27 @@ def _choose_split(cell: Cell, s: RankingSample, rule: SplitRule) -> tuple[int, i
     admissible = sorted(cell.admissible_pairs())
     if not admissible:
         raise InadmissiblePairError("cell admits no further split")
-    pairs = pair_list(s.n)
     x = s.comparisons
-    candidates = _candidate_columns(x, indices)
-    if len(candidates) == 0:
-        # sample is constant on every free pair; any split is criterion-neutral
-        return admissible[0]
-    m, pair_sum = _subset_stats(x, indices)
+    m, counts = len(indices), x[indices].sum(axis=0, dtype=np.int64)
     node = CoastNode(
         node_id=-1,
         cell=cell,
         depth=len(cell.constraints),
         weight=m / len(s),
-        v_hat=_v_of(m, pair_sum),
+        v_hat=v_hat_of_counts(counts, m),
         count=m,
-        pair_sum=pair_sum,
+        counts=counts,
         indices=indices,
     )
+    # columns where the rows genuinely disagree (both children nonempty); a
+    # pair ordered by the cell's closure is constant on them, so these pairs
+    # are admissible
+    candidates = np.nonzero((counts > 0) & (counts < m))[0]
+    if len(candidates) == 0:
+        # sample is constant on every free pair; any split is criterion-neutral
+        return admissible[0]
     planner = _plan_min_distortion if rule is SplitRule.MIN_DISTORTION else _plan_balanced
-    return planner(x, node, candidates, pairs).pair
+    return planner(x, node, candidates, pair_list(s.n)).pair
 
 
 def choose_split_min_distortion(cell: Cell, s: RankingSample) -> tuple[int, int]:
@@ -556,6 +549,12 @@ def grow(
     exceeds ``epsilon`` (or only the single most-reducing leaf with
     ``one_split_per_iter``), halting before any iteration that would push
     the leaf count past ``max_leaves``.
+
+    ``aggregator`` is a name from ``consensus.AGGREGATOR_KINDS`` or a callable
+    ``agg(marginals, node_id) -> Permutation``; it receives the cell's
+    ``PairwiseMatrix`` (its column counts over its row count) and the
+    node id, and ``prune_sequence`` calls it the same way for collapsed
+    nodes.
     """
     if len(s) < 1:
         raise RejectedInputError("cannot grow a tree from an empty sample")
@@ -576,17 +575,16 @@ def grow(
     x = s.comparisons
 
     t0 = time.perf_counter()
-    all_idx = np.arange(n_total)
-    m, pair_sum = _subset_stats(x, all_idx)
+    counts = x.sum(axis=0, dtype=np.int64)
     root = CoastNode(
         node_id=0,
         cell=Cell.root(s.n),
         depth=0,
         weight=1.0,
-        v_hat=_v_of(m, pair_sum),
-        count=m,
-        pair_sum=pair_sum,
-        indices=all_idx,
+        v_hat=v_hat_of_counts(counts, n_total),
+        count=n_total,
+        counts=counts,
+        indices=np.arange(n_total),
     )
     nodes = [root]
     frontier: set[int] = {0}
@@ -616,7 +614,7 @@ def grow(
 
             def plan_for(nid: int) -> _SplitPlan | None:
                 node = nodes[nid]
-                cand = _candidate_columns(x, node.indices)
+                cand = np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
                 if len(cand) == 0:  # cannot happen for v_hat > 0; guard anyway
                     return None
                 return planner(x, node, cand, pairs)
@@ -639,16 +637,15 @@ def grow(
                 idx_children = (parent.indices[bits], parent.indices[~bits])
                 child_ids = []
                 for side in (0, 1):
-                    cm = plan.child_ms[side]
-                    cs = plan.child_sums[side]
+                    cm, cc = plan.child_ms[side], plan.child_counts[side]
                     child = CoastNode(
                         node_id=len(nodes),
                         cell=(cell0, cell1)[side],
                         depth=parent.depth + 1,
                         weight=cm / n_total,
-                        v_hat=_v_of(cm, cs),
+                        v_hat=v_hat_of_counts(cc, cm),
                         count=cm,
-                        pair_sum=cs,
+                        counts=cc,
                         indices=idx_children[side],
                     )
                     nodes.append(child)
@@ -673,40 +670,24 @@ def grow(
 
     for nid in sorted(frontier):
         node = nodes[nid]
-        node.median = agg(s.subset(node.indices), nid)
+        node.median = agg(PairwiseMatrix.from_counts(s.n, node.counts, node.count), nid)
     tree = CoastTree(s.n, nodes, frontier, aggregator=agg)
     return tree, GrowthTrace(tuple(steps))
-
-
-def crd_of(tree: CoastTree) -> CRD:
-    """The tree's consensus ranking distribution (leaf weights and medians)."""
-    return tree.crd()
 
 
 # --- pruning and selection ----------------------------------------------------
 
 
-def _ensure_median(tree: CoastTree, node: CoastNode, s: RankingSample, agg) -> None:
-    if node.median is not None:
-        return
-    if agg is None:
-        raise TreeStateError("pruning needs an aggregator to produce collapsed-leaf medians")
-    if node.indices is not None:
-        sub = s.subset(node.indices)
-    else:
-        sub = s.subset(np.nonzero(node.cell.membership_mask(s))[0])
-    node.median = agg(sub, node.node_id)
-
-
-def prune_sequence(tree: CoastTree, s: RankingSample, aggregator=None) -> list[CoastTree]:
+def prune_sequence(tree: CoastTree, s: RankingSample) -> list[CoastTree]:
     """Weakest-link collapse sequence T_K ⊃ T_{K-1} ⊃ … ⊃ T_1 (root).
 
     Each step collapses the internal node, with both children in the
     current frontier, whose removal increases the partition criterion the
-    least; deltas come from cached node statistics, never from re-scanning
-    the sample.
+    least; deltas come from cached node statistics. A collapsed node without
+    a median gets one from the column counts of its rows: the sample is
+    routed once, and a collapsed node's counts are its children's sums.
     """
-    agg = aggregator or tree.aggregator or make_aggregator("auto", seed=0)
+    agg = tree.aggregator or make_aggregator("auto", seed=0)
     parent_of: dict[int, int] = {}
     stack = [0]
     while stack:
@@ -716,6 +697,12 @@ def prune_sequence(tree: CoastTree, s: RankingSample, aggregator=None) -> list[C
             for c in node.children:
                 parent_of[c] = nid
                 stack.append(c)
+    leaf_of = tree.route_sample(s)
+    x = s.comparisons
+    rows: dict[int, tuple[int, np.ndarray]] = {}
+    for nid in tree.frontier:
+        mine = x[leaf_of == nid]
+        rows[nid] = (len(mine), mine.sum(axis=0, dtype=np.int64))
     frontier = set(tree.frontier)
     seq = [tree]
     while len(frontier) > 1:
@@ -738,10 +725,15 @@ def prune_sequence(tree: CoastTree, s: RankingSample, aggregator=None) -> list[C
             for p in collapsible
         ]
         _, victim = min(deltas, key=lambda dp: (dp[0], dp[1]))
-        for c in tree.nodes[victim].children:
-            frontier.remove(c)
+        node = tree.nodes[victim]
+        (m0, c0), (m1, c1) = (rows.pop(c) for c in node.children)
+        frontier.difference_update(node.children)
         frontier.add(victim)
-        _ensure_median(tree, tree.nodes[victim], s, agg)
+        m, counts = rows[victim] = (m0 + m1, c0 + c1)
+        if node.median is None:
+            if m == 0:
+                raise RejectedInputError(f"tree node {victim}: no sample rows to aggregate")
+            node.median = agg(PairwiseMatrix.from_counts(s.n, counts, m), victim)
         seq.append(tree.subtree(frontier))
     return seq
 

@@ -7,12 +7,23 @@ Permutation container type.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from coastrank.perms import DiscreteRankingDistribution, Permutation, RankingSample
+from coastrank.cells import Cell
+from coastrank.errors import DimensionMismatchError
+from coastrank.perms import (
+    DiscreteRankingDistribution,
+    PairwiseMatrix,
+    Permutation,
+    RankingSample,
+    hamming_cross,
+)
 
 
 def naive_kendall(a: Permutation, b: Permutation) -> int:
@@ -22,6 +33,18 @@ def naive_kendall(a: Permutation, b: Permutation) -> int:
             if (a.ranks[i] - a.ranks[j]) * (b.ranks[i] - b.ranks[j]) < 0:
                 d += 1
     return d
+
+
+def kendall_tau_pairs(a: Permutation, b: Permutation) -> int:
+    """O(n^2) pair-enumeration Kendall distance."""
+    if a.n != b.n:
+        raise DimensionMismatchError(f"kendall_tau: {a.n} vs {b.n} items")
+    ra, rb = a.ranks, b.ranks
+    return sum(
+        1
+        for i, j in itertools.combinations(range(a.n), 2)
+        if (ra[i] - ra[j]) * (rb[i] - rb[j]) < 0
+    )
 
 
 def brute_risk(dist: DiscreteRankingDistribution, sigma: Permutation) -> float:
@@ -80,6 +103,20 @@ def streamed_kemeny(dist: DiscreteRankingDistribution):
         risks.extend((bits.reshape(len(chunk), len(pairs)) @ coef + base).tolist())
     best = min(risks)
     return tuple(Permutation(r) for r, v in zip(all_ranks, risks) if v <= best + 1e-9), best
+
+
+def loop_climb(m: PairwiseMatrix, start: Permutation) -> Permutation:
+    """Adjacent-swap descent in risk, scanning the n - 1 swaps in a Python loop."""
+    order = list(start.ordering())
+    while True:
+        best_r, best_delta = -1, -1e-15
+        for r in range(len(order) - 1):
+            delta = 2.0 * m.p[order[r], order[r + 1]] - 1.0  # risk change if they swap
+            if delta < best_delta:
+                best_delta, best_r = delta, r
+        if best_r < 0:
+            return Permutation.from_ordering(order)
+        order[best_r], order[best_r + 1] = order[best_r + 1], order[best_r]
 
 
 def hamming_depths(qx: np.ndarray, fx: np.ndarray, max_depth: float) -> np.ndarray:
@@ -294,3 +331,49 @@ def pl_pmf(worths, perm: Permutation) -> float:
         prob *= worths[item] / sum(worths[j] for j in remaining)
         remaining.remove(item)
     return prob
+
+
+def l2_distance(p: DiscreteRankingDistribution, q: DiscreteRankingDistribution) -> float:
+    """Euclidean distance between the two probability vectors on the union support."""
+    if p.n != q.n:
+        raise DimensionMismatchError("l2_distance: distributions over different n")
+    diff: dict[tuple[int, ...], float] = {}
+    for perm, w in zip(p.support, p.weights):
+        diff[perm.ranks] = diff.get(perm.ranks, 0.0) + float(w)
+    for perm, w in zip(q.support, q.weights):
+        diff[perm.ranks] = diff.get(perm.ranks, 0.0) - float(w)
+    return math.sqrt(sum(d * d for d in diff.values()))
+
+
+def plan_to_csv(plan, path) -> None:
+    """Write a transport plan's nonzero flows as (source index, target index, mass, unit cost)."""
+    d = hamming_cross(
+        np.array([p.comparison_bits() for p in plan.rows], dtype=np.uint8),
+        np.array([p.comparison_bits() for p in plan.cols], dtype=np.uint8),
+    )
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["source", "target", "mass", "unit_cost"])
+        for a, b in zip(*np.nonzero(plan.flow > 0)):
+            w.writerow([int(a), int(b), "%.12g" % plan.flow[a, b], int(d[a, b])])
+
+
+@dataclass(frozen=True, eq=False)
+class LocalStats:
+    """Per-cell empirical summary of a sample."""
+
+    cell: Cell
+    count: int
+    marginals: PairwiseMatrix
+    v_hat: float
+
+
+def local_stats(s: RankingSample, c: Cell) -> LocalStats:
+    """Count, pairwise marginals, and variability of the sample inside a cell.
+
+    Empty cells report neutral marginals (all 1/2) and zero variability.
+    """
+    mask = c.membership_mask(s)
+    idx = np.flatnonzero(mask)
+    marg = PairwiseMatrix.from_comparisons(s.n, s.comparisons[mask])
+    return LocalStats(cell=c, count=int(idx.size), marginals=marg, v_hat=brute_v_hat(s, idx))

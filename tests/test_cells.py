@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coastrank.cells import Cell, local_stats, partition_criterion, v_hat_of_indices
+from coastrank.cells import Cell, partition_criterion, v_hat_of_indices
 from coastrank.errors import (
     InadmissiblePairError,
     PartitionIntegrityError,
@@ -20,7 +20,7 @@ from coastrank.perms import (
 )
 
 from conftest import random_permutation, random_sample
-from oracles import brute_v_hat
+from oracles import brute_v_hat, local_stats
 
 
 def random_cell(rng, n, depth):
@@ -158,16 +158,6 @@ def test_v_hat_matches_brute(rng):
         c = random_cell(rng, 5, int(rng.integers(0, 3)))
         idx = np.flatnonzero(c.membership_mask(s))
         assert v_hat_of_indices(s, idx) == pytest.approx(brute_v_hat(s, idx), abs=1e-12)
-
-
-def test_v_hat_pair_cap_subsampling(rng):
-    s = random_sample(rng, 6, 120)
-    idx = np.arange(120)
-    exact = v_hat_of_indices(s, idx)
-    approx = v_hat_of_indices(s, idx, pair_cap=2000, rng=np.random.default_rng(5))
-    assert approx == pytest.approx(exact, rel=0.15)
-    with pytest.raises(RejectedInputError):
-        v_hat_of_indices(s, idx, pair_cap=10, rng=None)
 
 
 def test_forced_pair_marginal_is_one(rng):

@@ -14,10 +14,10 @@ from coastrank.cli import main
 from coastrank.fileio import load_rankings, read_json, sha256_of, write_rankings
 from coastrank.models import random_mallows_mixture_spec
 from coastrank.perms import DiscreteRankingDistribution, RankingSample
-from coastrank.transport import l2_distance
 from coastrank.tree import CoastTree
 
 from conftest import random_permutation
+from oracles import l2_distance
 
 
 @pytest.fixture
@@ -411,3 +411,24 @@ def test_tree_node_unreachable_from_root_exits_one(tmp_path, fitted):
         dict(leaf, id=93),
     ]
     assert_rejected(depth_on(tmp_path, doc, rank), "tree node 90: not reachable from root 0")
+
+
+def test_tree_child_cell_not_parent_plus_split_exits_one(tmp_path, fitted):
+    doc, rank = fitted
+    # node ids are list positions in a written tree
+    flipped = json.loads(json.dumps(doc))
+    (i, j), (c0, _) = flipped["nodes"][0]["split"], flipped["nodes"][0]["children"]
+    flipped["nodes"][c0]["constraints"] = [[j, i]]
+    assert_rejected(
+        depth_on(tmp_path, flipped, rank),
+        f"tree node {c0}: constraints are not those of parent 0 plus {i} before {j}",
+    )
+    # a grandchild that keeps only its own split, dropping its ancestors' constraints
+    dropped = json.loads(json.dumps(doc))
+    inner = inner_node(dropped)
+    (i, j), (_, c1) = inner["split"], inner["children"]
+    dropped["nodes"][c1]["constraints"] = [[j, i]]
+    assert_rejected(
+        depth_on(tmp_path, dropped, rank),
+        f"tree node {c1}: constraints are not those of parent {inner['id']} plus {j} before {i}",
+    )

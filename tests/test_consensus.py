@@ -6,6 +6,7 @@ import pytest
 from coastrank.consensus import (
     MedianResult,
     SstKind,
+    _climb,
     copeland_median,
     depth_climb_median,
     dispersion_v,
@@ -31,7 +32,7 @@ from coastrank.perms import (
 )
 
 from conftest import random_permutation, random_rational_distribution, random_sample
-from oracles import brute_kemeny, brute_risk, naive_kendall, streamed_kemeny
+from oracles import brute_kemeny, brute_risk, loop_climb, naive_kendall, streamed_kemeny
 
 
 def matrix_from_upper(entries: dict, n: int) -> PairwiseMatrix:
@@ -174,29 +175,41 @@ def test_depth_climb_reaches_exact_median_on_sst(rng):
         s = strict_sst_sample(rng, n)
         med = exact_kemeny(DiscreteRankingDistribution.empirical(s)).median
         for seed in range(4):
-            got = depth_climb_median(s, restarts=1, rng=np.random.default_rng(seed))
+            got = depth_climb_median(
+                pairwise_marginals(s), restarts=1, rng=np.random.default_rng(seed)
+            )
             assert got.median == med
 
 
 def test_depth_climb_improves_over_start(rng):
     s = random_sample(rng, 6, 40)
     d = DiscreteRankingDistribution.empirical(s)
-    res = depth_climb_median(s, restarts=8, rng=np.random.default_rng(1))
+    m = pairwise_marginals(s)
+    res = depth_climb_median(m, restarts=8, rng=np.random.default_rng(1))
     assert res.risk == pytest.approx(ranking_risk(d, res.median), abs=1e-9)
     # local optimality: no adjacent swap improves
     order = list(res.median.ordering())
-    m = pairwise_marginals(s)
     for r in range(5):
         w, l = order[r], order[r + 1]
         assert 2 * m.p[w, l] - 1 >= -1e-12
     with pytest.raises(RejectedInputError):
-        depth_climb_median(s, restarts=0)
+        depth_climb_median(m, restarts=0)
+
+
+def test_climb_matches_loop_reference(rng):
+    # same swaps as a plain loop, ties in the risk change included
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        m = pairwise_marginals(random_sample(rng, n, int(rng.integers(1, 12))))
+        start = random_permutation(rng, n)
+        assert _climb(m, start) == loop_climb(m, start)
 
 
 def test_depth_climb_deterministic(rng):
     s = random_sample(rng, 5, 30)
-    a = depth_climb_median(s, restarts=8, rng=np.random.default_rng(3)).median
-    b = depth_climb_median(s, restarts=8, rng=np.random.default_rng(3)).median
+    m = pairwise_marginals(s)
+    a = depth_climb_median(m, restarts=8, rng=np.random.default_rng(3)).median
+    b = depth_climb_median(m, restarts=8, rng=np.random.default_rng(3)).median
     assert a == b
 
 
@@ -267,7 +280,7 @@ def test_low_noise_bound(rng):
 def test_aggregator_auto_exact_small_n(rng):
     s = random_sample(rng, 5, 21)
     agg = make_aggregator("auto", seed=1)
-    med = agg(s, node_id=0)
+    med = agg(pairwise_marginals(s), node_id=0)
     assert med == exact_kemeny(DiscreteRankingDistribution.empirical(s)).median
 
 
@@ -280,7 +293,7 @@ def test_aggregator_copeland_fallback(rng):
     ]
     s = RankingSample(tuple(perms))
     agg = make_aggregator("copeland", seed=0)
-    med = agg(s, node_id=3)
+    med = agg(pairwise_marginals(s), node_id=3)
     assert isinstance(med, Permutation)
 
 

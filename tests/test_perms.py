@@ -17,7 +17,6 @@ from coastrank.perms import (
     RankingSample,
     enumerate_permutations,
     kendall_tau,
-    kendall_tau_pairs,
     num_pairs,
     pairwise_marginals,
     ranking_depth,
@@ -26,7 +25,7 @@ from coastrank.perms import (
 )
 
 from conftest import random_permutation, random_sample
-from oracles import brute_risk, naive_kendall
+from oracles import brute_risk, kendall_tau_pairs, naive_kendall
 
 
 def test_permutation_validation():
@@ -98,16 +97,6 @@ def test_kendall_size_mismatch():
         kendall_tau(Permutation.identity(3), Permutation.identity(4))
 
 
-def test_distance_matrix_matches_pairwise(rng):
-    s = random_sample(rng, 6, 40)
-    d = s.distance_matrix
-    for i in range(0, 40, 7):
-        for j in range(0, 40, 5):
-            assert d[i, j] == kendall_tau(s[i], s[j])
-    assert np.all(d == d.T)
-    assert np.all(np.diag(d) == 0)
-
-
 def test_enumerate_permutations():
     perms = list(enumerate_permutations(4))
     assert len(perms) == 24
@@ -118,7 +107,7 @@ def test_enumerate_permutations():
     assert perms[-1] == Permutation.reverse(4)
     with pytest.raises(EnumerationLimitError):
         list(enumerate_permutations(10))
-    assert len(list(enumerate_permutations(10, limit=10))) > 0  # override allowed
+    assert next(enumerate_permutations(10, limit=10)) == Permutation.identity(10)  # override allowed
 
 
 def test_marginals_complement_exact(rng):

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
 from coastrank.cells import Cell
-from coastrank.consensus import exact_kemeny
+from coastrank.consensus import dispersion_v, dispersion_v_prime, exact_kemeny
 from coastrank.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -23,16 +23,16 @@ from coastrank.perms import (
     kendall_tau,
 )
 from coastrank.transport import (
+    DistortionReport,
     TransportPlan,
     _integer_weights,
     _solve_transport,
     distortion_report,
-    l2_distance,
     wasserstein,
 )
 
 from conftest import random_permutation, random_rational_distribution
-from oracles import bland_transport, brute_wasserstein
+from oracles import bland_transport, brute_wasserstein, l2_distance, plan_to_csv
 
 
 def tiny_distribution(rng, n, max_support):
@@ -150,7 +150,7 @@ def test_plan_invariants_and_csv(rng, tmp_path):
     assert float((plan.flow * d).sum()) == pytest.approx(w, abs=1e-12)
 
     path = tmp_path / "plan.csv"
-    plan.to_csv(path)
+    plan_to_csv(plan, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == int((plan.flow > 0).sum())
@@ -230,6 +230,47 @@ def conditional_medians(dist, cells):
         _, cond = dist.condition(mask)
         meds.append(exact_kemeny(cond).median)
     return meds
+
+
+def conditional_report(dist, cells, medians):
+    """The distortion report rebuilt from each cell's conditional distribution."""
+    e = e_prime = e_dprime = 0.0
+    atoms = []
+    for cell, med in zip(cells, medians):
+        mass, cond = dist.condition(np.array([cell.contains(p) for p in dist.support]))
+        if cond is None:
+            continue
+        atoms.append((med, mass))
+        e_prime += mass * dispersion_v_prime(cond.marginals())
+        e_dprime += mass * dispersion_v(cond.marginals())
+        e += mass * exact_kemeny(cond).risk
+    w, plan = wasserstein(dist, DiscreteRankingDistribution.from_pairs(atoms))
+    return DistortionReport(
+        w=w, e=e, e_prime=e_prime, e_dprime=e_dprime, w_le_e=w <= e + 1e-9,
+        e_le_two_e_prime=e <= 2.0 * e_prime + 1e-9, e_le_e_dprime=e <= e_dprime + 1e-9,
+        w_exact=plan.exact,
+    )
+
+
+def random_partition(rng, n, splits):
+    """Leaf cells of a random chain of admissible splits."""
+    cells = [Cell.root(n)]
+    for _ in range(splits):
+        k = int(rng.integers(len(cells)))
+        pairs = cells[k].admissible_pairs()
+        if pairs:
+            cells[k : k + 1] = cells[k].split(pairs[int(rng.integers(len(pairs)))])
+    return cells
+
+
+def test_distortion_report_matches_conditional_oracle(rng):
+    # every field, floats included, equals the report built from dist.condition
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        dist = random_rational_distribution(rng, n, max_support=30)
+        cells = random_partition(rng, n, int(rng.integers(0, 6)))
+        meds = [random_permutation(rng, n) for _ in cells]
+        assert distortion_report(dist, cells, meds) == conditional_report(dist, cells, meds)
 
 
 def test_trivial_partition_equality(rng):

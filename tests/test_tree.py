@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coastrank.cells import Cell, partition_criterion, v_hat_of_indices
-from coastrank.consensus import exact_kemeny, make_aggregator
+from coastrank.consensus import AGGREGATOR_KINDS, exact_kemeny, make_aggregator
 from coastrank.errors import (
     InadmissiblePairError,
     RejectedInputError,
@@ -26,6 +26,7 @@ from coastrank.perms import (
     RankingSample,
     num_pairs,
     pair_list,
+    pairwise_marginals,
 )
 from coastrank.tree import (
     CRD,
@@ -33,7 +34,6 @@ from coastrank.tree import (
     GrowthTrace,
     choose_split_balanced,
     choose_split_min_distortion,
-    crd_of,
     grow,
     prune_sequence,
     select_subtree,
@@ -151,7 +151,7 @@ def test_epsilon_large_gives_root_only(rng):
     tree, trace = grow(s, epsilon=root_v, rule="min-distortion", aggregator="exact")
     assert tree.leaf_count == 1
     assert len(trace.steps) == 1
-    crd = crd_of(tree)
+    crd = tree.crd()
     assert crd.k == 1
     w, med, cell = crd.atoms[0]
     assert w == pytest.approx(1.0)
@@ -167,7 +167,7 @@ def test_epsilon_zero_reproduces_empirical(rng):
     )
     s = RankingSample(perms + perms[:5])  # include duplicates
     tree, _ = grow(s, epsilon=0.0, rule="min-distortion", aggregator="exact")
-    crd = crd_of(tree)
+    crd = tree.crd()
     got = crd.to_distribution()
     want = DiscreteRankingDistribution.empirical(s)
     assert got.support == want.support
@@ -183,7 +183,7 @@ def test_point_mass_mixture_recovery_both_rules():
     for rule in ("min-distortion", "balanced"):
         tree, trace = grow(s, epsilon=0.0, rule=rule)
         assert tree.leaf_count == 4
-        crd = crd_of(tree)
+        crd = tree.crd()
         assert {m for _, m, _ in crd.atoms} == centers
         for w, _, _ in crd.atoms:
             assert abs(w - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / 400)
@@ -305,6 +305,68 @@ def test_leaf_medians_match_injected_aggregator():
         assert tree.node(nid).median == want
 
 
+def descendant_leaves(tree, nid):
+    stack, out = [nid], set()
+    while stack:
+        node = tree.node(stack.pop())
+        if node.children is None:
+            out.add(node.node_id)
+        else:
+            stack.extend(node.children)
+    return out
+
+
+@pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_node_counts_are_column_sums_of_routed_rows(rule, threads):
+    s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
+    tree, _ = grow(s, epsilon=0.0, rule=rule, max_leaves=10, threads=threads)
+    assert len(tree.nodes) > 10
+    leaf_of = tree.route_sample(s)
+    for node in tree.nodes:
+        rows = s.comparisons[np.isin(leaf_of, list(descendant_leaves(tree, node.node_id)))]
+        assert node.count == len(rows)
+        assert node.counts.dtype == np.int64
+        assert np.array_equal(node.counts, rows.sum(axis=0))
+        assert node.v_hat == brute_v_hat_of_rows(rows)
+
+
+def brute_v_hat_of_rows(rows):
+    """Sum of Hamming distances over all pairs of comparison rows, over m(m-1)."""
+    m = len(rows)
+    total = int((rows[:, None, :] != rows[None, :, :]).sum()) // 2
+    return total / (m * (m - 1)) if m >= 2 else 0.0
+
+
+def rebuilt_median(kind, seed, sub, node_id):
+    """A cell median from a rebuilt sub-sample: its empirical distribution
+    for the exact route, its own marginals otherwise."""
+    if kind == "exact" or (kind == "auto" and sub.n <= 7):
+        return exact_kemeny(DiscreteRankingDistribution.empirical(sub)).median
+    return make_aggregator(kind, seed)(pairwise_marginals(sub), node_id)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_medians_match_rebuilt_subsample_oracle(kind, n):
+    s = mixture_sample(n=n, k=3, phi=0.5, seed=n, size=240)
+    grown, _ = grow(s, epsilon=0.0, max_leaves=6, aggregator=kind, seed=2)
+    # loaded before pruning, so only its leaves carry medians
+    loaded = CoastTree.from_json_obj(grown.to_json_obj(), aggregator=make_aggregator(kind, 2))
+    checked = 0
+    for tree in (grown, loaded):
+        seq = prune_sequence(tree, s)
+        assert len(seq) == tree.leaf_count
+        medians = {nid for t in seq for nid in t.frontier}
+        if tree is loaded:
+            medians -= set(tree.frontier)  # loaded from the document
+        for nid in medians:
+            sub = s.subset(np.flatnonzero(tree.node(nid).cell.membership_mask(s)))
+            assert tree.node(nid).median == rebuilt_median(kind, 2, sub, nid), (kind, nid)
+            checked += 1
+    assert checked >= 2 * grown.leaf_count - 1
+
+
 # --- CRD ------------------------------------------------------------------------
 
 
@@ -318,7 +380,7 @@ def test_crd_requires_aggregated_medians():
     }
     tree = CoastTree.from_json_obj(doc)
     with pytest.raises(TreeStateError):
-        crd_of(tree)
+        tree.crd()
 
 
 def test_crd_merging_and_json():
@@ -383,6 +445,21 @@ def test_prune_sequence_nested_and_monotone():
     # every pruned tree can produce a CRD (lazy median aggregation)
     for t in seq:
         assert t.crd().k == t.leaf_count
+
+
+def test_prune_rejects_collapsing_a_node_without_rows():
+    node = {"weight": 0.5, "v_hat": 0.5, "split": None, "children": None, "median": [1, 2, 3]}
+    tree = CoastTree.from_json_obj({"n": 3, "nodes": [
+        dict(node, id=0, constraints=[], split=[1, 2], children=[1, 2], median=None),
+        dict(node, id=1, constraints=[[1, 2]], split=[2, 3], children=[3, 4], median=None),
+        dict(node, id=2, constraints=[[2, 1]], median=[2, 1, 3]),
+        dict(node, id=3, constraints=[[1, 2], [2, 3]]),
+        dict(node, id=4, constraints=[[1, 2], [3, 2]], median=[1, 3, 2]),
+    ]})
+    # every row ranks item 2 before item 1, so node 1, collapsed first, holds none
+    s = RankingSample((Permutation.from_one_based([2, 1, 3]), Permutation.from_one_based([3, 1, 2])))
+    with pytest.raises(RejectedInputError):
+        prune_sequence(tree, s)
 
 
 def test_prune_root_only():
