@@ -31,7 +31,6 @@ from .perms import (
     RankingSample,
     num_pairs,
     pair_list,
-    pairwise_marginals,
 )
 from .tree import CoastTree
 
@@ -369,7 +368,9 @@ def smooth_cell(
     mask = cell.membership_mask(s)
     if not mask.any():
         raise RejectedInputError("cell contains no sample points to smooth")
-    marg = pairwise_marginals(s.subset(np.flatnonzero(mask)))
+    marg = PairwiseMatrix.from_counts(
+        s.n, s.comparisons[mask].sum(axis=0, dtype=np.int64), int(mask.sum())
+    )
 
     z_factorized = None
     if _item_disjoint(cell.constraints):

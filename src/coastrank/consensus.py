@@ -169,17 +169,21 @@ def _climb(m: PairwiseMatrix, start: Permutation) -> Permutation:
     """Greedy adjacent-transposition ascent in depth (descent in risk).
 
     Each step makes the adjacent swap that lowers the risk most; ties go to
-    the first such position.
+    the first such position. A swap at r changes only the risk changes of
+    swaps r - 1, r and r + 1, so only those are recomputed.
     """
-    p = m.p
-    order = np.array(start.ordering())
-    while len(order) > 1:
-        delta = 2.0 * p[order[:-1], order[1:]] - 1.0  # risk change of each swap
-        r = int(np.argmin(delta))
-        if not delta[r] < -1e-15:
+    p = m.p.tolist()
+    order = list(start.ordering())
+    delta = [2.0 * p[a][b] - 1.0 for a, b in zip(order, order[1:])]  # risk change of each swap
+    while delta:
+        best = min(delta)
+        if not best < -1e-15:
             break
+        r = delta.index(best)
         order[r], order[r + 1] = order[r + 1], order[r]
-    return Permutation.from_ordering(order.tolist())
+        for k in range(max(r - 1, 0), min(r + 2, len(delta))):
+            delta[k] = 2.0 * p[order[k]][order[k + 1]] - 1.0
+    return Permutation.from_ordering(order)
 
 
 def depth_climb_median(

@@ -159,12 +159,20 @@ def kendall_tau(a: Permutation, b: Permutation) -> int:
 
 
 def comparison_matrix(ranks: np.ndarray) -> np.ndarray:
-    """Boolean (N, C(n,2)) matrix of 'i before j' bits over lexicographic pairs."""
+    """Boolean (N, C(n,2)) matrix of 'i before j' bits over lexicographic pairs.
+
+    The result is Fortran-ordered: its transpose is filled one item at a
+    time, block i holding item i against items i+1..n-1, so no (N, C(n,2))
+    gather of ranks is made.
+    """
     n = ranks.shape[1]
-    pairs = pair_list(n)
-    ii = np.fromiter((i for i, _ in pairs), dtype=np.int64)
-    jj = np.fromiter((j for _, j in pairs), dtype=np.int64)
-    return ranks[:, ii] < ranks[:, jj]
+    by_item = np.ascontiguousarray(ranks.T)
+    out_t = np.empty((n * (n - 1) // 2, ranks.shape[0]), dtype=bool)
+    col = 0
+    for i in range(n - 1):
+        np.less(by_item[i], by_item[i + 1 :], out=out_t[col : col + n - 1 - i])
+        col += n - 1 - i
+    return out_t.T
 
 
 def hamming_cross(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:

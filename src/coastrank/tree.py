@@ -11,7 +11,10 @@ with m member rankings and comparison submatrix X (m rows, one column per
 item pair), the sum of pairwise distances inside any subset is recoverable
 from column counts, and the counts of both children of every candidate
 split come from the Gram matrix X'X.  One small matmul evaluates the exact
-splitting criterion for every admissible pair at once.
+splitting criterion for every admissible pair at once.  Gram entries are
+integer counts, so a split node's matrix is kept for its children: the
+smaller child's is built from its rows and the larger's is the parent's
+minus it, exactly.
 """
 
 from __future__ import annotations
@@ -414,6 +417,64 @@ def _score(m: int, counts: np.ndarray) -> float:
 #: Rows per chunk of the split search's Gram matrix.
 _GRAM_ROWS = 1024
 
+#: Candidate rows per int64 block when scoring splits from a Gram matrix.
+_SCORE_ROWS = 64
+
+#: Nodes with fewer rows than this get float32 Gram matrices: every entry is
+#: an integer count of at most the node's rows, which float32 holds exactly
+#: below 2**24.
+_FLOAT32_ROWS = 1 << 24
+
+#: Bytes of Gram matrices that grow keeps from one round to the next, so that
+#: a child's matrix comes from its parent's minus its sibling's.
+_GRAM_KEEP_BYTES = 1 << 30
+
+
+def _gram_dtype(m: int) -> type:
+    return np.float32 if m < _FLOAT32_ROWS else np.float64
+
+
+def _gram(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """X'X over the given rows of x, summed over _GRAM_ROWS chunks.
+
+    Every entry is an exact integer: a chunk's products count at most
+    _GRAM_ROWS rows and the sums at most len(rows), below 2**24 in float32.
+    """
+    dtype = _gram_dtype(len(rows))
+    gram = np.zeros((x.shape[1], x.shape[1]), dtype=dtype)
+    for start in range(0, len(rows), _GRAM_ROWS):
+        xc = x[rows[start : start + _GRAM_ROWS]].astype(dtype)
+        gram += xc.T @ xc
+    return gram
+
+
+def _split_sums(
+    gram: np.ndarray, t: np.ndarray, m: int, candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and pair-distance sums of both children of each candidate split.
+
+    Candidate k's Gram row G holds child 0's column counts and t - G child
+    1's. With r = ΣG, q = ΣG² and m0 = t[k], m1 = m - m0:
+    s0 = Σ G·(m0 - G) = m0·r - q and
+    s1 = Σ (t - G)·(m1 - t + G) = m1·Σt - Σt² + 2·G·t - m1·r - q.
+    Rows are read in int64 blocks of _SCORE_ROWS, so every term is exact and
+    no C×C integer temporary is made.
+    """
+    r = np.empty(len(candidates), dtype=np.int64)
+    q = np.empty_like(r)
+    gt = np.empty_like(r)
+    for start in range(0, len(candidates), _SCORE_ROWS):
+        block = slice(start, start + _SCORE_ROWS)
+        g = gram[candidates[block]].astype(np.int64)
+        r[block] = g.sum(axis=1)
+        q[block] = np.einsum("ij,ij->i", g, g)
+        gt[block] = g @ t
+    m0 = t[candidates]
+    m1 = m - m0
+    s0 = m0 * r - q
+    s1 = m1 * t.sum() - (t * t).sum() + 2 * gt - m1 * r - q
+    return m0, m1, s0, s1
+
 
 @dataclass(frozen=True)
 class _SplitPlan:
@@ -426,34 +487,23 @@ class _SplitPlan:
 
 
 def _plan_min_distortion(
-    x: np.ndarray, node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
+    gram: np.ndarray, node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
 ) -> _SplitPlan:
-    idx = node.indices
+    """Best split of a node from its Gram matrix X'X (any float dtype, integer entries)."""
     m = node.count
-    # X'X over row chunks: exact (integer sums in float64), and no float copy
-    # of all m rows
-    gram = np.zeros((x.shape[1], x.shape[1]))
-    for start in range(0, m, _GRAM_ROWS):
-        xc = x[idx[start : start + _GRAM_ROWS]].astype(np.float64)
-        gram += xc.T @ xc
-    gram = np.rint(gram).astype(np.int64)
     t = node.counts  # the diagonal of gram
-    c0 = gram[candidates, :]
-    m0 = t[candidates][:, None]
-    c1 = t[None, :] - c0
-    m1 = m - m0
-    s0 = (c0 * (m0 - c0)).sum(axis=1)
-    s1 = (c1 * (m1 - c1)).sum(axis=1)
-    score = _child_score(m0[:, 0], s0) + _child_score(m1[:, 0], s1)
+    m0, m1, s0, s1 = _split_sums(gram, t, m, candidates)
+    score = _child_score(m0, s0) + _child_score(m1, s1)
     k = int(np.argmin(score))  # first minimum = lexicographic tie-break
     col = int(candidates[k])
+    c0 = gram[col].astype(np.int64)
     return _SplitPlan(
         node_id=node.node_id,
         pair=pairs[col],
         column=col,
         reduction=float(_score(m, t) - score[k]),
-        child_ms=(int(m0[k, 0]), int(m1[k, 0])),
-        child_counts=(gram[col].copy(), t - gram[col]),  # a copy frees the Gram matrix
+        child_ms=(int(m0[k]), int(m1[k])),
+        child_counts=(c0, t - c0),
     )
 
 
@@ -503,8 +553,10 @@ def _choose_split(cell: Cell, s: RankingSample, rule: SplitRule) -> tuple[int, i
     if len(candidates) == 0:
         # sample is constant on every free pair; any split is criterion-neutral
         return admissible[0]
-    planner = _plan_min_distortion if rule is SplitRule.MIN_DISTORTION else _plan_balanced
-    return planner(x, node, candidates, pair_list(s.n)).pair
+    pairs = pair_list(s.n)
+    if rule is SplitRule.MIN_DISTORTION:
+        return _plan_min_distortion(_gram(x, indices), node, candidates, pairs).pair
+    return _plan_balanced(x, node, candidates, pairs).pair
 
 
 def choose_split_min_distortion(cell: Cell, s: RankingSample) -> tuple[int, int]:
@@ -588,13 +640,83 @@ def grow(
     )
     nodes = [root]
     frontier: set[int] = {0}
-    planner = _plan_min_distortion if rule is SplitRule.MIN_DISTORTION else _plan_balanced
+    gram_size = x.shape[1] ** 2
 
     def criterion_now() -> float:
         return sum(nodes[i].contribution for i in frontier)
 
+    def candidates_of(node: CoastNode) -> np.ndarray:
+        return np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
+
+    def plan_balanced(nid: int) -> list[tuple[_SplitPlan, None]]:
+        node = nodes[nid]
+        cand = candidates_of(node)
+        if len(cand) == 0:  # cannot happen for v_hat > 0; guard anyway
+            return []
+        return [(_plan_balanced(x, node, cand, pairs), None)]
+
+    def plan_min_distortion(job, keep: set[int]) -> list[tuple[_SplitPlan, np.ndarray | None]]:
+        """Plans for one node, or for the eligible children of one kept parent.
+
+        A kept parent's children get the smaller child's Gram matrix from its
+        rows (ties go to child 0) and the other's by subtracting it from the
+        parent's in place. Each plan comes with its Gram matrix if its node
+        is in ``keep``.
+        """
+        ids, parent, parent_gram = job
+        if parent_gram is None:
+            grams = {ids[0]: _gram(x, nodes[ids[0]].indices)}
+        else:
+            c0, c1 = nodes[parent].children
+            small, large = (c0, c1) if nodes[c0].count <= nodes[c1].count else (c1, c0)
+            grams = {small: _gram(x, nodes[small].indices)}
+            if large in ids:
+                parent_gram -= grams[small]
+                grams[large] = parent_gram
+        out = []
+        for nid in ids:
+            node, gram = nodes[nid], grams.pop(nid)
+            cand = candidates_of(node)
+            if len(cand) > 0:  # always, for v_hat > 0
+                plan = _plan_min_distortion(gram, node, cand, pairs)
+                out.append((plan, gram if nid in keep else None))
+        return out
+
+    def plan_round(eligible: list[int], parents: dict[int, np.ndarray]):
+        """This round's plans, and the Gram matrices to keep for their children.
+
+        ``parents`` holds the Gram matrices kept from the last round; it is
+        emptied, so a parent none of whose children is eligible is freed.
+        """
+        if rule is SplitRule.MIN_DISTORTION:
+            keep, spare = set(), _GRAM_KEEP_BYTES
+            for nid in eligible:
+                size = gram_size * np.dtype(_gram_dtype(nodes[nid].count)).itemsize
+                if size <= spare:
+                    keep.add(nid)
+                    spare -= size
+            eligible_set, derived, work = set(eligible), set(), []
+            for pid, gram in parents.items():
+                ids = [c for c in nodes[pid].children if c in eligible_set]
+                if ids:
+                    work.append((ids, pid, gram))
+                    derived.update(ids)
+            parents.clear()
+            work += [([nid], None, None) for nid in eligible if nid not in derived]
+
+            def run(job):
+                return plan_min_distortion(job, keep)
+        else:
+            work, run = eligible, plan_balanced
+        results = pool.map(run, work) if pool is not None else map(run, work)
+        planned = sorted((pg for out in results for pg in out), key=lambda pg: pg[0].node_id)
+        if one_split_per_iter and planned:
+            planned = [max(planned, key=lambda pg: (pg[0].reduction, -pg[0].node_id))]
+        return [p for p, _ in planned], {p.node_id: g for p, g in planned if g is not None}
+
     steps = [GrowthStep(0, 1, criterion_now(), (), time.perf_counter() - t0)]
     iteration = 0
+    kept: dict[int, np.ndarray] = {}  # Gram matrices of the last round's split nodes
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         while True:
@@ -612,22 +734,9 @@ def grow(
             if len(frontier) + (1 if one_split_per_iter else len(eligible)) > max_leaves:
                 break
 
-            def plan_for(nid: int) -> _SplitPlan | None:
-                node = nodes[nid]
-                cand = np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
-                if len(cand) == 0:  # cannot happen for v_hat > 0; guard anyway
-                    return None
-                return planner(x, node, cand, pairs)
-
-            if pool is not None:
-                plans = [p for p in pool.map(plan_for, eligible) if p is not None]
-            else:
-                plans = [p for p in map(plan_for, eligible) if p is not None]
+            plans, kept = plan_round(eligible, kept)
             if not plans:
                 break
-            if one_split_per_iter:
-                best = max(plans, key=lambda p: (p.reduction, -p.node_id))
-                plans = [best]
 
             applied = []
             for plan in plans:
@@ -665,6 +774,7 @@ def grow(
                 )
             )
     finally:
+        kept.clear()
         if pool is not None:
             pool.shutdown(wait=False)
 

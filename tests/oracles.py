@@ -23,7 +23,16 @@ from coastrank.perms import (
     Permutation,
     RankingSample,
     hamming_cross,
+    pair_list,
 )
+
+
+def gathered_comparison_matrix(ranks: np.ndarray) -> np.ndarray:
+    """'i before j' bits from two (N, C(n,2)) gathers of the rank columns."""
+    pairs = pair_list(ranks.shape[1])
+    ii = np.fromiter((i for i, _ in pairs), dtype=np.int64)
+    jj = np.fromiter((j for _, j in pairs), dtype=np.int64)
+    return ranks[:, ii] < ranks[:, jj]
 
 
 def naive_kendall(a: Permutation, b: Permutation) -> int:

@@ -43,6 +43,7 @@ from coastrank.perms import (
     enumerate_permutations,
     kendall_tau,
     num_pairs,
+    pairwise_marginals,
     ranking_risk,
 )
 from coastrank.tree import CoastTree, grow
@@ -445,6 +446,19 @@ def test_smoothing_depth_identity(rng):
         total = sum(sm.scores.values())
         assert total == pytest.approx(sm.z, abs=1e-9)
         assert sum(v / sm.z for v in sm.scores.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_smooth_marginals_equal_sub_sample_marginals(rng):
+    # column counts of the masked rows give the rebuilt sub-sample's marginals, bit for bit
+    for n, size in [(4, 25), (6, 300), (7, 41)]:
+        s = random_sample(rng, n, size)
+        cell = Cell(n, frozenset({(0, 1), (2, 3)}))
+        mask = cell.membership_mask(s)
+        if not mask.any():
+            continue
+        want = pairwise_marginals(s.subset(np.flatnonzero(mask)))
+        got = smooth_cell(s, cell, "enumeration").marginals
+        assert (got.p == want.p).all()
 
 
 def test_smooth_argmax_is_copeland_under_sst(rng):

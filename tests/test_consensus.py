@@ -205,6 +205,16 @@ def test_climb_matches_loop_reference(rng):
         assert _climb(m, start) == loop_climb(m, start)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 20, 50])
+@pytest.mark.parametrize("size", [1, 4, 200])
+def test_climb_matches_loop_reference_on_quantized_marginals(rng, n, size):
+    # few rows give marginals on a coarse grid, so many swaps tie
+    m = pairwise_marginals(random_sample(rng, n, size))
+    for _ in range(5):
+        start = random_permutation(rng, n)
+        assert _climb(m, start) == loop_climb(m, start)
+
+
 def test_depth_climb_deterministic(rng):
     s = random_sample(rng, 5, 30)
     m = pairwise_marginals(s)

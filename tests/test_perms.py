@@ -15,6 +15,7 @@ from coastrank.perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    comparison_matrix,
     enumerate_permutations,
     kendall_tau,
     num_pairs,
@@ -25,7 +26,7 @@ from coastrank.perms import (
 )
 
 from conftest import random_permutation, random_sample
-from oracles import brute_risk, kendall_tau_pairs, naive_kendall
+from oracles import brute_risk, gathered_comparison_matrix, kendall_tau_pairs, naive_kendall
 
 
 def test_permutation_validation():
@@ -247,3 +248,13 @@ def test_empirical_support_in_sorted_tuple_order(rng):
     dist = DiscreteRankingDistribution.empirical(s)
     assert [p.ranks for p in dist.support] == sorted(counts)
     assert dist.weights.tolist() == [counts[r] / 200 for r in sorted(counts)]
+
+
+@pytest.mark.parametrize("n, size", [(1, 5), (2, 9), (7, 0), (8, 300), (20, 64)])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+def test_comparison_matrix_equals_gathered_form(rng, n, size, dtype):
+    ranks = np.argsort(rng.random((size, n)), axis=1).astype(dtype)
+    x = comparison_matrix(ranks)
+    assert x.dtype == bool and x.shape == (size, num_pairs(n))
+    assert x.flags["F_CONTIGUOUS"]  # weighted marginals and exact_kemeny sum in this order
+    assert np.array_equal(x, gathered_comparison_matrix(ranks))

@@ -495,9 +495,9 @@ def test_grow_plans_no_split_past_the_leaf_budget(monkeypatch, one_split):
     calls = []
     plan = tree_mod._plan_min_distortion
 
-    def counting(x, node, candidates, pairs):
+    def counting(gram, node, candidates, pairs):
         calls.append(node.node_id)
-        return plan(x, node, candidates, pairs)
+        return plan(gram, node, candidates, pairs)
 
     monkeypatch.setattr(tree_mod, "_plan_min_distortion", counting)
     tree, trace = grow(s, epsilon=0.0, max_leaves=6, one_split_per_iter=one_split)
@@ -556,3 +556,88 @@ def test_gram_chunks_do_not_change_the_tree(monkeypatch):
     monkeypatch.setattr(tree_mod, "_GRAM_ROWS", 7)
     chunked, _ = grow(s, epsilon=0.0, max_leaves=8)
     assert json.dumps(chunked.to_json_obj()) == json.dumps(whole.to_json_obj())
+
+
+def tree_json(tree):
+    return json.dumps(tree.to_json_obj())
+
+
+@pytest.mark.parametrize("one_split", [False, True])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, threads):
+    import coastrank.tree as tree_mod
+
+    s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
+    x = s.comparisons
+    checked, built = [], []
+    plan, gram_of = tree_mod._plan_min_distortion, tree_mod._gram
+
+    def checking(gram, node, candidates, pairs):
+        xf = x[node.indices].astype(np.float64)
+        assert np.array_equal(gram, xf.T @ xf)  # entry for entry, whatever the dtype
+        checked.append(node.node_id)
+        return plan(gram, node, candidates, pairs)
+
+    def counting(x_, rows):
+        built.append(len(rows))
+        return gram_of(x_, rows)
+
+    monkeypatch.setattr(tree_mod, "_plan_min_distortion", checking)
+    monkeypatch.setattr(tree_mod, "_gram", counting)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=one_split, threads=threads)
+    assert len(checked) >= 7
+    # children of a split node were derived: fewer rows multiplied than planned
+    assert sum(built) < sum(tree.node(nid).count for nid in checked)
+
+
+def test_trees_do_not_depend_on_kept_gram_matrices(monkeypatch):
+    import coastrank.tree as tree_mod
+
+    s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
+    for one_split in (False, True):
+        kept, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=one_split)
+        with monkeypatch.context() as mp:
+            mp.setattr(tree_mod, "_GRAM_KEEP_BYTES", 0)
+            direct, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=one_split)
+        assert tree_json(direct) == tree_json(kept)
+
+
+def test_float64_gram_matrices_give_the_same_tree(monkeypatch):
+    import coastrank.tree as tree_mod
+
+    s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
+    want, _ = grow(s, epsilon=0.0, max_leaves=8)
+    monkeypatch.setattr(tree_mod, "_FLOAT32_ROWS", 1)
+    assert tree_mod._gram(s.comparisons, np.arange(3)).dtype == np.float64
+    got, _ = grow(s, epsilon=0.0, max_leaves=8)
+    assert tree_json(got) == tree_json(want)
+
+
+def test_one_split_per_iter_is_thread_invariant():
+    s = mixture_sample(n=8, k=4, phi=0.8, seed=13, size=500)
+    a, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=True, threads=1)
+    b, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=True, threads=2)
+    assert tree_json(a) == tree_json(b)
+
+
+def test_split_sums_equal_the_column_count_formula(rng, monkeypatch):
+    import coastrank.tree as tree_mod
+
+    monkeypatch.setattr(tree_mod, "_SCORE_ROWS", 5)  # several blocks
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        x = random_sample(rng, n, int(rng.integers(2, 60))).comparisons
+        rows = np.flatnonzero(rng.random(len(x)) < 0.7)
+        if len(rows) < 2:
+            continue
+        m, t = len(rows), x[rows].sum(axis=0, dtype=np.int64)
+        candidates = np.nonzero((t > 0) & (t < m))[0]
+        gram = np.rint(tree_mod._gram(x, rows)).astype(np.int64)
+        c0 = gram[candidates, :]
+        want_m0 = t[candidates][:, None]
+        c1, want_m1 = t[None, :] - c0, m - want_m0
+        m0, m1, s0, s1 = tree_mod._split_sums(tree_mod._gram(x, rows), t, m, candidates)
+        assert s0.dtype == s1.dtype == np.int64
+        assert np.array_equal(m0, want_m0[:, 0]) and np.array_equal(m1, want_m1[:, 0])
+        assert np.array_equal(s0, (c0 * (want_m0 - c0)).sum(axis=1))
+        assert np.array_equal(s1, (c1 * (want_m1 - c1)).sum(axis=1))
