@@ -14,6 +14,7 @@ sample carries labels, the writer prepends a header row and appends a final
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 from dataclasses import dataclass
@@ -26,8 +27,11 @@ from .errors import RankingParseError, RejectedInputError
 from .perms import RankingSample, inverse_rows, non_permutation_rows
 
 
-#: Rows split and converted together by ``load_rankings``.
-_BLOCK_ROWS = 1024
+#: Rows formatted together by ``write_rankings``.
+_BLOCK_ROWS = 65536
+
+#: Bytes a ranking body may hold for ``load_rankings``' one-call parse.
+_PLAIN_BYTES = b"0123456789, \t\n"
 
 
 class RankingFileFormat(str, Enum):
@@ -93,29 +97,65 @@ def _scan_rows(data, delimiter, labeled: bool) -> tuple[list[list[int]], list[st
     return vals_rows, raw_labels
 
 
-def _parse_all(data, delimiter, labeled: bool) -> tuple[np.ndarray, list[str]]:
-    """0-based field values of every row, split and checked a block at a time.
+def _labels(raw: list[str]) -> tuple:
+    # numeric-looking labels come back as ints so component ids round-trip
+    try:
+        return tuple(map(int, raw))
+    except ValueError:
+        return tuple(raw)
 
-    Blocks bound the number of field strings alive at once. Raises
-    ValueError or OverflowError on any bad row without saying which; the
-    caller then rescans row by row to report it.
+
+def _plain(lines: list[str]) -> bool:
+    body = "\n".join(lines)
+    return body.isascii() and not body.encode("ascii").translate(None, _PLAIN_BYTES)
+
+
+def _parse_plain(lines: list[str], delimiter, labeled: bool) -> tuple[np.ndarray, tuple | None]:
+    """0-based field values and labels of the data lines, parsed by one np.loadtxt call.
+
+    Takes a body whose ranking fields are ASCII digits under one delimiter:
+    a comma if any row has one, else whitespace. Labels that are not plain
+    digits are split off each row's last field first. Raises ValueError on
+    any other body, valid or not; the caller then scans it row by row.
     """
-    sep = None if delimiter == "whitespace" else delimiter
-    blocks, raw_labels = [], []
-    for start in range(0, len(data), _BLOCK_ROWS):
-        lines = [line for _, line in data[start : start + _BLOCK_ROWS]]
-        if delimiter is None:
-            tokens = [ln.split(",") if "," in ln else ln.split() for ln in lines]
-        else:
-            tokens = [ln.split(sep) for ln in lines]
-        if labeled:
-            raw_labels += [t.pop().strip() for t in tokens]
-        # converts each field as int() does; a ragged or non-integer row raises
-        block = np.array(tokens, dtype=np.int64) - 1
-        if block.shape[1] == 0 or non_permutation_rows(block).size:
-            raise ValueError("rows are not all permutations of 1..n")
-        blocks.append(block.astype(np.int32))
-    return np.concatenate(blocks), raw_labels  # raises if blocks differ in width
+    lines = [ln for ln in lines if ln.strip()]
+    if delimiter is None:
+        delimiter = "," if any("," in ln for ln in lines) else "whitespace"
+    if not lines or delimiter not in (",", "whitespace"):
+        raise ValueError("no plain rows")
+    sep = None if delimiter == "whitespace" else ","
+    labels, plain = None, _plain(lines)
+    if labeled and not plain:
+        split = [ln.rsplit(sep, 1) for ln in lines]
+        if any(len(parts) != 2 for parts in split):
+            raise ValueError("a labeled row has one field")
+        lines = [rest for rest, _ in split]
+        labels = _labels([label.strip() for _, label in split])
+        plain = _plain(lines)
+    if not plain:
+        raise ValueError("ranking fields are not plain digits")
+    # int32 halves the array; a field beyond its range raises, it does not wrap
+    vals = np.loadtxt(lines, dtype=np.int32, delimiter=sep, comments=None, ndmin=2)
+    if len(vals) != len(lines):  # loadtxt skipped a row left blank by its label
+        raise ValueError("a labeled row has no ranking fields")
+    if labeled and labels is None:
+        labels = tuple(vals[:, -1].tolist())
+        vals = vals[:, :-1]
+    vals -= 1
+    if vals.shape[1] == 0 or non_permutation_rows(vals).size:
+        raise ValueError("rows are not all permutations of 1..n")
+    return np.ascontiguousarray(vals), labels
+
+
+def _decode(raw: bytes) -> str:
+    """A ranking file's bytes as UTF-8 text, without a leading byte-order mark."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's row, counting lines as str.splitlines does
+        row = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise RankingParseError(f"invalid UTF-8 byte {raw[exc.start]:#04x}", row=row) from None
 
 
 def load_rankings(path, format="ordering", delimiter: str | None = None) -> RankingSample:
@@ -124,53 +164,57 @@ def load_rankings(path, format="ordering", delimiter: str | None = None) -> Rank
     ``delimiter`` is ``","``, ``"whitespace"``, or None to auto-detect per
     row.  A first row containing any non-integer field is treated as a
     header; the sample is labeled iff that header's last column is ``label``.
+    The file is UTF-8, and a leading byte-order mark is skipped.
     """
     fmt = _as_format(format)
-    lines = Path(path).read_text().splitlines()
-    rows = [(no + 1, ln.strip()) for no, ln in enumerate(lines) if ln.strip()]
-    if not rows:
+    lines = _decode(Path(path).read_bytes()).splitlines()
+    first = next((k for k, ln in enumerate(lines) if ln.strip()), None)
+    if first is None:
         raise RankingParseError(f"{path}: no ranking rows found")
-    head = _split_row(rows[0][1], delimiter)
+    head = _split_row(lines[first].strip(), delimiter)
     has_header = not all(_is_int(t) for t in head)
     labeled = has_header and head[-1].strip().lower() == "label"
-    data = rows[1:] if has_header else rows
-    if not data:
-        raise RankingParseError(f"{path}: no ranking rows after the header")
+    start = first + 1 if has_header else first
 
     try:
-        vals, raw_labels = _parse_all(data, delimiter, labeled)
-    except (ValueError, OverflowError):
+        vals, labels = _parse_plain(lines[start:], delimiter, labeled)
+    except ValueError:
+        data = [(no + 1, ln.strip()) for no, ln in enumerate(lines[start:], start) if ln.strip()]
+        if not data:
+            raise RankingParseError(f"{path}: no ranking rows after the header")
         rows_vals, raw_labels = _scan_rows(data, delimiter, labeled)
         vals = np.array(rows_vals, dtype=np.int32) - 1
-    # an ordering row lists items by rank, so its inverse permutation is the ranks
+        labels = _labels(raw_labels) if labeled else None
+    # an ordering row lists items by rank, so its inverse permutation is the ranks;
+    # both parsers checked every row, so the sample is not checked again
     ranks = inverse_rows(vals) if fmt is RankingFileFormat.ORDERING else vals
-
-    labels = None
-    if labeled:
-        # numeric-looking labels come back as ints so component ids round-trip
-        try:
-            labels = tuple(map(int, raw_labels))
-        except ValueError:
-            labels = tuple(raw_labels)
-    return RankingSample.from_ranks(ranks, labels)
+    return RankingSample._trusted(ranks, labels)
 
 
 def write_rankings(sample: RankingSample, path, format="ordering", delimiter=",") -> None:
     fmt = _as_format(format)
     sep = " " if delimiter == "whitespace" else str(delimiter)
-    labels = sample.labels
-    out: list[str] = []
-    if labels is not None:
-        stem = "item" if fmt is RankingFileFormat.ORDERING else "rank"
-        out.append(sep.join([f"{stem}_{k + 1}" for k in range(sample.n)] + ["label"]))
+    n, labels = sample.n, sample.labels
+    labeled = labels is not None
     ranks = sample.ranks_matrix
     vals = inverse_rows(ranks) if fmt is RankingFileFormat.ORDERING else ranks
-    for i, row_vals in enumerate((vals + 1).tolist()):
-        row = [str(v) for v in row_vals]
-        if labels is not None:
-            row.append(str(labels[i]))
-        out.append(sep.join(row))
-    Path(path).write_text("\n".join(out) + "\n")
+    # every field is a string from a table, its separator or line end
+    # included, and each block of rows is one join
+    end = sep if labeled else "\n"
+    with_sep = np.array([f"{k}{sep}" for k in range(1, n + 1)], dtype=object)
+    with_end = np.array([f"{k}{end}" for k in range(1, n + 1)], dtype=object)
+    with open(path, "w") as fh:
+        if labeled:
+            stem = "item" if fmt is RankingFileFormat.ORDERING else "rank"
+            fh.write(sep.join([f"{stem}_{k + 1}" for k in range(n)] + ["label"]) + "\n")
+        for start in range(0, len(vals), _BLOCK_ROWS):
+            block = vals[start : start + _BLOCK_ROWS]
+            cells = np.empty((len(block), n + labeled), dtype=object)
+            cells[:, : n - 1] = with_sep[block[:, :-1]]
+            cells[:, n - 1] = with_end[block[:, -1]]
+            if labeled:
+                cells[:, n] = [str(v) + "\n" for v in labels[start : start + _BLOCK_ROWS]]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 # --- JSON + digests -------------------------------------------------------------

@@ -238,8 +238,13 @@ class RankingSample:
             raise RejectedInputError(
                 f"row {k} is not a permutation of 0..{a.shape[1] - 1}: {a[k].tolist()!r}"
             )
+        return cls._trusted(a.astype(np.int32), labels)
+
+    @classmethod
+    def _trusted(cls, ranks: np.ndarray, labels=None) -> "RankingSample":
+        """Wrap an (N, n) int32 rank array whose rows are known permutations; takes ownership."""
         s = cls.__new__(cls)
-        s._set_state(a.astype(np.int32), labels)
+        s._set_state(ranks, labels)
         return s
 
     def _set_state(self, ranks: np.ndarray, labels) -> None:

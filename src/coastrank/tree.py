@@ -682,41 +682,52 @@ def grow(
                 out.append((plan, gram if nid in keep else None))
         return out
 
-    def plan_round(eligible: list[int], parents: dict[int, np.ndarray]):
+    def plan_round(eligible: list[int], parents: dict[int, np.ndarray], pending: dict):
         """This round's plans, and the Gram matrices to keep for their children.
 
         ``parents`` holds the Gram matrices kept from the last round; it is
         emptied, so a parent none of whose children is eligible is freed.
+        ``pending`` maps each leaf planned in an earlier round but not split
+        to its plan and kept Gram matrix. A plan depends only on its leaf's
+        rows, so such a leaf is not planned again; this round's unapplied
+        plans replace the map's contents.
         """
+        to_plan = [nid for nid in eligible if nid not in pending]
         if rule is SplitRule.MIN_DISTORTION:
-            keep, spare = set(), _GRAM_KEEP_BYTES
-            for nid in eligible:
+            keep = set()
+            spare = _GRAM_KEEP_BYTES - sum(g.nbytes for _, g in pending.values() if g is not None)
+            for nid in to_plan:
                 size = gram_size * np.dtype(_gram_dtype(nodes[nid].count)).itemsize
                 if size <= spare:
                     keep.add(nid)
                     spare -= size
-            eligible_set, derived, work = set(eligible), set(), []
+            new_ids, derived, work = set(to_plan), set(), []
             for pid, gram in parents.items():
-                ids = [c for c in nodes[pid].children if c in eligible_set]
+                ids = [c for c in nodes[pid].children if c in new_ids]
                 if ids:
                     work.append((ids, pid, gram))
                     derived.update(ids)
             parents.clear()
-            work += [([nid], None, None) for nid in eligible if nid not in derived]
+            work += [([nid], None, None) for nid in to_plan if nid not in derived]
 
             def run(job):
                 return plan_min_distortion(job, keep)
         else:
-            work, run = eligible, plan_balanced
+            work, run = to_plan, plan_balanced
         results = pool.map(run, work) if pool is not None else map(run, work)
-        planned = sorted((pg for out in results for pg in out), key=lambda pg: pg[0].node_id)
+        planned = [*pending.values(), *(pg for out in results for pg in out)]
+        planned.sort(key=lambda pg: pg[0].node_id)
+        pending.clear()
         if one_split_per_iter and planned:
-            planned = [max(planned, key=lambda pg: (pg[0].reduction, -pg[0].node_id))]
+            best = max(planned, key=lambda pg: (pg[0].reduction, -pg[0].node_id))
+            pending.update((pg[0].node_id, pg) for pg in planned if pg is not best)
+            planned = [best]
         return [p for p, _ in planned], {p.node_id: g for p, g in planned if g is not None}
 
     steps = [GrowthStep(0, 1, criterion_now(), (), time.perf_counter() - t0)]
     iteration = 0
     kept: dict[int, np.ndarray] = {}  # Gram matrices of the last round's split nodes
+    pending: dict[int, tuple] = {}  # plans of leaves not yet split, one split per round
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         while True:
@@ -734,7 +745,7 @@ def grow(
             if len(frontier) + (1 if one_split_per_iter else len(eligible)) > max_leaves:
                 break
 
-            plans, kept = plan_round(eligible, kept)
+            plans, kept = plan_round(eligible, kept, pending)
             if not plans:
                 break
 
@@ -775,6 +786,7 @@ def grow(
             )
     finally:
         kept.clear()
+        pending.clear()
         if pool is not None:
             pool.shutdown(wait=False)
 

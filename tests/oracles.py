@@ -12,11 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from coastrank.cells import Cell
-from coastrank.errors import DimensionMismatchError
+from coastrank.errors import DimensionMismatchError, RankingParseError
 from coastrank.perms import (
     DiscreteRankingDistribution,
     PairwiseMatrix,
@@ -386,3 +387,69 @@ def local_stats(s: RankingSample, c: Cell) -> LocalStats:
     idx = np.flatnonzero(mask)
     marg = PairwiseMatrix.from_comparisons(s.n, s.comparisons[mask])
     return LocalStats(cell=c, count=int(idx.size), marginals=marg, v_hat=brute_v_hat(s, idx))
+
+
+def load_rankings_by_rows(path, format="ordering", delimiter=None):
+    """A ranking file read one row at a time: (rank tuples, labels or None).
+
+    The reference for ``load_rankings``: the same values and labels, or a
+    RankingParseError with the same text and row number.
+    """
+    raw = Path(path).read_bytes()
+    if raw.startswith(b"\xef\xbb\xbf"):
+        raw = raw[3:]
+    # undecodable bytes become lone surrogates, which no line break matches
+    lines = raw.decode("utf-8", errors="surrogateescape").splitlines()
+    for no, line in enumerate(lines):
+        bad = [ch for ch in line if "\udc80" <= ch <= "\udcff"]
+        if bad:
+            raise RankingParseError(
+                f"invalid UTF-8 byte {ord(bad[0]) - 0xDC00:#04x}", row=no + 1
+            )
+    rows = [(no + 1, ln.strip()) for no, ln in enumerate(lines) if ln.strip()]
+    if not rows:
+        raise RankingParseError(f"{path}: no ranking rows found")
+
+    def split(line):
+        d = delimiter if delimiter is not None else ("," if "," in line else "whitespace")
+        return line.split() if d == "whitespace" else [t.strip() for t in line.split(d)]
+
+    def is_int(token):
+        try:
+            int(token)
+        except ValueError:
+            return False
+        return True
+
+    head = split(rows[0][1])
+    has_header = not all(is_int(t) for t in head)
+    labeled = has_header and head[-1].strip().lower() == "label"
+    data = rows[1:] if has_header else rows
+    if not data:
+        raise RankingParseError(f"{path}: no ranking rows after the header")
+    ranks, labels, n = [], [], None
+    for row_no, line in data:
+        tokens = split(line)
+        if labeled:
+            if len(tokens) < 2:
+                raise RankingParseError("labeled row needs at least 2 fields", row=row_no)
+            labels.append(tokens.pop())
+        for t in tokens:
+            if not is_int(t):
+                raise RankingParseError(f"non-integer field {t!r}", row=row_no)
+        vals = [int(t) for t in tokens]
+        n = len(vals) if n is None else n
+        if len(vals) != n:
+            raise RankingParseError(f"expected {n} ranking fields, found {len(vals)}", row=row_no)
+        if sorted(vals) != list(range(1, n + 1)):
+            raise RankingParseError(f"fields {vals} are not a permutation of 1..{n}", row=row_no)
+        if format == "ordering":
+            ranks.append(tuple(vals.index(item + 1) for item in range(n)))
+        else:
+            ranks.append(tuple(v - 1 for v in vals))
+    if not labeled:
+        return ranks, None
+    try:
+        return ranks, tuple(int(v) for v in labels)
+    except ValueError:
+        return ranks, tuple(labels)

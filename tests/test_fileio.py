@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from coastrank.errors import RankingParseError, RejectedInputError
@@ -18,6 +19,7 @@ from coastrank.fileio import (
 from coastrank.perms import Permutation, RankingSample
 
 from conftest import random_sample
+from oracles import load_rankings_by_rows
 
 
 def test_ordering_row_semantics(tmp_path):
@@ -231,3 +233,154 @@ def test_labeled_row_without_ranking_fields_reported(tmp_path):
     with pytest.raises(RankingParseError) as err:
         load_rankings(path)
     assert err.value.row == 4 and "at least 2 fields" in str(err.value)
+
+
+# --- the one-call parse against a row-by-row oracle ------------------------------
+
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+#: Edits of one field: valid spellings of an integer, and one that is not.
+_FIELD_EDITS = {
+    "leading zero": lambda v: "0" + v,
+    "plus sign": lambda v: "+" + v,
+    "underscore": lambda v: v[0] + "_" + v[1:] if len(v) > 1 else v,
+    "fullwidth": lambda v: v.translate(_FULLWIDTH),
+    "decimal": lambda v: v + ".0",
+}
+
+
+def _random_ranking_file(rng) -> tuple[bytes, str, bool]:
+    """A seeded ranking file, its format, and whether it keeps to the documented conventions."""
+    n = int(rng.choice([1, 2, 3, 5, 12]))
+    size = int(rng.choice([0, 1, 2, 7, 30])) if rng.random() < 0.1 else int(rng.integers(1, 30))
+    fmt = str(rng.choice(["ordering", "ranks"]))
+    sep = str(rng.choice([",", ", ", " ,", " , ", " ", "\t", "  ", " \t"]))
+    eol = "\r\n" if rng.random() < 0.3 else "\n"
+    kind = str(rng.choice(["none", "header", "int", "str", "decimal"]))
+    comma = "," in sep
+    rows = []
+    for _ in range(size):
+        fields = [str(int(v) + 1) for v in rng.permutation(n)]
+        if kind in ("int", "decimal"):
+            fields.append(str(int(rng.integers(0, 4))))
+        elif kind == "str":
+            fields.append(str(rng.choice(["a", "b c" if comma else "bc", "ü", "x.y"])))
+        rows.append(fields)
+    if kind == "decimal" and rows:
+        rows[int(rng.integers(len(rows)))][-1] = "1.0"
+    stem = "item" if fmt == "ordering" else "rank"
+    header = [f"{stem}_{k + 1}" for k in range(n)] + (["label"] if kind not in ("none", "header") else [])
+    lines = [sep.join(r) for r in rows]
+    conventional = True
+    fault = str(rng.choice(["none"] * 4 + ["edit", "trailing comma", "ragged", "duplicate", "mixed", "byte"]))
+    if fault != "none" and rows:
+        conventional = False
+        k = int(rng.integers(len(rows)))
+        if fault == "edit":
+            edit = _FIELD_EDITS[str(rng.choice(list(_FIELD_EDITS)))]
+            j = int(rng.integers(n))
+            rows[k][j] = edit(rows[k][j])
+            lines[k] = sep.join(rows[k])
+        elif fault == "trailing comma":
+            lines[k] += ","
+        elif fault == "ragged":
+            lines[k] = sep.join(rows[k][1:])
+        elif fault == "duplicate" and n > 1:
+            rows[k][0] = rows[k][1]
+            lines[k] = sep.join(rows[k])
+        elif fault == "mixed":
+            lines[k] = (" " if comma else ",").join(rows[k])
+    for _ in range(int(rng.integers(0, 4))):
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "  ", "\t", " \t "])))
+    if kind != "none":
+        lines.insert(0, (sep if sep.strip() else " ").join(header))
+    data = (eol.join(lines) + (eol if rng.random() < 0.8 else "")).encode("utf-8")
+    if fault == "byte" and rows:
+        at = data.rfind(eol.encode(), 0, max(1, len(data) - 2)) + len(eol)
+        data = data[:at] + b"\xff" + data[at:]
+    if rng.random() < 0.1:
+        data = b"\xef\xbb\xbf" + data
+    return data, fmt, conventional and size > 0
+
+
+def _outcome(load):
+    try:
+        got = load()
+    except RankingParseError as exc:
+        return "error", str(exc), exc.row
+    if isinstance(got, RankingSample):
+        return "ok", [tuple(r) for r in got.ranks_matrix.tolist()], got.labels
+    return ("ok",) + got
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_loader_matches_row_oracle(tmp_path, monkeypatch, seed):
+    import coastrank.fileio as fileio
+
+    scans = []
+    scan = fileio._scan_rows
+
+    def counting(*args):
+        scans.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(fileio, "_scan_rows", counting)
+    rng = np.random.default_rng([20260307, seed])
+    for k in range(80):
+        data, fmt, conventional = _random_ranking_file(rng)
+        path = tmp_path / f"{k}.rnk"
+        path.write_bytes(data)
+        scans.clear()
+        got = _outcome(lambda: load_rankings(path, format=fmt))
+        assert got == _outcome(lambda: load_rankings_by_rows(path, format=fmt)), data
+        if conventional:  # a documented convention takes the one-call parse
+            assert got[0] == "ok" and not scans, data
+
+
+@pytest.mark.parametrize(
+    "text, row, message",
+    [
+        (b"item_1,item_2,label\n1,2,0\n2,\xff1,1\n", 3, "invalid UTF-8 byte 0xff"),
+        (b"\xfe1 2\n2 1\n", 1, "invalid UTF-8 byte 0xfe"),
+        (b"1 2\r\n\r\n2 1\r\n\xe2\x80\n", 4, "invalid UTF-8 byte 0xe2"),
+    ],
+)
+def test_undecodable_byte_reports_row(tmp_path, text, row, message):
+    path = tmp_path / "r.txt"
+    path.write_bytes(text)
+    with pytest.raises(RankingParseError) as err:
+        load_rankings(path)
+    assert err.value.row == row and message in str(err.value)
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n2,1\n")
+    assert [p.ranks for p in load_rankings(path).rankings] == [(0, 1), (1, 0)]
+    path.write_bytes(b"\xef\xbb\xbfitem_1,item_2,label\n1,2,a\n")
+    assert load_rankings(path).labels == ("a",)
+
+
+@pytest.mark.parametrize("fmt", ["ordering", "ranks"])
+@pytest.mark.parametrize("labels", [None, "int", "str"])
+def test_written_bytes_match_a_per_value_writer(tmp_path, monkeypatch, fmt, labels):
+    import coastrank.fileio as fileio
+
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", 7)  # several blocks and a partial one
+    rng = np.random.default_rng(len(fmt))
+    path = tmp_path / "s.txt"
+    for n, delim in [(1, ","), (2, "whitespace"), (12, ","), (12, "\t")]:
+        base = random_sample(rng, n, 30)
+        values = rng.integers(0, 3, 30)
+        tags = None if labels is None else [int(v) if labels == "int" else f"c{v}" for v in values]
+        sample = RankingSample(base.rankings, tags)
+        write_rankings(sample, path, format=fmt, delimiter=delim)
+        sep = " " if delim == "whitespace" else delim
+        rows = [p.ordering() if fmt == "ordering" else p.ranks for p in sample.rankings]
+        lines = [[str(v + 1) for v in row] for row in rows]
+        if sample.labels is not None:
+            stem = "item" if fmt == "ordering" else "rank"
+            lines = [[f"{stem}_{k + 1}" for k in range(n)] + ["label"]] + [
+                fields + [str(label)] for fields, label in zip(lines, sample.labels)
+            ]
+        assert path.read_text() == "".join(sep.join(fields) + "\n" for fields in lines)

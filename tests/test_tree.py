@@ -508,18 +508,19 @@ def test_grow_plans_no_split_past_the_leaf_budget(monkeypatch, one_split):
 
     # the budget binds: growth stops with leaves still eligible to split
     assert tree.leaf_count <= 6 and any(map(eligible, tree.frontier))
-    # replay growth: each applied round planned exactly the leaves eligible
-    # then, and the round that would pass the budget planned nothing
-    frontier, planned = {0}, 0
+    # replay growth: each applied round planned the leaves eligible then that
+    # no earlier round planned, so every leaf is planned at most once, and the
+    # round that would pass the budget planned nothing
+    frontier, planned = {0}, []
     for step in trace.steps[1:]:
-        planned += sum(map(eligible, frontier))
+        planned += sorted(nid for nid in frontier if eligible(nid) and nid not in planned)
         for nid, _ in step.splits:
             frontier.remove(nid)
             frontier.update(tree.node(nid).children)
     assert frontier == set(tree.frontier)
-    assert len(calls) == planned
+    assert sorted(calls) == sorted(planned)
     if not one_split:
-        assert planned == sum(len(step.splits) for step in trace.steps)
+        assert len(planned) == sum(len(step.splits) for step in trace.steps)
 
 
 def test_reversed_split_routes_alike():
