@@ -29,8 +29,11 @@ from .perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    inverse_rows,
     num_pairs,
     pair_list,
+    permutations_of,
+    symmetric_group,
 )
 from .tree import CoastTree
 
@@ -243,14 +246,9 @@ def uniform_cell_marginals(cell: Cell, method="enumeration") -> PairwiseMatrix:
             raise CapacityError(
                 f"uniform_cell_marginals enumeration needs n <= {ENUMERATION_LIMIT}"
             )
-        members = list(cell.enumerate_members())
-        ranks = np.array([p.ranks for p in members], dtype=np.int64)
-        p = np.full((n, n), 0.5)
-        for a, b in pair_list(n):
-            val = float((ranks[:, a] < ranks[:, b]).mean())
-            p[a, b] = val
-            p[b, a] = 1.0 - val
-        return PairwiseMatrix(n, p)
+        _, cmp = symmetric_group(n)
+        mask = cell.comparison_mask(cmp)
+        return PairwiseMatrix.from_counts(n, cmp[mask].sum(axis=0), int(mask.sum()))
     if not _item_disjoint(cell.constraints):
         raise RejectedInputError(
             "factorized marginals need item-disjoint constraint pairs"
@@ -384,10 +382,15 @@ def smooth_cell(
 
     scores: dict[Permutation, float] = {}
     if cell.n <= ENUMERATION_LIMIT:
-        o_pairs = list(itertools.combinations(range(cell.n), 2))
-        for perm in cell.enumerate_members():
-            o = perm.ordering()
-            scores[perm] = float(sum(marg.p[o[i], o[j]] for i, j in o_pairs))
+        ranks, cmp = symmetric_group(cell.n)
+        members = ranks[cell.comparison_mask(cmp)]
+        order = inverse_rows(members)
+        # one position pair at a time, in the order a Python sum over the
+        # pairs would add them, so every score is that sum to the last bit
+        acc = np.zeros(len(members))
+        for i, j in itertools.combinations(range(cell.n), 2):
+            acc = acc + marg.p[order[:, i], order[:, j]]
+        scores = dict(zip(permutations_of(members), acc.tolist()))
 
     if method is SmoothMethod.ENUMERATION:
         if cell.n > ENUMERATION_LIMIT:

@@ -18,12 +18,7 @@ from .errors import (
     PartitionIntegrityError,
     RejectedInputError,
 )
-from .perms import (
-    Permutation,
-    RankingSample,
-    enumerate_permutations,
-    pair_list,
-)
+from .perms import Permutation, RankingSample, pair_list, permutations_of, symmetric_group
 
 
 def _closure_of(n: int, edges) -> np.ndarray:
@@ -117,14 +112,10 @@ class Cell:
         closure = self.closure | np.outer(anc, desc)
         return Cell(self.n, self.constraints | {(a, b)}, closure)
 
-    def enumerate_members(self, limit: int | None = None):
-        """All permutations in the cell (exact enumeration, small n only)."""
-        from .perms import ENUMERATION_LIMIT
-
-        lim = ENUMERATION_LIMIT if limit is None else limit
-        for sigma in enumerate_permutations(self.n, lim):
-            if self.contains(sigma):
-                yield sigma
+    def enumerate_members(self):
+        """All permutations in the cell, in the S_n table's lexicographic order."""
+        ranks, cmp = symmetric_group(self.n)
+        yield from permutations_of(ranks[self.comparison_mask(cmp)])
 
     def to_json_obj(self) -> list[list[int]]:
         """Constraint list with 1-based items, sorted for determinism."""
@@ -147,11 +138,6 @@ def pair_distance_sum(counts: np.ndarray, m: int) -> int:
 def v_hat_of_counts(counts: np.ndarray, m: int) -> float:
     """Cell variability estimate of m rankings: sum of pairwise distances over m(m-1)."""
     return pair_distance_sum(counts, m) / (m * (m - 1)) if m >= 2 else 0.0
-
-
-def v_hat_of_indices(s: RankingSample, indices: np.ndarray) -> float:
-    """Cell variability estimate of the given sample rows."""
-    return v_hat_of_counts(s.comparisons[indices].sum(axis=0, dtype=np.int64), len(indices))
 
 
 def cell_owners(n: int, x: np.ndarray, cells) -> np.ndarray:
@@ -190,6 +176,7 @@ def partition_criterion(s: RankingSample, cells) -> float:
     owners = cell_owners(s.n, s.comparisons, cells)
     total = 0.0
     for ci in range(len(cells)):
-        idx = np.flatnonzero(owners == ci)
-        total += (idx.size / s.size) * v_hat_of_indices(s, idx)
+        mask = owners == ci
+        m = int(mask.sum())
+        total += (m / s.size) * v_hat_of_counts(s.comparisons[mask].sum(axis=0, dtype=np.int64), m)
     return float(total)

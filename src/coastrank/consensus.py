@@ -7,23 +7,19 @@ transitivity, and depth climbing is the general-purpose local search.
 
 from __future__ import annotations
 
-import functools
-import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import EnumerationLimitError, RejectedInputError, TransitivityError
+from .errors import RejectedInputError, TransitivityError
 from .perms import (
-    ENUMERATION_LIMIT,
     DiscreteRankingDistribution,
     PairwiseMatrix,
     Permutation,
-    comparison_matrix,
     pair_list,
     risk_from_marginals,
+    symmetric_group,
 )
 
 
@@ -107,23 +103,7 @@ def copeland_median(m: PairwiseMatrix) -> Permutation:
 _KEMENY_CHUNK = 50000
 
 
-@functools.lru_cache(maxsize=1)
-def _symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All n! rank vectors in lexicographic order, with their uint8 comparison rows.
-
-    The pair is n!·(n + C(n,2)) bytes: 250 KB at n = 7, 16 MB at n = 9.
-    """
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    ranks = np.fromiter(flat, dtype=np.uint8, count=math.factorial(n) * n).reshape(-1, n)
-    cmp = comparison_matrix(ranks).view(np.uint8)
-    ranks.setflags(write=False)
-    cmp.setflags(write=False)
-    return ranks, cmp
-
-
-def exact_kemeny(
-    d: DiscreteRankingDistribution | PairwiseMatrix, limit: int = ENUMERATION_LIMIT
-) -> MedianResult:
+def exact_kemeny(d: DiscreteRankingDistribution | PairwiseMatrix) -> MedianResult:
     """Exhaustive Kemeny median set over the whole symmetric group.
 
     Takes a distribution or its pairwise marginals: risks are computed
@@ -131,13 +111,11 @@ def exact_kemeny(
     50000-row chunk of the cached S_n table at a time.
     """
     n = d.n
-    if n > limit:
-        raise EnumerationLimitError(f"exact_kemeny: n={n} exceeds limit {limit}")
+    ranks, cmp = symmetric_group(n)
     m = d if isinstance(d, PairwiseMatrix) else d.marginals()
     upper = m.p[np.triu_indices(n, 1)]
     base = float(upper.sum())
     coef = 1.0 - 2.0 * upper
-    ranks, cmp = _symmetric_group(n)
     risks = np.concatenate(
         [
             cmp[k : k + _KEMENY_CHUNK].astype(np.float64) @ coef + base

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import RankingParseError, RejectedInputError
-from .perms import RankingSample, inverse_rows, non_permutation_rows
+from .perms import RankingSample, inverse_rows
 
 
 #: Rows formatted together by ``write_rankings``.
@@ -110,13 +110,16 @@ def _plain(lines: list[str]) -> bool:
     return body.isascii() and not body.encode("ascii").translate(None, _PLAIN_BYTES)
 
 
-def _parse_plain(lines: list[str], delimiter, labeled: bool) -> tuple[np.ndarray, tuple | None]:
-    """0-based field values and labels of the data lines, parsed by one np.loadtxt call.
+def _parse_plain(
+    lines: list[str], delimiter, labeled: bool
+) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """0-based field values, their row inverses and the labels of the data lines.
 
-    Takes a body whose ranking fields are ASCII digits under one delimiter:
-    a comma if any row has one, else whitespace. Labels that are not plain
-    digits are split off each row's last field first. Raises ValueError on
-    any other body, valid or not; the caller then scans it row by row.
+    The values are parsed by one np.loadtxt call. Takes a body whose ranking
+    fields are ASCII digits under one delimiter: a comma if any row has one,
+    else whitespace. Labels that are not plain digits are split off each
+    row's last field first. Raises ValueError on any other body, valid or
+    not; the caller then scans it row by row.
     """
     lines = [ln for ln in lines if ln.strip()]
     if delimiter is None:
@@ -142,9 +145,10 @@ def _parse_plain(lines: list[str], delimiter, labeled: bool) -> tuple[np.ndarray
         labels = tuple(vals[:, -1].tolist())
         vals = vals[:, :-1]
     vals -= 1
-    if vals.shape[1] == 0 or non_permutation_rows(vals).size:
+    inv = inverse_rows(vals)
+    if vals.shape[1] == 0 or (inv < 0).any():
         raise ValueError("rows are not all permutations of 1..n")
-    return np.ascontiguousarray(vals), labels
+    return np.ascontiguousarray(vals), inv, labels
 
 
 def _decode(raw: bytes) -> str:
@@ -177,17 +181,18 @@ def load_rankings(path, format="ordering", delimiter: str | None = None) -> Rank
     start = first + 1 if has_header else first
 
     try:
-        vals, labels = _parse_plain(lines[start:], delimiter, labeled)
+        vals, inv, labels = _parse_plain(lines[start:], delimiter, labeled)
     except ValueError:
         data = [(no + 1, ln.strip()) for no, ln in enumerate(lines[start:], start) if ln.strip()]
         if not data:
             raise RankingParseError(f"{path}: no ranking rows after the header")
         rows_vals, raw_labels = _scan_rows(data, delimiter, labeled)
         vals = np.array(rows_vals, dtype=np.int32) - 1
+        inv = inverse_rows(vals)
         labels = _labels(raw_labels) if labeled else None
     # an ordering row lists items by rank, so its inverse permutation is the ranks;
     # both parsers checked every row, so the sample is not checked again
-    ranks = inverse_rows(vals) if fmt is RankingFileFormat.ORDERING else vals
+    ranks = inv if fmt is RankingFileFormat.ORDERING else vals
     return RankingSample._trusted(ranks, labels)
 
 

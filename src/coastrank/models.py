@@ -14,12 +14,13 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .perms import (
-    ENUMERATION_LIMIT,
     DiscreteRankingDistribution,
     Permutation,
     RankingSample,
-    enumerate_permutations,
     kendall_tau,
+    num_pairs,
+    permutations_of,
+    symmetric_group,
 )
 
 PHI_PRESETS = (0.1, 0.3, 0.5, 0.7)
@@ -94,16 +95,15 @@ def mallows_pmf(params: MallowsParams, sigma: Permutation) -> float:
     return math.exp(-params.phi * d) / mallows_normalizer(params.n, params.phi)
 
 
-def mallows_distribution(
-    params: MallowsParams, limit: int = ENUMERATION_LIMIT
-) -> DiscreteRankingDistribution:
-    """The full Mallows distribution by enumeration (small n only)."""
-    perms = list(enumerate_permutations(params.n, limit=limit))
-    z = mallows_normalizer(params.n, params.phi)
-    weights = np.array(
-        [math.exp(-params.phi * kendall_tau(p, params.center)) / z for p in perms]
-    )
-    return DiscreteRankingDistribution(params.n, tuple(perms), weights)
+def mallows_distribution(params: MallowsParams) -> DiscreteRankingDistribution:
+    """The full Mallows distribution over the cached S_n table (small n only)."""
+    n = params.n
+    ranks, cmp = symmetric_group(n)
+    # Kendall distances to the center: the comparison columns that disagree with it
+    tau = (cmp != np.array(params.center.comparison_bits(), dtype=bool)).sum(axis=1)
+    z = mallows_normalizer(n, params.phi)
+    mass = np.array([math.exp(-params.phi * d) / z for d in range(num_pairs(n) + 1)])
+    return DiscreteRankingDistribution(n, tuple(permutations_of(ranks)), mass[tau])
 
 
 def _displacement_counts(n: int, phi: float, size: int, rng: np.random.Generator) -> np.ndarray:

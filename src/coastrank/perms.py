@@ -8,13 +8,19 @@ Pairwise structure is central: a ranking is equivalently its comparison
 vector over the ``C(n,2)`` item pairs in lexicographic order, and the
 Kendall tau distance is the Hamming distance between comparison vectors.
 Bulk operations exploit that representation.
+
+``symmetric_group(n)`` is the one enumeration of S_n that the package
+computes with: a cached table of all n! rank vectors and their comparison
+rows. Exact medians, cell members, uniform cell marginals, smoothing scores
+and the Mallows distribution are all masks and products over it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,6 +115,19 @@ class Permutation:
         return tuple(1 if r[i] < r[j] else 0 for i, j in itertools.combinations(range(self.n), 2))
 
 
+#: Rank rows turned into Permutation objects per tolist() call.
+_ROW_BLOCK = 65536
+
+
+def permutations_of(ranks: np.ndarray):
+    """Yield a Permutation per row of a rank array known to hold permutations.
+
+    Rows are converted a block at a time, so no list of all rows is held.
+    """
+    for k in range(0, len(ranks), _ROW_BLOCK):
+        yield from map(Permutation._trusted, ranks[k : k + _ROW_BLOCK].tolist())
+
+
 def enumerate_permutations(n: int, limit: int = ENUMERATION_LIMIT):
     """Yield all n! permutations once, lexicographically by rank vector."""
     if n < 1:
@@ -119,43 +138,11 @@ def enumerate_permutations(n: int, limit: int = ENUMERATION_LIMIT):
         yield Permutation._trusted(ranks)
 
 
-def _count_inversions(seq: list[int]) -> int:
-    """Inversion count by merge sort; O(len log len)."""
-    n = len(seq)
-    if n < 2:
-        return 0
-    work = list(seq)
-    buf = [0] * n
-    count = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if work[i] <= work[j]:
-                    buf[k] = work[i]
-                    i += 1
-                else:
-                    # work[j] jumps ahead of every element left in [i, mid)
-                    buf[k] = work[j]
-                    j += 1
-                    count += mid - i
-                k += 1
-            buf[k:hi] = work[i:mid] if i < mid else work[j:hi]
-            work[lo:hi] = buf[lo:hi]
-        width *= 2
-    return count
-
-
 def kendall_tau(a: Permutation, b: Permutation) -> int:
-    """Kendall tau distance: the number of discordantly ordered item pairs."""
+    """Kendall tau distance: the Hamming distance between the comparison rows."""
     if a.n != b.n:
         raise DimensionMismatchError(f"kendall_tau: {a.n} vs {b.n} items")
-    # Read b's ranks in a's preference order; discordant pairs become inversions.
-    seq = [b.ranks[item] for item in a.ordering()]
-    return _count_inversions(seq)
+    return sum(x != y for x, y in zip(a.comparison_bits(), b.comparison_bits()))
 
 
 def comparison_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -183,20 +170,37 @@ def hamming_cross(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return np.rint(a @ (1.0 - b.T) + (1.0 - a) @ b.T).astype(np.int64)
 
 
-def non_permutation_rows(a: np.ndarray) -> np.ndarray:
-    """Indices of the rows of an (N, n) integer array that are not permutations of 0..n-1."""
-    n = a.shape[1]
-    in_range = ((a >= 0) & (a < n)).all(axis=1)
-    seen = np.zeros(a.shape, dtype=bool)
-    np.put_along_axis(seen, np.where(in_range[:, None], a, 0), True, axis=1)
-    return np.flatnonzero(~(in_range & seen.all(axis=1)))
+@lru_cache(maxsize=1)
+def symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n! rank vectors in lexicographic order, with their boolean comparison rows.
+
+    The pair is n!·(n + C(n,2)) bytes: 250 KB at n = 7, 16 MB at n = 9.
+    Raises EnumerationLimitError when n exceeds ENUMERATION_LIMIT.
+    """
+    if n > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {ENUMERATION_LIMIT}")
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    ranks = np.fromiter(flat, dtype=np.uint8, count=math.factorial(n) * n).reshape(-1, n)
+    cmp = comparison_matrix(ranks)
+    ranks.setflags(write=False)
+    cmp.setflags(write=False)
+    return ranks, cmp
 
 
 def inverse_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise inverse of an (N, n) array of permutations of 0..n-1."""
-    out = np.empty_like(a)
-    np.put_along_axis(out, a, np.arange(a.shape[1], dtype=a.dtype), axis=1)
-    return out
+    """Row-wise int32 inverse of an (N, n) integer array.
+
+    A row that is not a permutation of 0..n-1 keeps a -1 somewhere, so the
+    same scatter checks the rows and inverts them.
+    """
+    n = a.shape[1]
+    inv = np.full(a.shape, -1, dtype=np.int32)
+    ok = ((a >= 0) & (a < n)).all(axis=1)
+    # rows holding out-of-range values are left out, or a value could land in
+    # another row's slots and fill a gap there
+    slots = a[ok] + (np.flatnonzero(ok) * n)[:, None]
+    inv.ravel()[slots] = np.arange(n, dtype=np.int32)
+    return inv
 
 
 class RankingSample:
@@ -232,7 +236,7 @@ class RankingSample:
             raise RejectedInputError(f"need a nonempty (N, n) rank array, got shape {a.shape}")
         if not np.issubdtype(a.dtype, np.integer):
             raise RejectedInputError(f"ranks must be integers, got dtype {a.dtype}")
-        bad = non_permutation_rows(a)
+        bad = np.flatnonzero((inverse_rows(a) < 0).any(axis=1))
         if bad.size:
             k = int(bad[0])
             raise RejectedInputError(
@@ -433,19 +437,6 @@ class DiscreteRankingDistribution:
     def marginals(self) -> PairwiseMatrix:
         return PairwiseMatrix.from_comparisons(self.n, self.support_comparisons, self.weights)
 
-    def condition(self, mask: np.ndarray) -> tuple[float, "DiscreteRankingDistribution | None"]:
-        """Restrict to the support points selected by a boolean mask.
-
-        Returns (mass, conditional); the conditional is None when mass is 0.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        mass = float(self.weights[mask].sum())
-        if mass <= 0.0:
-            return 0.0, None
-        support = tuple(p for p, keep in zip(self.support, mask) if keep)
-        weights = self.weights[mask] / mass
-        return mass, DiscreteRankingDistribution(self.n, support, weights)
-
     def prob_of(self, sigma: Permutation) -> float:
         for p, w in zip(self.support, self.weights):
             if p.ranks == sigma.ranks:
@@ -458,11 +449,6 @@ def ranking_risk(d: DiscreteRankingDistribution, sigma: Permutation) -> float:
     if d.n != sigma.n:
         raise DimensionMismatchError("ranking_risk: size mismatch")
     return float(sum(w * kendall_tau(p, sigma) for p, w in zip(d.support, d.weights)))
-
-
-def ranking_depth(d: DiscreteRankingDistribution, sigma: Permutation) -> float:
-    """Centrality of sigma under d: n(n-1)/2 minus the ranking risk."""
-    return num_pairs(d.n) - ranking_risk(d, sigma)
 
 
 def risk_from_marginals(m: PairwiseMatrix, sigma: Permutation) -> float:

@@ -66,23 +66,6 @@ class TransportPlan:
     def col_sums(self) -> np.ndarray:
         return self.flow.sum(axis=0)
 
-    def verify(
-        self,
-        source: DiscreteRankingDistribution,
-        target: DiscreteRankingDistribution,
-        tol: float = 1e-9,
-    ) -> None:
-        """Check the coupling invariants against the two endpoint marginals."""
-        if self.rows != source.support or self.cols != target.support:
-            raise RejectedInputError("plan supports do not match the distributions")
-        if np.abs(self.row_sums() - source.weights).max() > tol:
-            raise RejectedInputError("row sums do not reproduce source weights")
-        if np.abs(self.col_sums() - target.weights).max() > tol:
-            raise RejectedInputError("column sums do not reproduce target weights")
-        d = hamming_cross(source.support_comparisons, target.support_comparisons)
-        if abs(float((self.flow * d).sum()) - self.cost) > tol:
-            raise RejectedInputError("stored cost disagrees with the flow")
-
 
 _DENOMINATOR_OVERFLOW_GUARD = 10**12  # keeps flows and costs inside int64
 

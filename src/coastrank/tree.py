@@ -222,17 +222,6 @@ class CoastTree:
 
     # -- routing -------------------------------------------------------------
 
-    def route_one(self, sigma: Permutation) -> int:
-        """Leaf node id whose cell contains the ranking."""
-        if sigma.n != self.n:
-            raise RejectedInputError("ranking dimension mismatch")
-        cur = 0
-        while cur not in self._frontier_set:
-            node = self.nodes[cur]
-            i, j = node.split
-            cur = node.children[0] if sigma.ranks[i] < sigma.ranks[j] else node.children[1]
-        return cur
-
     def route_sample(self, s: RankingSample) -> np.ndarray:
         """Vectorized routing: leaf node id per sample row."""
         if s.n != self.n:

@@ -16,15 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
-from coastrank.cells import Cell
-from coastrank.errors import DimensionMismatchError, RankingParseError
+from coastrank.cells import Cell, v_hat_of_counts
+from coastrank.errors import DimensionMismatchError, RankingParseError, RejectedInputError
+from coastrank.models import MallowsParams, mallows_normalizer
 from coastrank.perms import (
     DiscreteRankingDistribution,
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    enumerate_permutations,
     hamming_cross,
+    num_pairs,
     pair_list,
+    ranking_risk,
 )
 
 
@@ -55,6 +59,131 @@ def kendall_tau_pairs(a: Permutation, b: Permutation) -> int:
         for i, j in itertools.combinations(range(a.n), 2)
         if (ra[i] - ra[j]) * (rb[i] - rb[j]) < 0
     )
+
+
+def _count_inversions(seq: list[int]) -> int:
+    """Inversion count by merge sort; O(len log len)."""
+    n = len(seq)
+    if n < 2:
+        return 0
+    work = list(seq)
+    buf = [0] * n
+    count = 0
+    width = 1
+    while width < n:
+        for lo in range(0, n, 2 * width):
+            mid = min(lo + width, n)
+            hi = min(lo + 2 * width, n)
+            i, j, k = lo, mid, lo
+            while i < mid and j < hi:
+                if work[i] <= work[j]:
+                    buf[k] = work[i]
+                    i += 1
+                else:
+                    # work[j] jumps ahead of every element left in [i, mid)
+                    buf[k] = work[j]
+                    j += 1
+                    count += mid - i
+                k += 1
+            buf[k:hi] = work[i:mid] if i < mid else work[j:hi]
+            work[lo:hi] = buf[lo:hi]
+        width *= 2
+    return count
+
+
+def merge_sort_kendall(a: Permutation, b: Permutation) -> int:
+    """Kendall distance as the inversion count of b's ranks read in a's order."""
+    if a.n != b.n:
+        raise DimensionMismatchError(f"kendall_tau: {a.n} vs {b.n} items")
+    return _count_inversions([b.ranks[item] for item in a.ordering()])
+
+
+def ranking_depth(d: DiscreteRankingDistribution, sigma: Permutation) -> float:
+    """Centrality of sigma under d: n(n-1)/2 minus the ranking risk."""
+    return num_pairs(d.n) - ranking_risk(d, sigma)
+
+
+def condition(dist: DiscreteRankingDistribution, mask):
+    """(mass, conditional) of the support points a boolean mask selects.
+
+    The conditional is None when the mass is 0.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    mass = float(dist.weights[mask].sum())
+    if mass <= 0.0:
+        return 0.0, None
+    support = tuple(p for p, keep in zip(dist.support, mask) if keep)
+    return mass, DiscreteRankingDistribution(dist.n, support, dist.weights[mask] / mass)
+
+
+def v_hat_of_indices(s: RankingSample, indices) -> float:
+    """Cell variability estimate of the given sample rows, from their column counts."""
+    return v_hat_of_counts(s.comparisons[indices].sum(axis=0, dtype=np.int64), len(indices))
+
+
+def route_one(tree, sigma: Permutation) -> int:
+    """Leaf node id whose cell contains the ranking, one split test at a time."""
+    if sigma.n != tree.n:
+        raise RejectedInputError("ranking dimension mismatch")
+    leaves = set(tree.frontier)
+    cur = 0
+    while cur not in leaves:
+        node = tree.nodes[cur]
+        i, j = node.split
+        cur = node.children[0] if sigma.ranks[i] < sigma.ranks[j] else node.children[1]
+    return cur
+
+
+def verify_plan(
+    plan, source: DiscreteRankingDistribution, target: DiscreteRankingDistribution, tol=1e-9
+) -> None:
+    """Check a transport plan's coupling invariants against its two endpoints."""
+    if plan.rows != source.support or plan.cols != target.support:
+        raise RejectedInputError("plan supports do not match the distributions")
+    if np.abs(plan.row_sums() - source.weights).max() > tol:
+        raise RejectedInputError("row sums do not reproduce source weights")
+    if np.abs(plan.col_sums() - target.weights).max() > tol:
+        raise RejectedInputError("column sums do not reproduce target weights")
+    d = hamming_cross(source.support_comparisons, target.support_comparisons)
+    if abs(float((plan.flow * d).sum()) - plan.cost) > tol:
+        raise RejectedInputError("stored cost disagrees with the flow")
+
+
+def members_by_contains(cell: Cell) -> list[Permutation]:
+    """The cell's members: every permutation of S_n that cell.contains accepts."""
+    return [sigma for sigma in enumerate_permutations(cell.n) if cell.contains(sigma)]
+
+
+def loop_uniform_marginals(cell: Cell) -> PairwiseMatrix:
+    """Uniform-cell marginals as the mean of each pair's order over the members."""
+    n = cell.n
+    ranks = np.array([p.ranks for p in members_by_contains(cell)], dtype=np.int64)
+    p = np.full((n, n), 0.5)
+    for a, b in pair_list(n):
+        val = float((ranks[:, a] < ranks[:, b]).mean())
+        p[a, b] = val
+        p[b, a] = 1.0 - val
+    return PairwiseMatrix(n, p)
+
+
+def loop_smooth_scores(marg: PairwiseMatrix, cell: Cell) -> dict:
+    """Smoothing scores of the members: a Python sum over rank-position pairs."""
+    o_pairs = list(itertools.combinations(range(cell.n), 2))
+    scores = {}
+    for perm in members_by_contains(cell):
+        o = perm.ordering()
+        scores[perm] = float(sum(marg.p[o[i], o[j]] for i, j in o_pairs))
+    return scores
+
+
+def loop_mallows_distribution(params: MallowsParams) -> DiscreteRankingDistribution:
+    """The Mallows distribution with one merge-sort distance per permutation."""
+    perms = list(enumerate_permutations(params.n))
+    z = mallows_normalizer(params.n, params.phi)
+    weights = np.array(
+        [math.exp(-params.phi * merge_sort_kendall(p, params.center)) / z for p in perms]
+    )
+    return DiscreteRankingDistribution(params.n, tuple(perms), weights)
 
 
 def brute_risk(dist: DiscreteRankingDistribution, sigma: Permutation) -> float:
@@ -141,8 +270,8 @@ def brute_local_depths(tree, s_fit: RankingSample, s_query: RankingSample):
     """(local, global) depth arrays, routing every ranking one at a time."""
     top = float(tree.n * (tree.n - 1) // 2)
     qx, fx = s_query.comparisons, s_fit.comparisons
-    q_leaf = [tree.route_one(p) for p in s_query.rankings]
-    f_leaf = np.array([tree.route_one(p) for p in s_fit.rankings])
+    q_leaf = [route_one(tree, p) for p in s_query.rankings]
+    f_leaf = np.array([route_one(tree, p) for p in s_fit.rankings])
     local = np.array(
         [hamming_depths(qx[k : k + 1], fx[f_leaf == leaf], top)[0] for k, leaf in enumerate(q_leaf)]
     )

@@ -43,7 +43,7 @@ from coastrank.transport import distortion_report, wasserstein
 from coastrank.tree import grow, prune_sequence
 
 from conftest import random_permutation, random_rational_distribution, random_sample
-from oracles import l2_distance
+from oracles import condition, l2_distance
 from test_analysis import random_strict_sst_distribution
 
 
@@ -74,7 +74,7 @@ def _conditional_medians(dist, cells):
     medians = []
     for cell in cells:
         mask = np.array([cell.contains(q) for q in dist.support])
-        mass, cond = dist.condition(mask)
+        mass, cond = condition(dist, mask)
         medians.append(
             exact_kemeny(cond).median if cond is not None else Permutation.identity(dist.n)
         )
@@ -332,7 +332,7 @@ def test_c07_conditioning_preserves_transitivity():
         a, b = np.unravel_index(int(off.argmax()), off.shape)
         cell = Cell(n, frozenset({(int(a), int(b))}))
         mask = np.array([cell.contains(q) for q in dist.support])
-        mass, cond = dist.condition(mask)
+        mass, cond = condition(dist, mask)
         assert mass > 0
         if sst_status(cond.marginals()).kind is SstKind.NOT_TRANSITIVE:
             counterexamples += 1
@@ -429,7 +429,7 @@ def _exact_criterion(dist, cells) -> float:
     total = 0.0
     for cell in cells:
         mask = np.array([cell.contains(q) for q in dist.support])
-        mass, cond = dist.condition(mask)
+        mass, cond = condition(dist, mask)
         if cond is not None:
             total += mass * dispersion_v_prime(cond.marginals())
     return total
@@ -457,9 +457,7 @@ def test_c11_partition_identities():
                 base = _exact_criterion(dist, cells)
                 p_base = sum(
                     (lambda mc: mc[0] * mc[1].marginals().p if mc[1] is not None else 0.0)(
-                        dist.condition(
-                            np.array([c.contains(q) for q in dist.support])
-                        )
+                        condition(dist, np.array([c.contains(q) for q in dist.support]))
                     )
                     for c in cells
                 )
@@ -473,7 +471,7 @@ def test_c11_partition_identities():
                             mask = np.array(
                                 [child.contains(q) for q in dist.support]
                             )
-                            mass, cond = dist.condition(mask)
+                            mass, cond = condition(dist, mask)
                             if cond is not None:
                                 got = cond.marginals().entry(*pair)
                                 # weight renormalization costs at most a few ulps

@@ -49,7 +49,16 @@ from coastrank.perms import (
 from coastrank.tree import CoastTree, grow
 
 from conftest import random_permutation, random_rational_distribution, random_sample
-from oracles import brute_local_depths, hamming_depths
+from oracles import (
+    brute_local_depths,
+    condition,
+    hamming_depths,
+    loop_smooth_scores,
+    loop_uniform_marginals,
+    members_by_contains,
+    route_one,
+)
+from test_cells import seeded_cells
 
 
 def two_leaf_tree(n, pair):
@@ -284,7 +293,7 @@ def test_ddplot_reference_separation():
     assert len(table) == 100
     centers = [p.center for p, _ in spec.components]
     ref_component = next(
-        k for k, c in enumerate(centers) if tree.route_one(c) == ref
+        k for k, c in enumerate(centers) if route_one(tree, c) == ref
     )
     top = num_pairs(8)
     in_depths = [r.local_depth for r in table if queries.labels[r.index] == ref_component]
@@ -351,6 +360,13 @@ def test_uniform_marginals_single_constraint():
     assert f.entry(0, 1) == 1.0
     assert f.entry(0, 2) == pytest.approx(1 / 3)  # the table's verbatim value
     assert f.entry(1, 2) == pytest.approx(1 / 3)  # agrees with enumeration here
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_uniform_marginals_equal_loop_oracle(n):
+    for cell in seeded_cells(n):
+        got = uniform_cell_marginals(cell, "enumeration")
+        assert np.array_equal(got.p, loop_uniform_marginals(cell).p)
 
 
 def test_uniform_marginal_discrepancy_flags_conflict(tmp_path):
@@ -446,6 +462,20 @@ def test_smoothing_depth_identity(rng):
         total = sum(sm.scores.values())
         assert total == pytest.approx(sm.z, abs=1e-9)
         assert sum(v / sm.z for v in sm.scores.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_smooth_scores_equal_loop_oracle(n):
+    # the same float additions in the same order: equal to the last bit
+    rng = np.random.default_rng(n)
+    for cell in seeded_cells(n):
+        members = members_by_contains(cell)
+        picks = tuple(members[int(k)] for k in rng.integers(len(members), size=5))
+        s = RankingSample(picks + random_sample(rng, n, 20).rankings)
+        sm = smooth_cell(s, cell, "enumeration")
+        want = loop_smooth_scores(sm.marginals, cell)
+        assert list(sm.scores.items()) == list(want.items())
+        assert sm.z == float(sum(want.values()))
 
 
 def test_smooth_marginals_equal_sub_sample_marginals(rng):
@@ -625,7 +655,7 @@ def test_sst_preserved_by_argmax_conditioning(rng):
         a, b = np.unravel_index(int(off.argmax()), off.shape)
         cell = Cell(n, frozenset({(int(a), int(b))}))
         mask = np.array([cell.contains(q) for q in dist.support])
-        mass, cond = dist.condition(mask)
+        mass, cond = condition(dist, mask)
         assert mass > 0
         status = sst_status(cond.marginals())
         assert status.kind is not SstKind.NOT_TRANSITIVE, (

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coastrank.cells import Cell, partition_criterion, v_hat_of_indices
+from coastrank.cells import Cell, partition_criterion
 from coastrank.errors import (
     InadmissiblePairError,
     PartitionIntegrityError,
@@ -20,7 +20,7 @@ from coastrank.perms import (
 )
 
 from conftest import random_permutation, random_sample
-from oracles import brute_v_hat, local_stats
+from oracles import brute_v_hat, local_stats, members_by_contains, v_hat_of_indices
 
 
 def random_cell(rng, n, depth):
@@ -34,6 +34,31 @@ def random_cell(rng, n, depth):
         side = int(rng.integers(2))
         c = c.split((i, j))[side]
     return c
+
+
+def seeded_cells(n):
+    """Cells over n items for comparisons with the enumeration oracles.
+
+    The root, chains of random splits, a partial chain a < b < c < ..., a
+    star with one item before three others, and a full chain holding one
+    ranking; chains and stars share items between constraints.
+    """
+    rng = np.random.default_rng(1000 + n)
+    order = [int(v) for v in rng.permutation(n)]
+    chain = list(zip(order, order[1:]))
+    return [random_cell(rng, n, depth) for depth in (0, 1, 2, 4, 7)] + [
+        Cell(n, frozenset(chain[: n // 2])),
+        Cell(n, frozenset((order[0], b) for b in order[1:4])),
+        Cell(n, frozenset(chain)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_members_equal_contains_oracle(n):
+    cells = seeded_cells(n)
+    for cell in cells:
+        assert list(cell.enumerate_members()) == members_by_contains(cell)
+    assert len(list(cells[-1].enumerate_members())) == 1
 
 
 def test_root_contains_everything():

@@ -31,7 +31,7 @@ from coastrank.perms import (
 )
 
 from conftest import random_permutation
-from oracles import naive_kendall, pl_pmf
+from oracles import loop_mallows_distribution, naive_kendall, pl_pmf
 
 
 # --- parameter validation -----------------------------------------------------
@@ -97,6 +97,14 @@ def test_distribution_object_consistent(rng):
         assert w == pytest.approx(mallows_pmf(params, p), rel=1e-12)
     # the center is the unique mode
     assert dist.prob_of(params.center) == pytest.approx(max(dist.weights), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mallows_distribution_equals_loop_oracle(rng, n):
+    params = MallowsParams(random_permutation(rng, n), float(rng.uniform(0.05, 2.0)))
+    got, want = mallows_distribution(params), loop_mallows_distribution(params)
+    assert got.support == want.support
+    assert np.array_equal(got.weights, want.weights)
 
 
 # --- sampler vs pmf -----------------------------------------------------------

@@ -17,16 +17,24 @@ from coastrank.perms import (
     RankingSample,
     comparison_matrix,
     enumerate_permutations,
+    inverse_rows,
     kendall_tau,
     num_pairs,
     pairwise_marginals,
-    ranking_depth,
     ranking_risk,
     risk_from_marginals,
 )
 
 from conftest import random_permutation, random_sample
-from oracles import brute_risk, gathered_comparison_matrix, kendall_tau_pairs, naive_kendall
+from oracles import (
+    brute_risk,
+    condition,
+    gathered_comparison_matrix,
+    kendall_tau_pairs,
+    merge_sort_kendall,
+    naive_kendall,
+    ranking_depth,
+)
 
 
 def test_permutation_validation():
@@ -70,9 +78,10 @@ def test_kendall_matches_reference(rng):
         n = int(rng.integers(2, 9))
         a, b = random_permutation(rng, n), random_permutation(rng, n)
         assert kendall_tau(a, b) == kendall_tau_pairs(a, b) == naive_kendall(a, b)
+        assert kendall_tau(a, b) == merge_sort_kendall(a, b)
     for n in (40, 150):
         a, b = random_permutation(rng, n), random_permutation(rng, n)
-        assert kendall_tau(a, b) == kendall_tau_pairs(a, b)
+        assert kendall_tau(a, b) == kendall_tau_pairs(a, b) == merge_sort_kendall(a, b)
 
 
 def test_kendall_metric_axioms(rng):
@@ -180,10 +189,10 @@ def test_empirical_distribution(rng):
     assert d.size == 2
     assert d.prob_of(Permutation.identity(3)) == pytest.approx(2 / 3)
     assert d.prob_of(Permutation.reverse(3)) == pytest.approx(1 / 3)
-    mass, cond = d.condition(np.array([True, False]))
+    mass, cond = condition(d, np.array([True, False]))
     assert mass == pytest.approx(2 / 3)
     assert cond.size == 1 and cond.weights[0] == 1.0
-    mass0, cond0 = d.condition(np.array([False, False]))
+    mass0, cond0 = condition(d, np.array([False, False]))
     assert mass0 == 0.0 and cond0 is None
 
 
@@ -238,6 +247,16 @@ def test_from_ranks_names_first_bad_row():
         RankingSample.from_ranks(np.array([[0, 1], [1, 0], [1, 1], [0, 0]]))
     with pytest.raises(DimensionMismatchError):
         RankingSample.from_ranks(np.array([[0, 1]]), labels=("a", "b"))
+
+
+def test_out_of_range_values_land_in_no_other_row():
+    # unmasked, row 0's 3 would fill the empty slot 0 of row 1, and row 3's -1
+    # the empty slot 2 of row 2, so rows 1 and 2 would pass as permutations
+    a = np.array([[0, 1, 3], [1, 1, 2], [0, 1, 1], [2, 1, -1]])
+    assert np.flatnonzero((inverse_rows(a) < 0).any(axis=1)).tolist() == [0, 1, 2, 3]
+    with pytest.raises(RejectedInputError, match="row 1 "):
+        RankingSample.from_ranks(np.array([[0, 1, 2], [0, 1, 1], [2, 1, -1]]))
+    assert inverse_rows(np.array([[2, 0, 1], [1, 2, 0]])).tolist() == [[1, 2, 0], [2, 0, 1]]
 
 
 def test_empirical_support_in_sorted_tuple_order(rng):

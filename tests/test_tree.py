@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coastrank.cells import Cell, partition_criterion, v_hat_of_indices
+from coastrank.cells import Cell, partition_criterion
 from coastrank.consensus import AGGREGATOR_KINDS, exact_kemeny, make_aggregator
 from coastrank.errors import (
     InadmissiblePairError,
@@ -40,7 +40,7 @@ from coastrank.tree import (
 )
 
 from conftest import random_sample
-from oracles import brute_v_hat
+from oracles import brute_v_hat, route_one, v_hat_of_indices
 
 
 def brute_best_split(s, cell=None):
@@ -256,7 +256,7 @@ def test_routing_consistency():
     tree, _ = grow(s, epsilon=0.2, rule="min-distortion")
     routed = tree.route_sample(s)
     for row, perm in enumerate(s.rankings):
-        nid = tree.route_one(perm)
+        nid = route_one(tree, perm)
         assert nid == routed[row]
         assert tree.node(nid).cell.contains(perm)
         assert nid in set(tree.frontier)
@@ -536,7 +536,7 @@ def test_reversed_split_routes_alike():
     probes = [Permutation.identity(4)] + list(s.rankings[:30])
     routed = flipped.route_sample(RankingSample(tuple(probes)))
     for sigma, leaf in zip(probes, routed):
-        assert flipped.route_one(sigma) == leaf
+        assert route_one(flipped, sigma) == leaf
         assert flipped.node(leaf).cell.contains(sigma)
 
 
