@@ -506,8 +506,6 @@ def chain_pmf(source, sigma: Permutation) -> float:
         if isinstance(source, RankingSample)
         else source
     )
-    if dist.n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(f"chain_pmf: n={dist.n} exceeds {ENUMERATION_LIMIT}")
     if sigma.n != dist.n:
         raise DimensionMismatchError("chain_pmf: size mismatch")
     x = dist.support_comparisons

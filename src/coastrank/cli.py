@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -59,9 +60,7 @@ def _manifest_path(out_path: str) -> str:
 
 def _finish(args, inputs: dict, outputs: dict, t0: float, extra_times=None) -> int:
     """Digest inputs/outputs and drop the manifest next to the primary output."""
-    config = {
-        k: v for k, v in vars(args).items() if not k.startswith("_") and k != "func"
-    }
+    config = {k: v for k, v in vars(args).items() if not k.startswith("_")}
     times = {"total": time.perf_counter() - t0}
     if extra_times:
         times.update(extra_times)
@@ -310,7 +309,13 @@ def _add_out(p, help="output path") -> None:
     p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    Handlers are looked up by command name when main runs, not bound into
+    the parser, so a rebound ``cmd_*`` function takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="coastrank",
         description="Learn and analyze consensus ranking distributions.",
@@ -323,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     _add_format(p)
     _add_out(p, help="ranking file to write")
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fit", help="grow a partition tree from a ranking file")
     p.add_argument("--input", required=True, help="ranking file")
@@ -343,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="growth trace CSV path")
     _add_format(p)
     _add_out(p, help="tree JSON to write")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("prune", help="weakest-link prune and select a subtree")
     p.add_argument("--tree", required=True)
@@ -352,23 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-leaf penalty for subtree selection")
     _add_format(p)
     _add_out(p, help="selected tree JSON")
-    p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("eval", help="distortion report per pruning step")
     p.add_argument("--tree", required=True)
     p.add_argument("--input", required=True)
     _add_format(p)
     _add_out(p, help="report CSV")
-    p.set_defaults(func=cmd_eval)
 
-    for name, handler in (("depth", cmd_depth), ("anomaly", cmd_anomaly)):
+    for name in ("depth", "anomaly"):
         p = sub.add_parser(name, help=f"{name} of query rankings under a fitted tree")
         p.add_argument("--tree", required=True)
         p.add_argument("--fit", required=True, help="ranking file the tree was fit on")
         p.add_argument("--query", required=True, help="ranking file to score")
         _add_format(p)
         _add_out(p)
-        p.set_defaults(func=handler)
 
     p = sub.add_parser("ddplot", help="depth-vs-depth table against one reference leaf")
     p.add_argument("--tree", required=True)
@@ -377,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", required=True, type=int, help="reference leaf node id")
     _add_format(p)
     _add_out(p)
-    p.set_defaults(func=cmd_ddplot)
 
     p = sub.add_parser("smooth", help="smoothed distribution over one leaf cell")
     p.add_argument("--tree", required=True)
@@ -388,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(p)
     _add_out(p, help="smoothed distribution JSON")
-    p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("hom-test", help="rank-sum homogeneity test on two depth CSVs")
     p.add_argument("--a", required=True, help="first depth CSV")
@@ -397,14 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["normal", "exact"], default="normal")
     p.add_argument("--out", default=None, help="optional result JSON")
     p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_hom_test)
 
     p = sub.add_parser("comembership", help="same-leaf indicator matrix for a sample")
     p.add_argument("--tree", required=True)
     p.add_argument("--input", required=True)
     _add_format(p)
     _add_out(p)
-    p.set_defaults(func=cmd_comembership)
 
     return parser
 
@@ -414,8 +410,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(raw)
     args._argv = raw
     args._command = args.command
+    handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return handler(args)
     except RankingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

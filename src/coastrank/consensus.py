@@ -143,25 +143,64 @@ def dispersion_v_prime(m: PairwiseMatrix) -> float:
     return float(sum(m.p[i, j] * m.p[j, i] for i, j in pair_list(m.n)))
 
 
-def _climb(m: PairwiseMatrix, start: Permutation) -> Permutation:
+#: A swap changes the risk by 2 p[a, b] - 1; the climb takes it only below -_CLIMB_TOL.
+_CLIMB_TOL = 1e-15
+
+
+def _forced_endpoint(m: PairwiseMatrix) -> Permutation | None:
+    """The one ranking every climb ends at, if the climb's stopping rule forces it.
+
+    A climb stops where every adjacent pair (a, b) may stay, that is
+    2 p[a, b] - 1 >= -_CLIMB_TOL. When each item pair allows exactly one
+    order and the win counts are distinct, the relation is a linear order,
+    and its only Hamiltonian path is the order by win count. Ties within
+    the tolerance, or a cycle, return None.
+    """
+    n = m.n
+    stay = 2.0 * m.p - 1.0 >= -_CLIMB_TOL
+    np.fill_diagonal(stay, False)
+    if np.count_nonzero(stay ^ stay.T) != n * (n - 1):
+        return None
+    wins = stay.sum(axis=1)
+    if np.count_nonzero(np.bincount(wins, minlength=n)) != n:
+        return None
+    return Permutation._trusted((n - 1 - wins).tolist())
+
+
+def _climb_rows(m: PairwiseMatrix) -> list[list[float]]:
+    """m.p as nested lists with a sentinel item n whose swaps cost +inf.
+
+    A climb pads its order with the sentinel at both ends, so every swap
+    has a neighbor on either side.
+    """
+    inf = float("inf")
+    rows = [row + [inf] for row in m.p.tolist()]
+    rows.append([inf] * (m.n + 1))
+    return rows
+
+
+def _climb(rows: list[list[float]], start: Permutation) -> Permutation:
     """Greedy adjacent-transposition ascent in depth (descent in risk).
 
-    Each step makes the adjacent swap that lowers the risk most; ties go to
-    the first such position. A swap at r changes only the risk changes of
-    swaps r - 1, r and r + 1, so only those are recomputed.
+    ``rows`` comes from _climb_rows. Each step makes the adjacent swap that
+    lowers the risk most; ties go to the first such position. A swap at r
+    changes only the risk changes of swaps r - 1, r and r + 1, so only
+    those are recomputed.
     """
-    p = m.p.tolist()
-    order = list(start.ordering())
-    delta = [2.0 * p[a][b] - 1.0 for a, b in zip(order, order[1:])]  # risk change of each swap
-    while delta:
+    end = len(rows) - 1  # the sentinel item
+    order = [end, *start.ordering(), end]
+    delta = [2.0 * rows[a][b] - 1.0 for a, b in zip(order, order[1:])]  # risk change of each swap
+    while True:
         best = min(delta)
-        if not best < -1e-15:
+        if not best < -_CLIMB_TOL:
             break
         r = delta.index(best)
-        order[r], order[r + 1] = order[r + 1], order[r]
-        for k in range(max(r - 1, 0), min(r + 2, len(delta))):
-            delta[k] = 2.0 * p[order[k]][order[k + 1]] - 1.0
-    return Permutation.from_ordering(order)
+        a, b = order[r + 1], order[r]
+        order[r], order[r + 1] = a, b
+        delta[r - 1] = 2.0 * rows[order[r - 1]][a] - 1.0
+        delta[r] = 2.0 * rows[a][b] - 1.0
+        delta[r + 1] = 2.0 * rows[b][order[r + 2]] - 1.0
+    return Permutation.from_ordering(order[1:-1])
 
 
 def depth_climb_median(
@@ -172,16 +211,24 @@ def depth_climb_median(
     From each random start, repeatedly move to the neighboring ranking with
     the largest depth under the marginals m until no neighbor improves. Best
     endpoint over restarts wins; exact ties go to the lexicographically
-    smallest.
+    smallest. When the endpoint is forced (see _forced_endpoint) it is
+    returned without climbing, though the starts are still drawn from rng.
     """
     if restarts < 1:
         raise RejectedInputError("restarts must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
+    forced = _forced_endpoint(m)
+    if forced is not None:
+        for _ in range(restarts):
+            rng.permutation(m.n)
+        return MedianResult(
+            medians=(forced,), risk=risk_from_marginals(m, forced), method="depth_climb"
+        )
+    rows = _climb_rows(m)
     best: Permutation | None = None
     best_risk = np.inf
     for _ in range(restarts):
-        start = Permutation(tuple(int(x) for x in rng.permutation(m.n)))
-        end = _climb(m, start)
+        end = _climb(rows, Permutation._trusted(rng.permutation(m.n).tolist()))
         r = risk_from_marginals(m, end)
         if r < best_risk - 1e-12 or (
             abs(r - best_risk) <= 1e-12 and (best is None or end.ranks < best.ranks)

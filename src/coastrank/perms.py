@@ -195,10 +195,13 @@ def inverse_rows(a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[1]
     inv = np.full(a.shape, -1, dtype=np.int32)
-    ok = ((a >= 0) & (a < n)).all(axis=1)
-    # rows holding out-of-range values are left out, or a value could land in
-    # another row's slots and fill a gap there
-    slots = a[ok] + (np.flatnonzero(ok) * n)[:, None]
+    if a.size and a.min() >= 0 and a.max() < n:
+        slots = a + (np.arange(a.shape[0]) * n)[:, None]
+    else:
+        # rows holding out-of-range values are left out, or a value could land
+        # in another row's slots and fill a gap there
+        ok = ((a >= 0) & (a < n)).all(axis=1)
+        slots = a[ok] + (np.flatnonzero(ok) * n)[:, None]
     inv.ravel()[slots] = np.arange(n, dtype=np.int32)
     return inv
 
@@ -387,17 +390,32 @@ class DiscreteRankingDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
+        self._check(support=True)
+
+    @classmethod
+    def _trusted(cls, n: int, support, weights) -> "DiscreteRankingDistribution":
+        """Build from distinct permutations of n items; only the weights are checked."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "support", tuple(support))
+        object.__setattr__(d, "weights", weights)
+        d._check(support=False)
+        return d
+
+    def _check(self, support: bool) -> None:
+        """Coerce the weights to float64 and check them, and the support if asked."""
         w = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", w)
         if len(self.support) == 0:
             raise RejectedInputError("empty support")
         if len(self.support) != w.shape[0]:
             raise DimensionMismatchError("support/weights length mismatch")
-        for p in self.support:
-            if p.n != self.n:
-                raise DimensionMismatchError("support permutation of wrong size")
-        if len({p.ranks for p in self.support}) != len(self.support):
-            raise RejectedInputError("support points must be distinct")
+        if support:
+            for p in self.support:
+                if p.n != self.n:
+                    raise DimensionMismatchError("support permutation of wrong size")
+            if len({p.ranks for p in self.support}) != len(self.support):
+                raise RejectedInputError("support points must be distinct")
         if np.any(w < -1e-15):
             raise RejectedInputError("negative weight")
         if abs(float(w.sum()) - 1.0) > 1e-10:
@@ -425,7 +443,7 @@ class DiscreteRankingDistribution:
         """The empirical distribution of a sample (support sorted, weights k/N)."""
         rows, counts = np.unique(s.ranks_matrix, axis=0, return_counts=True)
         support = tuple(Permutation._trusted(r) for r in rows.tolist())
-        return cls(s.n, support, counts / s.size)
+        return cls._trusted(s.n, support, counts / s.size)
 
     @cached_property
     def support_comparisons(self) -> np.ndarray:
@@ -460,8 +478,9 @@ def risk_from_marginals(m: PairwiseMatrix, sigma: Permutation) -> float:
     """
     if m.n != sigma.n:
         raise DimensionMismatchError("risk_from_marginals: size mismatch")
-    r = sigma.ranks
-    total = 0.0
-    for i, j in itertools.combinations(range(m.n), 2):
-        total += m.p[i, j] if r[i] > r[j] else m.p[j, i]
-    return float(total)
+    i, j = np.triu_indices(m.n, 1)  # lexicographic pair order
+    r = np.asarray(sigma.ranks)
+    later = r[i] > r[j]
+    loss = m.p[np.where(later, i, j), np.where(later, j, i)]
+    # accumulate adds left to right from 0.0, as a loop over the pairs would
+    return float(np.add.accumulate(np.concatenate(([0.0], loss)))[-1])

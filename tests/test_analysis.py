@@ -26,7 +26,6 @@ from coastrank.consensus import SstKind, copeland_median, sst_status
 from coastrank.errors import (
     CapacityError,
     DimensionMismatchError,
-    EnumerationLimitError,
     RejectedInputError,
 )
 from coastrank.models import (
@@ -704,6 +703,9 @@ def test_chain_validation(rng):
     dist = random_rational_distribution(rng, 3, max_support=4)
     with pytest.raises(DimensionMismatchError):
         chain_pmf(dist, Permutation.identity(4))
-    big = DiscreteRankingDistribution.from_pairs([(random_permutation(rng, 12), 1.0)])
-    with pytest.raises(EnumerationLimitError):
-        chain_pmf(big, random_permutation(rng, 12))
+    # the chain walks the support's own comparison columns, so n has no cap
+    point = random_permutation(rng, 12)
+    big = DiscreteRankingDistribution.from_pairs([(point, 1.0)])
+    assert chain_pmf(big, point) == 1.0
+    other = Permutation.from_ordering(reversed(point.ordering()))
+    assert chain_pmf(big, other) == 0.0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coastrank import cli
 from coastrank.cli import main
 from coastrank.fileio import load_rankings, read_json, sha256_of, write_rankings
 from coastrank.models import random_mallows_mixture_spec
@@ -233,6 +234,41 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fit", "--no-such-flag", "x"])
     assert err.value.code == 2
+    capsys.readouterr()
+
+
+def test_one_parser_serves_successive_commands(tmp_path, spec_path, monkeypatch, capsys):
+    seen = {}
+    for name in ("fit", "prune", "eval"):
+        handler = getattr(cli, f"cmd_{name}")
+
+        def record(args, name=name, handler=handler):
+            seen[name] = {k: v for k, v in vars(args).items() if not k.startswith("_")}
+            return handler(args)
+
+        # handlers are looked up when main runs, so the rebinding takes effect
+        monkeypatch.setattr(cli, f"cmd_{name}", record)
+    rank, tree_path = tmp_path / "train.csv", tmp_path / "tree.json"
+    assert run("sample", "--spec", spec_path, "--size", 120, "--out", rank) == 0
+    assert run("fit", "--input", rank, "--epsilon", 0.3, "--out", tree_path) == 0
+    with pytest.raises(SystemExit) as err:
+        run("prune", "--tree", tree_path, "--input", rank)  # --lambda is required
+    assert err.value.code == 2
+    assert run("prune", "--tree", tree_path, "--input", rank, "--lambda", 0.01,
+               "--out", tmp_path / "sub.json") == 0
+    assert run("eval", "--tree", tree_path, "--input", rank, "--out", tmp_path / "r.csv") == 0
+    assert cli.build_parser() is cli.build_parser()
+    common = {"command", "input", "format", "out", "manifest"}
+    assert seen["fit"] == {
+        "command": "fit", "input": str(rank), "epsilon": 0.3, "rule": "min-distortion",
+        "max_leaves": None, "one_split_per_iter": False, "aggregator": "auto", "seed": 0,
+        "threads": None, "trace": None, "format": "ordering", "out": str(tree_path),
+        "manifest": None,
+    }
+    assert set(seen["prune"]) == common | {"tree", "lam"}
+    assert seen["prune"]["lam"] == 0.01 and seen["prune"]["format"] == "ordering"
+    assert set(seen["eval"]) == common | {"tree"}
+    assert seen["eval"]["manifest"] is None
     capsys.readouterr()
 
 

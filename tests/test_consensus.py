@@ -7,6 +7,8 @@ from coastrank.consensus import (
     MedianResult,
     SstKind,
     _climb,
+    _climb_rows,
+    _forced_endpoint,
     copeland_median,
     depth_climb_median,
     dispersion_v,
@@ -32,7 +34,14 @@ from coastrank.perms import (
 )
 
 from conftest import random_permutation, random_rational_distribution, random_sample
-from oracles import brute_kemeny, brute_risk, loop_climb, naive_kendall, streamed_kemeny
+from oracles import (
+    brute_kemeny,
+    brute_risk,
+    loop_climb,
+    loop_depth_climb_median,
+    naive_kendall,
+    streamed_kemeny,
+)
 
 
 def matrix_from_upper(entries: dict, n: int) -> PairwiseMatrix:
@@ -202,7 +211,7 @@ def test_climb_matches_loop_reference(rng):
         n = int(rng.integers(1, 25))
         m = pairwise_marginals(random_sample(rng, n, int(rng.integers(1, 12))))
         start = random_permutation(rng, n)
-        assert _climb(m, start) == loop_climb(m, start)
+        assert _climb(_climb_rows(m), start) == loop_climb(m, start)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 20, 50])
@@ -212,7 +221,84 @@ def test_climb_matches_loop_reference_on_quantized_marginals(rng, n, size):
     m = pairwise_marginals(random_sample(rng, n, size))
     for _ in range(5):
         start = random_permutation(rng, n)
-        assert _climb(m, start) == loop_climb(m, start)
+        assert _climb(_climb_rows(m), start) == loop_climb(m, start)
+
+
+def linear_order_marginals(rng, n, tie=None):
+    """Marginals whose majority is a random linear order, with margins in (0, 1/2].
+
+    ``tie`` replaces the margin of one adjacent pair of that order, so the
+    pair's upper entry becomes 1/2 + tie.
+    """
+    order = rng.permutation(n)
+    entries = {}
+    for k in range(n):
+        for j in range(k + 1, n):
+            entries[(int(order[k]), int(order[j]))] = 1.0 - 0.5 * float(rng.random())
+    if tie is not None:
+        k = int(rng.integers(n - 1))
+        entries[(int(order[k]), int(order[k + 1]))] = 0.5 + tie
+    return matrix_from_upper(entries, n)
+
+
+def climb_cases(rng, n):
+    """Marginals from linear orders, near-consensus samples and uniform samples."""
+    cases = [linear_order_marginals(rng, n) for _ in range(3)]
+    if n > 1:  # a margin just outside the climb's tolerance still forces the order
+        cases.append(linear_order_marginals(rng, n, tie=1e-15))
+    cases += [pairwise_marginals(random_sample(rng, n, size)) for size in (1, 3, 4, 200)]
+    if 2 < n <= 20:
+        cases.append(pairwise_marginals(strict_sst_sample(rng, n)))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 20, 50])
+def test_forced_endpoint_is_where_every_climb_ends(rng, n):
+    fired = 0
+    for m in climb_cases(rng, n):
+        forced = _forced_endpoint(m)
+        if forced is None:
+            continue
+        fired += 1
+        for _ in range(4):
+            assert loop_climb(m, random_permutation(rng, n)) == forced
+        seed = int(rng.integers(1 << 30))
+        got = depth_climb_median(m, restarts=3, rng=np.random.default_rng(seed))
+        want = loop_depth_climb_median(m, 3, np.random.default_rng(seed))
+        assert (got.median, got.risk) == want
+    assert fired >= 3  # every linear-order case fires
+
+
+@pytest.mark.parametrize("n", [2, 8, 20, 50])
+@pytest.mark.parametrize("tie", [0.0, 2.0**-52, 4e-16, -4e-16])
+def test_forced_endpoint_refuses_ties_within_the_climb_tolerance(rng, n, tie):
+    # either order of the tied pair may stay, so the endpoint depends on the start
+    m = linear_order_marginals(rng, n, tie=tie)
+    assert _forced_endpoint(m) is None
+    seed = int(rng.integers(1 << 30))
+    got = depth_climb_median(m, restarts=4, rng=np.random.default_rng(seed))
+    want = loop_depth_climb_median(m, 4, np.random.default_rng(seed))
+    assert (got.median, got.risk) == want
+
+
+def test_forced_endpoint_refuses_cycles():
+    # every pair allows one order, but the wins are 1, 1, 1
+    m = matrix_from_upper({(0, 1): 0.7, (1, 2): 0.7, (0, 2): 0.3}, 3)
+    assert _forced_endpoint(m) is None
+    entries = {(0, 1): 0.7, (1, 2): 0.7, (0, 2): 0.6, (0, 3): 0.1, (1, 3): 0.2, (2, 3): 0.2}
+    m = matrix_from_upper(entries, 4)
+    assert _forced_endpoint(m) == Permutation.from_ordering([3, 0, 1, 2])
+
+
+@pytest.mark.parametrize("n", [1, 8, 50])
+def test_depth_climb_draws_every_start_from_the_generator(rng, n):
+    cases = [linear_order_marginals(rng, n), pairwise_marginals(random_sample(rng, n, 3))]
+    for m in cases:
+        used, drawn = np.random.default_rng(11), np.random.default_rng(11)
+        depth_climb_median(m, restarts=5, rng=used)
+        for _ in range(5):
+            drawn.permutation(n)
+        assert used.bit_generator.state == drawn.bit_generator.state
 
 
 def test_depth_climb_deterministic(rng):

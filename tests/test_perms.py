@@ -31,6 +31,7 @@ from oracles import (
     condition,
     gathered_comparison_matrix,
     kendall_tau_pairs,
+    loop_risk_from_marginals,
     merge_sort_kendall,
     naive_kendall,
     ranking_depth,
@@ -203,6 +204,51 @@ def test_distribution_validation():
         )
     with pytest.raises(RejectedInputError):
         DiscreteRankingDistribution(3, (Permutation.identity(3),), np.array([0.9]))
+
+
+def test_distribution_rejections_fire_in_both_public_constructors():
+    e, r = Permutation.identity(3), Permutation.reverse(3)
+    with pytest.raises(DimensionMismatchError, match="wrong size"):
+        DiscreteRankingDistribution(3, (e, Permutation.identity(4)), np.array([0.5, 0.5]))
+    with pytest.raises(DimensionMismatchError, match="wrong size"):
+        DiscreteRankingDistribution.from_pairs([(e, 0.5), (Permutation.identity(4), 0.5)])
+    with pytest.raises(RejectedInputError, match="distinct"):
+        DiscreteRankingDistribution(3, (e, r, e), np.array([0.25, 0.5, 0.25]))
+    with pytest.raises(RejectedInputError, match="negative"):
+        DiscreteRankingDistribution(3, (e, r), np.array([1.5, -0.5]))
+    with pytest.raises(RejectedInputError, match="negative"):
+        DiscreteRankingDistribution.from_pairs([(e, 1.5), (r, -0.5)])
+    with pytest.raises(RejectedInputError, match="not 1"):
+        DiscreteRankingDistribution(3, (e, r), np.array([0.5, 0.4]))
+    with pytest.raises(RejectedInputError, match="not 1"):
+        DiscreteRankingDistribution.from_pairs([(e, 0.5), (r, 0.4)])
+    # the trusted builder skips the support checks, not the weight checks
+    with pytest.raises(RejectedInputError, match="not 1"):
+        DiscreteRankingDistribution._trusted(3, (e, r), np.array([0.5, 0.4]))
+
+
+def test_inverse_rows_in_range_rows_keep_their_gaps():
+    a = np.array([[0, 0, 1], [2, 0, 1], [1, 1, 1]])
+    inv = inverse_rows(a)
+    assert (inv < 0).any(axis=1).tolist() == [True, False, True]
+    assert inv[1].tolist() == [1, 2, 0]
+    assert inverse_rows(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 50])
+def test_risk_from_marginals_equals_the_pair_loop(rng, n):
+    # bit for bit: the same additions in the same order as the loop
+    cases = [pairwise_marginals(random_sample(rng, n, size)) for size in (1, 3, 7)]
+    for _ in range(3):
+        upper = rng.random(num_pairs(n))
+        p = np.full((n, n), 0.5)
+        p[np.triu_indices(n, 1)] = upper
+        p[np.tril_indices(n, -1)] = (1.0 - p.T)[np.tril_indices(n, -1)]
+        cases.append(PairwiseMatrix(n, p))
+    for m in cases:
+        for _ in range(10):
+            sigma = random_permutation(rng, n)
+            assert risk_from_marginals(m, sigma) == loop_risk_from_marginals(m, sigma)
 
 
 def test_sample_validation():
