@@ -17,6 +17,7 @@ from .perms import (
     DiscreteRankingDistribution,
     PairwiseMatrix,
     Permutation,
+    pair_indices,
     pair_list,
     risk_from_marginals,
     symmetric_group,
@@ -113,7 +114,7 @@ def exact_kemeny(d: DiscreteRankingDistribution | PairwiseMatrix) -> MedianResul
     n = d.n
     ranks, cmp = symmetric_group(n)
     m = d if isinstance(d, PairwiseMatrix) else d.marginals()
-    upper = m.p[np.triu_indices(n, 1)]
+    upper = m.p[pair_indices(n)]
     base = float(upper.sum())
     coef = 1.0 - 2.0 * upper
     risks = np.concatenate(

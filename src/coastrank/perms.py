@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +41,15 @@ def num_pairs(n: int) -> int:
 def pair_list(n: int) -> list[tuple[int, int]]:
     """All item pairs (i, j), i < j, in lexicographic order."""
     return list(itertools.combinations(range(n), 2))
+
+
+@cache
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``: the pairs of pair_list as two index arrays."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -326,6 +335,8 @@ class PairwiseMatrix:
         object.__setattr__(self, "p", p)
         if p.shape != (self.n, self.n):
             raise DimensionMismatchError(f"marginal matrix shape {p.shape} != ({self.n}, {self.n})")
+        if not np.isfinite(p).all():  # every check below is false for NaN
+            raise RejectedInputError("marginals must be finite")
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
             raise RejectedInputError("marginals outside [0, 1]")
         if np.max(np.abs(p + p.T - 1.0)) > 1e-12:
@@ -368,11 +379,10 @@ class PairwiseMatrix:
 
     @classmethod
     def _from_upper(cls, n: int, upper) -> "PairwiseMatrix":
-        # triu_indices lists the pairs in lexicographic order, as pair_list does
-        iu = np.triu_indices(n, 1)
+        i, j = pair_indices(n)
         p = np.full((n, n), 0.5)
-        p[iu] = upper
-        p[iu[::-1]] = 1.0 - upper
+        p[i, j] = upper
+        p[j, i] = 1.0 - upper
         return cls(n, p)
 
 
@@ -393,13 +403,20 @@ class DiscreteRankingDistribution:
         self._check(support=True)
 
     @classmethod
-    def _trusted(cls, n: int, support, weights) -> "DiscreteRankingDistribution":
-        """Build from distinct permutations of n items; only the weights are checked."""
+    def _trusted(cls, n: int, support, weights, comparisons=None) -> "DiscreteRankingDistribution":
+        """Build from distinct permutations of n items; only the weights are checked.
+
+        ``comparisons``, when given, must be the support's comparison rows as
+        comparison_matrix lays them out (Fortran order, read-only); it seeds
+        ``support_comparisons``.
+        """
         d = object.__new__(cls)
         object.__setattr__(d, "n", n)
         object.__setattr__(d, "support", tuple(support))
         object.__setattr__(d, "weights", weights)
         d._check(support=False)
+        if comparisons is not None:
+            d.__dict__["support_comparisons"] = comparisons
         return d
 
     def _check(self, support: bool) -> None:
@@ -478,7 +495,7 @@ def risk_from_marginals(m: PairwiseMatrix, sigma: Permutation) -> float:
     """
     if m.n != sigma.n:
         raise DimensionMismatchError("risk_from_marginals: size mismatch")
-    i, j = np.triu_indices(m.n, 1)  # lexicographic pair order
+    i, j = pair_indices(m.n)
     r = np.asarray(sigma.ranks)
     later = r[i] > r[j]
     loss = m.p[np.where(later, i, j), np.where(later, j, i)]

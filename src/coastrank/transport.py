@@ -5,11 +5,17 @@ are lifted to a common denominator and costs are Kendall distances (integers).
 It starts from a north-west-corner plan over the source rows sorted by their
 nearest target atom, prices by Dantzig's rule (most negative reduced cost) and
 falls back to Bland's rule after a run of degenerate pivots, so it cannot
-cycle. The basis tree is kept as parent/depth arrays, and each pivot updates
-potentials only on the subtree it moves. The optimum it returns is exact,
-which the distortion diagnostics rely on — they certify inequalities, not
-approximations. When the weights' common denominator would overflow int64
-they are rounded first, and the result is marked inexact.
+cycle. At most k - 1 rows of a k-column basis carry two or more basic arcs,
+and likewise for columns; every other node is a leaf of the basis tree, with
+all its mass on one arc. A leaf keeps only its home (the node at the other end
+of that arc) and that arc's cost, and its potential is filled in from its
+home's by one numpy gather at every pricing. Only branch nodes, those with two
+or more arcs, carry parent/depth links and explicit potentials, so a pivot
+re-hangs and shifts just the branch nodes of the subtree it moves. The
+optimum it returns is exact, which the distortion diagnostics rely on — they
+certify inequalities, not approximations. When the weights' common
+denominator would overflow int64 they are rounded first, and the result is
+marked inexact.
 """
 
 from __future__ import annotations
@@ -122,85 +128,112 @@ def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Exact network simplex on integer supplies a, demands b and costs.
 
     Returns (flow, pivots, bland_pivots). The graph has row nodes 0..m-1 and
-    column nodes m..m+n-1; the basis is a spanning tree kept as parent and
-    depth lists plus adjacency, and flow[i, j] lives on basic cells only.
+    column nodes m..m+n-1, and flow[i, j] lives on basic cells only. The
+    basis is a spanning tree rooted at node 0. A leaf (a node with one basic
+    arc, other than the root) keeps only its home, the node at the other end
+    of that arc; its potential is read off its home's at every pricing. Branch
+    nodes (the rest) carry parent, depth, branch-neighbour lists and an
+    explicit potential, so a pivot re-hangs branch nodes only.
     """
     m, n = cost.shape
+    size = m + n
     # start: rows sorted stably by their nearest column, then the north-west
-    # corner; close to the coupling that ships every point to its cell median
-    order = np.argsort(np.argmin(cost, axis=1), kind="stable").tolist()
-    flow: dict[tuple[int, int], int] = {}
-    ra, rb = a.tolist(), b.tolist()
-    r = c = 0
-    while True:
-        i = order[r]
-        f = min(ra[i], rb[c])
-        flow[i, c] = f
-        ra[i] -= f
-        rb[c] -= f
-        if r == m - 1 and c == n - 1:
-            break
-        if ra[i] == 0 and r < m - 1:
-            r += 1
-        else:
-            c += 1
+    # corner; close to the coupling that ships every point to its cell median.
+    # The corner walks a staircase: after cell (r, j) it steps down when rows
+    # 0..r hold no more than columns 0..j take (rows first on ties), so its
+    # cells and flows follow from the two running totals
+    order = np.argsort(np.argmin(cost, axis=1), kind="stable")
+    sa = np.concatenate(([0], np.cumsum(a[order])))
+    sb = np.concatenate(([0], np.cumsum(b)))
+    down = np.argsort(np.concatenate((sa[1:-1], sb[1:-1])), kind="stable") < m - 1
+    r = np.concatenate(([0], np.cumsum(down)))  # per basic cell: its place in order
+    j = np.concatenate(([0], np.cumsum(~down)))  # and its column
+    rows, cols = order[r], j + m
+    f = np.minimum(sa[r + 1], sb[j + 1]) - np.maximum(sa[r], sb[j])
+    flow: dict[tuple[int, int], int] = dict(zip(zip(rows.tolist(), j.tolist()), f.tolist()))
 
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in flow:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-
-    def hang(s: int, t: int) -> list[int]:
-        """Hang s, and everything reachable from it away from t, below t."""
-        parent[s] = t
-        depth[s] = depth[t] + 1
-        nodes = [s]
-        for x in nodes:
-            px, dx = parent[x], depth[x] + 1
-            for y in adj[x]:
-                if y != px:
-                    parent[y] = x
-                    depth[y] = dx
-                    nodes.append(y)
-        return nodes
+    deg = np.bincount(rows, minlength=size) + np.bincount(cols, minlength=size)
+    leafmask = deg == 1
+    leafmask[0] = False  # the root counts as a branch node whatever its degree
+    lr, lc = leafmask[rows], leafmask[cols]
+    home = np.full(size, m)  # a leaf's home; pricing skips branch nodes' entries
+    home[rows[lr]] = cols[lr]
+    home[cols[lc]] = rows[lc]
+    hcost = np.zeros(size, dtype=np.int64)  # the cost of a leaf's one arc
+    arc_cost = cost[rows, j]
+    hcost[rows[lr]] = arc_cost[lr]
+    hcost[cols[lc]] = arc_cost[lc]
+    badj: list[list[int]] = [[] for _ in range(size)]  # branch neighbours of branch nodes
+    both = ~(lr | lc)
+    for x, y in zip(rows[both].tolist(), cols[both].tolist()):
+        badj[x].append(y)
+        badj[y].append(x)
+    deg, leaf = deg.tolist(), leafmask.tolist()
+    parent = home.tolist()  # a leaf's parent is its home
+    depth = [0] * size  # branch nodes only
 
     def cell(x: int) -> tuple[int, int]:
         """The basic cell joining node x to its parent."""
         p = parent[x]
         return (x, p - m) if x < m else (p, x - m)
 
-    depth[0] = -1
-    tree = hang(0, 0)
+    # potentials: u_i = pot[i], v_j = pot[m + j], with u_i + v_j = c_ij on
+    # basic cells; pot holds them for branch nodes, and pot[0] = 0 throughout
+    pot = np.zeros(size, dtype=np.int64)
     parent[0] = -1
-    # potentials: u_i = pot[i], v_j = pot[m + j], with u_i + v_j = c_ij on basic cells
-    pot = np.zeros(m + n, dtype=np.int64)
-    for x in tree[1:]:
-        pot[x] = cost[cell(x)] - pot[parent[x]]
-    side = np.where(np.arange(m + n) < m, 1, -1)
+    tree = [0]
+    for x in tree:
+        for y in badj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                pot[y] = cost[cell(y)] - pot[x]
+                tree.append(y)
+    side = np.where(np.arange(size) < m, 1, -1)
+
+    def make_leaf(z: int, h: int) -> None:
+        """Record z as a leaf whose one arc runs to h."""
+        leaf[z] = leafmask[z] = True
+        parent[z] = home[z] = h
+        hcost[z] = cost[cell(z)]
+
+    def drop_branch(z: int, h: int) -> None:
+        """Turn branch node z, left with its one arc to h, into a leaf."""
+        for w in badj[z]:
+            badj[w].remove(z)
+        badj[z] = []
+        make_leaf(z, h)
 
     pivots = bland = stall = 0
     while True:
-        rc = cost - pot[:m, None] - pot[None, m:]
+        # leaf potentials from their homes'; pot then holds every node's
+        np.subtract(hcost, pot[home], out=pot, where=leafmask)
+        rc = cost - pot[:m, None]
+        rc -= pot[None, m:]
         if stall < _DEGENERATE_RUN:
             enter = int(rc.argmin())  # Dantzig: most negative reduced cost
-            if rc.flat[enter] >= 0:
+            delta = int(rc.flat[enter])
+            if delta >= 0:
                 break
         else:
             neg = np.flatnonzero(rc < 0)  # Bland: first negative cell, row-major
             if neg.size == 0:
                 break
             enter = int(neg[0])
+            delta = int(rc.flat[enter])
             bland += 1
         ei, ej = divmod(enter, n)
-        delta = int(rc.flat[enter])
 
-        # the cycle: both endpoints climb to their common ancestor; along each
-        # climb the flow change alternates -theta, +theta, ... from the endpoint
+        # the cycle: both endpoints climb to their common ancestor, a leaf
+        # endpoint first stepping to its home; along each climb the flow
+        # change alternates -theta, +theta, ... from the endpoint
         x, y = ei, m + ej
-        up_x: list[int] = []
-        up_y: list[int] = []
+        up_x = [x] if leaf[x] else []
+        up_y = [y] if leaf[y] else []
+        if up_x:
+            x = parent[x]
+        if up_y:
+            y = parent[y]
         while x != y:
             if depth[x] >= depth[y]:
                 up_x.append(x)
@@ -210,32 +243,70 @@ def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
                 y = parent[y]
         # the leaving arc: least flow among the -theta cells, ties to the
         # smallest cell in row-major order
-        lu = min(up_x[::2] + up_y[::2], key=lambda u: (flow[cell(u)], cell(u)))
-        theta = flow[cell(lu)]
+        minus = up_x[::2] + up_y[::2]
+        cells = [cell(u) for u in minus]
+        theta, leaving, lu = min(zip([flow[c] for c in cells], cells, minus))
         if theta:
-            for up in (up_x, up_y):
-                for k, u in enumerate(up):
-                    flow[cell(u)] += theta if k % 2 else -theta
+            for c in cells:
+                flow[c] -= theta
+            for u in up_x[1::2] + up_y[1::2]:
+                flow[cell(u)] += theta
         flow[ei, ej] = theta
+        del flow[leaving]
 
-        lp = parent[lu]
-        del flow[cell(lu)]
-        adj[lu].remove(lp)
-        adj[lp].remove(lu)
-        adj[ei].append(m + ej)
-        adj[m + ej].append(ei)
         # the subtree the leaving arc cuts off holds one end s of the entering
-        # arc; it is re-hung there and its potentials shift by the entering
-        # reduced cost (+ on nodes of s's kind, - on the other kind)
+        # arc; t is the other end
+        lp = parent[lu]
         s, t = (ei, m + ej) if lu in up_x else (m + ej, ei)
-        moved = np.array(hang(s, t))
-        pot[moved] += delta * side[moved] * side[s]
+        if not leaf[lu]:
+            badj[lu].remove(lp)
+            badj[lp].remove(lu)
+        deg[lu] -= 1
+        deg[lp] -= 1
+        deg[s] += 1
+        deg[t] += 1
+        # a branch node left with one arc becomes a leaf: lp keeps the arc to
+        # its parent, lu the arc to its one child (s, if that was a leaf)...
+        if deg[lu] == 1 and not leaf[lu]:
+            drop_branch(lu, badj[lu][0] if badj[lu] else s)
+        if deg[lp] == 1 and lp:
+            drop_branch(lp, parent[lp])
+        # ...and a leaf that gained the entering arc a branch node, linked to
+        # its old home; its potential is the one it was priced with
+        for z in (s, t):
+            if leaf[z] and deg[z] == 2:
+                h = parent[z]
+                leaf[z] = leafmask[z] = False
+                depth[z] = depth[h] + 1
+                if not leaf[h]:
+                    badj[z].append(h)
+                    badj[h].append(z)
+        if leaf[s]:  # s was a leaf cut off alone: it only changes home
+            make_leaf(s, t)
+        else:
+            # re-hang the branch part of the cut-off subtree below t; its
+            # potentials shift by the entering reduced cost (+ on nodes of
+            # s's kind, - on the other kind), and its leaves follow their homes
+            badj[s].append(t)
+            badj[t].append(s)
+            parent[s] = t
+            depth[s] = depth[t] + 1
+            moved = [s]
+            for x in moved:
+                px, dx = parent[x], depth[x] + 1
+                for y in badj[x]:
+                    if y != px:
+                        parent[y] = x
+                        depth[y] = dx
+                        moved.append(y)
+            mv = np.array(moved)
+            pot[mv] += side[mv] * (delta if s < m else -delta)
         pivots += 1
         stall = stall + 1 if theta == 0 else 0
 
     out = np.zeros((m, n), dtype=np.int64)
-    for (i, j), f in flow.items():
-        out[i, j] = f
+    basic = np.array(list(flow)).reshape(-1, 2)
+    out[basic[:, 0], basic[:, 1]] = list(flow.values())
     return out, pivots, bland
 
 
@@ -265,8 +336,9 @@ def wasserstein(
     a, b, denom, exact = _integer_weights(p, q)
     keep_a, keep_b = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
     flow = np.zeros((m1, m2), dtype=np.float64)
-    sub, _, _ = _solve_transport(cost[np.ix_(keep_a, keep_b)], a[keep_a], b[keep_b])
-    total = int((sub * cost[np.ix_(keep_a, keep_b)]).sum())
+    kept = cost[np.ix_(keep_a, keep_b)]
+    sub, _, _ = _solve_transport(kept, a[keep_a], b[keep_b])
+    total = int((sub * kept).sum())
     flow[np.ix_(keep_a, keep_b)] = sub / denom
     value = float(Fraction(total, denom))
     plan = TransportPlan(rows=p.support, cols=q.support, flow=flow, cost=value, exact=exact)

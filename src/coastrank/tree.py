@@ -19,6 +19,7 @@ minus it, exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +50,9 @@ __all__ = [
     "prune_sequence",
     "select_subtree",
 ]
+
+#: Absolute slack in the weight sums a loaded tree document must satisfy.
+_WEIGHT_TOL = 1e-9
 
 
 class SplitRule(str, Enum):
@@ -294,7 +298,9 @@ class CoastTree:
         split names two distinct items in 1..n and comes with two children;
         each child exists and has one parent, every node is reachable from
         the one root, and a child's constraints are its parent's plus the
-        split in the child's orientation. Splits are normalized to i < j.
+        split in the child's orientation. Each internal node's weight is the
+        sum of its children's, and the frontier weights sum to 1, both within
+        ``_WEIGHT_TOL``. Splits are normalized to i < j.
         """
         try:
             n = int(obj["n"])
@@ -340,6 +346,16 @@ class CoastTree:
                         f"tree node {c}: constraints are not those of parent {nid} "
                         f"plus {a + 1} before {b + 1}"
                     )
+            kids = by_id[node.children[0]].weight + by_id[node.children[1]].weight
+            if abs(node.weight - kids) > _WEIGHT_TOL:
+                raise RejectedInputError(
+                    f"tree node {nid}: weight {node.weight!r} is not its children's sum {kids!r}"
+                )
+        total = math.fsum(by_id[nid].weight for nid in order if by_id[nid].children is None)
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise RejectedInputError(
+                f"tree node {roots[0]}: frontier weights sum to {total!r}, not 1"
+            )
         renum = {nid: k for k, nid in enumerate(order)}
         nodes = []
         for nid in order:

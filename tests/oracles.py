@@ -30,6 +30,7 @@ from coastrank.perms import (
     pair_list,
     ranking_risk,
 )
+from coastrank.transport import _DEGENERATE_RUN
 
 
 def gathered_comparison_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -463,6 +464,130 @@ def bland_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
         adj[m + leave[1]].discard(leave[0])
         adj[ei].add(m + ej)
         adj[m + ej].add(ei)
+
+
+def subtree_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Network simplex over a plain basis tree, the reference for the leaf
+    bookkeeping of coastrank.transport._solve_transport.
+
+    Same start, pricing and leaving rule, so it returns the same
+    (flow, pivots, bland_pivots); but every node carries parent, depth and an
+    explicit potential, and each pivot re-hangs the whole subtree it cuts
+    off, leaves included. The graph has row nodes 0..m-1 and column nodes
+    m..m+n-1, and flow[i, j] lives on basic cells only.
+    """
+    m, n = cost.shape
+    # start: rows sorted stably by their nearest column, then the north-west
+    # corner; close to the coupling that ships every point to its cell median
+    order = np.argsort(np.argmin(cost, axis=1), kind="stable").tolist()
+    flow: dict[tuple[int, int], int] = {}
+    ra, rb = a.tolist(), b.tolist()
+    r = c = 0
+    while True:
+        i = order[r]
+        f = min(ra[i], rb[c])
+        flow[i, c] = f
+        ra[i] -= f
+        rb[c] -= f
+        if r == m - 1 and c == n - 1:
+            break
+        if ra[i] == 0 and r < m - 1:
+            r += 1
+        else:
+            c += 1
+
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in flow:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+
+    def hang(s: int, t: int) -> list[int]:
+        """Hang s, and everything reachable from it away from t, below t."""
+        parent[s] = t
+        depth[s] = depth[t] + 1
+        nodes = [s]
+        for x in nodes:
+            px, dx = parent[x], depth[x] + 1
+            for y in adj[x]:
+                if y != px:
+                    parent[y] = x
+                    depth[y] = dx
+                    nodes.append(y)
+        return nodes
+
+    def cell(x: int) -> tuple[int, int]:
+        """The basic cell joining node x to its parent."""
+        p = parent[x]
+        return (x, p - m) if x < m else (p, x - m)
+
+    depth[0] = -1
+    tree = hang(0, 0)
+    parent[0] = -1
+    # potentials: u_i = pot[i], v_j = pot[m + j], with u_i + v_j = c_ij on basic cells
+    pot = np.zeros(m + n, dtype=np.int64)
+    for x in tree[1:]:
+        pot[x] = cost[cell(x)] - pot[parent[x]]
+    side = np.where(np.arange(m + n) < m, 1, -1)
+
+    pivots = bland = stall = 0
+    while True:
+        rc = cost - pot[:m, None] - pot[None, m:]
+        if stall < _DEGENERATE_RUN:
+            enter = int(rc.argmin())  # Dantzig: most negative reduced cost
+            if rc.flat[enter] >= 0:
+                break
+        else:
+            neg = np.flatnonzero(rc < 0)  # Bland: first negative cell, row-major
+            if neg.size == 0:
+                break
+            enter = int(neg[0])
+            bland += 1
+        ei, ej = divmod(enter, n)
+        delta = int(rc.flat[enter])
+
+        # the cycle: both endpoints climb to their common ancestor; along each
+        # climb the flow change alternates -theta, +theta, ... from the endpoint
+        x, y = ei, m + ej
+        up_x: list[int] = []
+        up_y: list[int] = []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up_x.append(x)
+                x = parent[x]
+            else:
+                up_y.append(y)
+                y = parent[y]
+        # the leaving arc: least flow among the -theta cells, ties to the
+        # smallest cell in row-major order
+        lu = min(up_x[::2] + up_y[::2], key=lambda u: (flow[cell(u)], cell(u)))
+        theta = flow[cell(lu)]
+        if theta:
+            for up in (up_x, up_y):
+                for k, u in enumerate(up):
+                    flow[cell(u)] += theta if k % 2 else -theta
+        flow[ei, ej] = theta
+
+        lp = parent[lu]
+        del flow[cell(lu)]
+        adj[lu].remove(lp)
+        adj[lp].remove(lu)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        # the subtree the leaving arc cuts off holds one end s of the entering
+        # arc; it is re-hung there and its potentials shift by the entering
+        # reduced cost (+ on nodes of s's kind, - on the other kind)
+        s, t = (ei, m + ej) if lu in up_x else (m + ej, ei)
+        moved = np.array(hang(s, t))
+        pot[moved] += delta * side[moved] * side[s]
+        pivots += 1
+        stall = stall + 1 if theta == 0 else 0
+
+    out = np.zeros((m, n), dtype=np.int64)
+    for (i, j), f in flow.items():
+        out[i, j] = f
+    return out, pivots, bland
 
 
 def brute_wasserstein(p: DiscreteRankingDistribution, q: DiscreteRankingDistribution) -> float:

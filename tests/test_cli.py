@@ -468,3 +468,29 @@ def test_tree_child_cell_not_parent_plus_split_exits_one(tmp_path, fitted):
         depth_on(tmp_path, dropped, rank),
         f"tree node {c1}: constraints are not those of parent {inner['id']} plus {j} before {i}",
     )
+
+
+def test_tree_weights_that_do_not_add_up_exit_one(tmp_path, fitted):
+    doc, rank = fitted
+    # a leaf heavier than its share: its parent's weight is no longer the children's sum
+    heavy = json.loads(json.dumps(doc))
+    inner = inner_node(heavy)
+    heavy["nodes"][inner["children"][0]]["weight"] += 0.01
+    assert_rejected(
+        depth_on(tmp_path, heavy, rank), f"tree node {inner['id']}: weight",
+    )
+    # every weight scaled alike: each parent is still its children's sum, the frontier is not 1
+    scaled = json.loads(json.dumps(doc))
+    for nd in scaled["nodes"]:
+        nd["weight"] *= 1.01
+    assert_rejected(
+        depth_on(tmp_path, scaled, rank), "tree node 0: frontier weights sum to",
+    )
+
+
+def test_tree_weights_within_the_tolerance_load(tmp_path, fitted):
+    doc, rank = fitted
+    leaf = next(nd for nd in doc["nodes"] if nd["children"] is None)
+    leaf["weight"] += 1e-12  # below the stated 1e-9 slack
+    proc = depth_on(tmp_path, doc, rank)
+    assert proc.returncode == 0, proc.stderr

@@ -25,6 +25,7 @@ from coastrank.models import (
 )
 from coastrank.perms import (
     Permutation,
+    comparison_matrix,
     enumerate_permutations,
     kendall_tau,
     pairwise_marginals,
@@ -105,6 +106,19 @@ def test_mallows_distribution_equals_loop_oracle(rng, n):
     got, want = mallows_distribution(params), loop_mallows_distribution(params)
     assert got.support == want.support
     assert np.array_equal(got.weights, want.weights)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
+def test_mallows_support_comparisons_come_from_the_table(rng, n):
+    params = MallowsParams(random_permutation(rng, n), 0.4)
+    dist = mallows_distribution(params)
+    x = dist.support_comparisons
+    ranks = np.array([p.ranks for p in dist.support], dtype=np.int32)
+    assert np.array_equal(x, comparison_matrix(ranks))
+    # the layout weighted from_comparisons needs for bit-identical sums
+    assert x.dtype == bool and x.flags.f_contiguous and not x.flags.writeable
+    rebuilt = loop_mallows_distribution(params)  # comparison rows built from its support
+    assert np.array_equal(dist.marginals().p, rebuilt.marginals().p)
 
 
 # --- sampler vs pmf -----------------------------------------------------------

@@ -20,6 +20,7 @@ from coastrank.perms import (
     inverse_rows,
     kendall_tau,
     num_pairs,
+    pair_indices,
     pairwise_marginals,
     ranking_risk,
     risk_from_marginals,
@@ -153,6 +154,33 @@ def test_pairwise_matrix_validation():
     good = np.full((3, 3), 0.5)
     good[0, 1], good[1, 0] = 0.7, 0.3
     assert PairwiseMatrix(3, good).margin() == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pairwise_matrix_rejects_non_finite_entries(value):
+    # every range and complement check is false for NaN, so it is caught first
+    for i, j in [(0, 1), (1, 0), (2, 2)]:
+        p = np.full((3, 3), 0.5)
+        p[i, j] = value
+        with pytest.raises(RejectedInputError, match="finite"):
+            PairwiseMatrix(3, p)
+    p = np.full((3, 3), 0.5)
+    p[0, 1] = p[1, 0] = value
+    with pytest.raises(RejectedInputError, match="finite"):
+        PairwiseMatrix(3, p)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
+def test_pair_indices_are_a_shared_read_only_triu_table(n):
+    i, j = pair_indices(n)
+    want_i, want_j = np.triu_indices(n, 1)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(n), 2))
+    assert pair_indices(n)[0] is i and pair_indices(n)[1] is j
+    for a in (i, j):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def test_ranking_risk_uniform():

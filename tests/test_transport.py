@@ -38,6 +38,7 @@ from oracles import (
     condition,
     l2_distance,
     plan_to_csv,
+    subtree_transport,
     verify_plan,
 )
 
@@ -453,6 +454,36 @@ def seeded_transport_problems(rng, count):
         yield cost, a, b
 
 
+def assert_same_pivots(cost, a, b):
+    """The solver and the plain-tree oracle take the same pivots to the same flow."""
+    flow, pivots, bland = _solve_transport(cost, a, b)
+    want_flow, want_pivots, want_bland = subtree_transport(cost, a, b)
+    assert (pivots, bland) == (want_pivots, want_bland)
+    assert np.array_equal(flow, want_flow)
+    return flow, pivots, bland
+
+
+def test_network_simplex_pivots_match_subtree_oracle(rng):
+    # with rows and columns swapped, row leaves become column leaves
+    pivots = 0
+    for cost, a, b in seeded_transport_problems(rng, 150):
+        pivots += assert_same_pivots(cost, a, b)[1]
+        pivots += assert_same_pivots(np.ascontiguousarray(cost.T), b, a)[1]
+    assert pivots > 300
+
+
+def test_network_simplex_pivots_match_subtree_oracle_with_empty_nodes(rng):
+    # zero supplies and demands give zero-flow basic cells and ties between
+    # the running totals the north-west corner steps by
+    for t in range(300):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        cost = rng.integers(0, (2, 5, 30)[t % 3], size=(m, n)).astype(np.int64)
+        total = int(rng.integers(0, 12))
+        a = rng.multinomial(total, np.full(m, 1.0 / m)).astype(np.int64)
+        b = rng.multinomial(total, np.full(n, 1.0 / n)).astype(np.int64)
+        assert_same_pivots(cost, a, b)
+
+
 def test_network_simplex_matches_bland_oracle(rng):
     for cost, a, b in seeded_transport_problems(rng, 150):
         flow, pivots, _ = _solve_transport(cost, a, b)
@@ -477,6 +508,11 @@ def test_crd_problem_matches_linear_programming():
     p = DiscreteRankingDistribution.empirical(s)
     q = tree.crd().to_distribution()
     assert p.size > 250 and q.size == 8
+    a, b, _, exact = _integer_weights(p, q)
+    assert exact and (a > 0).all() and (b > 0).all()
+    cost = hamming_cross(p.support_comparisons, q.support_comparisons)
+    assert assert_same_pivots(cost, a, b)[1] > 20
+    assert assert_same_pivots(np.ascontiguousarray(cost.T), b, a)[1] > 20
     w, plan = wasserstein(p, q)
     verify_plan(plan, p, q)
     assert plan.exact
@@ -499,7 +535,7 @@ def test_degenerate_assignment_terminates_through_bland_fallback():
     rng = np.random.default_rng(0)
     cost = rng.integers(0, 30, size=(60, 60)).astype(np.int64)
     ones = np.ones(60, dtype=np.int64)
-    flow, pivots, bland = _solve_transport(cost, ones, ones)
+    flow, pivots, bland = assert_same_pivots(cost, ones, ones)
     assert bland > 0
     assert pivots <= 60 * 60
     assert (flow.sum(axis=0) == 1).all() and (flow.sum(axis=1) == 1).all()

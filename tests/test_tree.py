@@ -450,11 +450,11 @@ def test_prune_sequence_nested_and_monotone():
 def test_prune_rejects_collapsing_a_node_without_rows():
     node = {"weight": 0.5, "v_hat": 0.5, "split": None, "children": None, "median": [1, 2, 3]}
     tree = CoastTree.from_json_obj({"n": 3, "nodes": [
-        dict(node, id=0, constraints=[], split=[1, 2], children=[1, 2], median=None),
+        dict(node, id=0, constraints=[], split=[1, 2], children=[1, 2], median=None, weight=1.0),
         dict(node, id=1, constraints=[[1, 2]], split=[2, 3], children=[3, 4], median=None),
         dict(node, id=2, constraints=[[2, 1]], median=[2, 1, 3]),
-        dict(node, id=3, constraints=[[1, 2], [2, 3]]),
-        dict(node, id=4, constraints=[[1, 2], [3, 2]], median=[1, 3, 2]),
+        dict(node, id=3, constraints=[[1, 2], [2, 3]], weight=0.25),
+        dict(node, id=4, constraints=[[1, 2], [3, 2]], median=[1, 3, 2], weight=0.25),
     ]})
     # every row ranks item 2 before item 1, so node 1, collapsed first, holds none
     s = RankingSample((Permutation.from_one_based([2, 1, 3]), Permutation.from_one_based([3, 1, 2])))
