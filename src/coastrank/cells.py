@@ -147,14 +147,22 @@ def cell_owners(n: int, x: np.ndarray, cells) -> np.ndarray:
     matched by exactly one cell).
     """
     cells = list(cells)
-    if not cells:
-        raise PartitionIntegrityError("no cells given")
-    owners = np.full(x.shape[0], -1, dtype=np.int64)
-    cover = np.zeros(x.shape[0], dtype=np.int64)
-    for ci, cell in enumerate(cells):
+    for cell in cells:
         if cell.n != n:
             raise DimensionMismatchError("cell over wrong item count")
-        mask = cell.comparison_mask(x)
+    return tile_owners([cell.comparison_mask(x) for cell in cells])
+
+
+def tile_owners(masks) -> np.ndarray:
+    """Index of the one mask holding each row, given one boolean row mask per cell.
+
+    Raises PartitionIntegrityError unless the masks tile the rows.
+    """
+    if not masks:
+        raise PartitionIntegrityError("no cells given")
+    owners = np.full(len(masks[0]), -1, dtype=np.int64)
+    cover = np.zeros(len(masks[0]), dtype=np.int64)
+    for ci, mask in enumerate(masks):
         owners[mask] = ci
         cover += mask
     if np.any(cover != 1):

@@ -36,7 +36,7 @@ from .fileio import (
 )
 from .models import MixtureSpec, sample_mixture
 from .perms import DiscreteRankingDistribution
-from .transport import distortion_report
+from .transport import distortion_reports
 from .tree import CoastTree, grow, prune_sequence, select_subtree
 
 
@@ -58,7 +58,7 @@ def _manifest_path(out_path: str) -> str:
     return f"{out_path}.manifest.json"
 
 
-def _finish(args, inputs: dict, outputs: dict, t0: float, extra_times=None) -> int:
+def _finish(args, inputs: dict, outputs: dict, t0: float, extra_times=None, counters=None) -> int:
     """Digest inputs/outputs and drop the manifest next to the primary output."""
     config = {k: v for k, v in vars(args).items() if not k.startswith("_")}
     times = {"total": time.perf_counter() - t0}
@@ -72,6 +72,7 @@ def _finish(args, inputs: dict, outputs: dict, t0: float, extra_times=None) -> i
         inputs={role: sha256_of(p) for role, p in inputs.items()},
         outputs={role: sha256_of(p) for role, p in outputs.items()},
         wall_times=times,
+        counters=counters or {},
     )
     primary = next(iter(outputs.values()))
     write_manifest(manifest, args.manifest or _manifest_path(primary))
@@ -147,12 +148,14 @@ def cmd_eval(args) -> int:
     tree = _load_tree(args.tree)
     s = load_rankings(args.input, format=args.format)
     dist = DiscreteRankingDistribution.empirical(s)
-    rows = []
-    for step, sub in enumerate(prune_sequence(tree, s)):
+    seq = prune_sequence(tree, s)
+    steps = []
+    for sub in seq:
         atoms = sub.crd().atoms
-        rep = distortion_report(
-            dist, [c for _, _, c in atoms], [m for _, m, _ in atoms]
-        )
+        steps.append(([c for _, _, c in atoms], [m for _, m, _ in atoms]))
+    reports = distortion_reports(dist, steps)
+    rows = []
+    for step, (sub, rep) in enumerate(zip(seq, reports)):
         rows.append(
             [
                 step,
@@ -173,8 +176,16 @@ def cmd_eval(args) -> int:
              "w_le_e", "e_le_two_e_prime", "e_le_e_dprime"]
         )
         w.writerows(rows)
+    counters = {
+        "distinct_cells": len({c for cells, _ in steps for c in cells}),
+        "steps": [
+            {"pivots": r.pivots, "bland_pivots": r.bland_pivots, "w_exact": r.w_exact}
+            for r in reports
+        ],
+    }
     return _finish(
-        args, {"tree": args.tree, "rankings": args.input}, {"report": args.out}, t0
+        args, {"tree": args.tree, "rankings": args.input}, {"report": args.out}, t0,
+        counters=counters,
     )
 
 

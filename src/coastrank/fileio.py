@@ -17,7 +17,7 @@ from __future__ import annotations
 import codecs
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -246,8 +246,9 @@ class RunManifest:
     """Everything needed to reproduce a CLI run and check it did reproduce.
 
     The data outputs of a run are a pure function of (command, config,
-    inputs); wall times are recorded here precisely so they never have to
-    appear inside an output file, keeping reruns byte-identical.
+    inputs); wall times and work counters (``eval``'s transport pivots, say)
+    are recorded here precisely so they never have to appear inside an output
+    file, keeping reruns byte-identical.
     """
 
     command: str
@@ -257,9 +258,11 @@ class RunManifest:
     inputs: dict
     outputs: dict
     wall_times: dict
+    counters: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
+        """The manifest document; ``counters`` appears only when there are any."""
+        obj = {
             "command": self.command,
             "argv": list(self.argv),
             "seed": self.seed,
@@ -268,6 +271,9 @@ class RunManifest:
             "outputs": dict(self.outputs),
             "wall_times": dict(self.wall_times),
         }
+        if self.counters:
+            obj["counters"] = dict(self.counters)
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunManifest":
@@ -280,6 +286,7 @@ class RunManifest:
                 inputs=dict(obj["inputs"]),
                 outputs=dict(obj["outputs"]),
                 wall_times=dict(obj["wall_times"]),
+                counters=dict(obj.get("counters", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise RejectedInputError(f"malformed run manifest: {exc}") from exc

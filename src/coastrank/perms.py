@@ -393,18 +393,27 @@ def pairwise_marginals(s: RankingSample) -> PairwiseMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteRankingDistribution:
-    """A finitely supported distribution over rankings (distinct support)."""
+    """A finitely supported distribution over rankings (distinct support).
+
+    ``counts``, when known, are integer multiplicities with weights equal to
+    ``counts / counts.sum()``: an empirical distribution's row counts, or the
+    row counts of a consensus distribution's cells. Exact transport takes
+    them as its integer supplies.
+    """
 
     n: int
     support: tuple[Permutation, ...]
     weights: np.ndarray
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         self._check(support=True)
 
     @classmethod
-    def _trusted(cls, n: int, support, weights, comparisons=None) -> "DiscreteRankingDistribution":
-        """Build from distinct permutations of n items; only the weights are checked.
+    def _trusted(
+        cls, n: int, support, weights, comparisons=None, counts=None
+    ) -> "DiscreteRankingDistribution":
+        """Build from distinct permutations of n items; only weights and counts are checked.
 
         ``comparisons``, when given, must be the support's comparison rows as
         comparison_matrix lays them out (Fortran order, read-only); it seeds
@@ -414,6 +423,7 @@ class DiscreteRankingDistribution:
         object.__setattr__(d, "n", n)
         object.__setattr__(d, "support", tuple(support))
         object.__setattr__(d, "weights", weights)
+        object.__setattr__(d, "counts", counts)
         d._check(support=False)
         if comparisons is not None:
             d.__dict__["support_comparisons"] = comparisons
@@ -437,14 +447,27 @@ class DiscreteRankingDistribution:
             raise RejectedInputError("negative weight")
         if abs(float(w.sum()) - 1.0) > 1e-10:
             raise RejectedInputError(f"weights sum to {w.sum()!r}, not 1")
+        if self.counts is not None:
+            k = np.asarray(self.counts)
+            if k.shape != w.shape or k.dtype.kind not in "iu" or np.any(k < 0) or k.sum() <= 0:
+                raise RejectedInputError("counts must be non-negative integers, one per support point")
+            k = k.astype(np.int64)
+            object.__setattr__(self, "counts", k)
+            if np.any(np.abs(w - k / k.sum()) > 1e-12):
+                raise RejectedInputError("weights are not counts / counts.sum()")
 
     @property
     def size(self) -> int:
         return len(self.support)
 
     @classmethod
-    def from_pairs(cls, pairs) -> "DiscreteRankingDistribution":
-        """Build from (permutation, weight) pairs, merging duplicates."""
+    def from_pairs(cls, pairs, counts=None) -> "DiscreteRankingDistribution":
+        """Build from (permutation, weight) pairs, merging duplicates.
+
+        ``counts``, if given, holds one integer count per pair; merged pairs
+        add their counts as they add their weights.
+        """
+        pairs = list(pairs)
         acc: dict[tuple[int, ...], float] = {}
         n = None
         for perm, w in pairs:
@@ -453,14 +476,19 @@ class DiscreteRankingDistribution:
         items = sorted(acc.items())
         support = tuple(Permutation(r) for r, _ in items)
         weights = np.array([w for _, w in items], dtype=np.float64)
-        return cls(n, support, weights)
+        if counts is not None:
+            tally = dict.fromkeys(acc, 0)
+            for (perm, _), k in zip(pairs, counts, strict=True):
+                tally[perm.ranks] += int(k)
+            counts = np.array([tally[r] for r, _ in items], dtype=np.int64)
+        return cls(n, support, weights, counts)
 
     @classmethod
     def empirical(cls, s: RankingSample) -> "DiscreteRankingDistribution":
-        """The empirical distribution of a sample (support sorted, weights k/N)."""
+        """The empirical distribution of a sample (support sorted, weights k/N, counts k)."""
         rows, counts = np.unique(s.ranks_matrix, axis=0, return_counts=True)
         support = tuple(Permutation._trusted(r) for r in rows.tolist())
-        return cls._trusted(s.n, support, counts / s.size)
+        return cls._trusted(s.n, support, counts / s.size, counts=counts)
 
     @cached_property
     def support_comparisons(self) -> np.ndarray:

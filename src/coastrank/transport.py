@@ -1,32 +1,39 @@
 """Exact optimal transport between ranking distributions under Kendall-tau cost.
 
 The solver is a network simplex run entirely in integer arithmetic: weights
-are lifted to a common denominator and costs are Kendall distances (integers).
-It starts from a north-west-corner plan over the source rows sorted by their
-nearest target atom, prices by Dantzig's rule (most negative reduced cost) and
-falls back to Bland's rule after a run of degenerate pivots, so it cannot
-cycle. At most k - 1 rows of a k-column basis carry two or more basic arcs,
-and likewise for columns; every other node is a leaf of the basis tree, with
-all its mass on one arc. A leaf keeps only its home (the node at the other end
-of that arc) and that arc's cost, and its potential is filled in from its
-home's by one numpy gather at every pricing. Only branch nodes, those with two
-or more arcs, carry parent/depth links and explicit potentials, so a pivot
-re-hangs and shifts just the branch nodes of the subtree it moves. The
-optimum it returns is exact, which the distortion diagnostics rely on — they
-certify inequalities, not approximations. When the weights' common
-denominator would overflow int64 they are rounded first, and the result is
-marked inexact.
+are lifted to a common denominator (two sides that carry integer counts are
+taken as they are) and costs are Kendall distances (integers). It starts from
+a north-west-corner plan over the source rows in an order the caller may give,
+by default sorted by their nearest target atom; the distortion evaluator
+sorts each row by its own cell's atom, which makes the start exactly the
+coupling that ships every point to its cell median. It prices by Dantzig's
+rule (most negative reduced cost) and falls back to Bland's rule after a run
+of degenerate pivots, so it cannot cycle. At most k - 1 rows of a k-column
+basis carry two or more basic arcs, and likewise for columns; every other
+node is a leaf of the basis tree, with all its mass on one arc. A leaf keeps
+only its home (the node at the other end of that arc) and that arc's cost,
+and its potential is filled in from its home's by one numpy gather at every
+pricing. Only branch nodes, those with two or more arcs, carry parent/depth
+links and explicit potentials, so a pivot re-hangs and shifts just the branch
+nodes of the subtree it moves. The optimum it returns is exact, which the
+distortion diagnostics rely on — they certify inequalities, not
+approximations. When the weights' common denominator would overflow int64
+they are rounded first, and the result is marked inexact.
+
+The distortion evaluator takes a whole sequence of partitions, such as a
+pruning path, and computes each distinct cell's mass, dispersions and exact
+risk once, however many steps share the cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .cells import cell_owners
+from .cells import Cell, tile_owners
 from .consensus import dispersion_v, dispersion_v_prime, exact_kemeny
 from .errors import (
     CapacityError,
@@ -49,7 +56,8 @@ class TransportPlan:
     flow[a, b] is the mass moved from rows[a] to cols[b]; cost is the total
     transported Kendall distance. Row sums reproduce the source weights and
     column sums the target weights. exact is False when the weights had to be
-    rounded to a 1e9 denominator before solving.
+    rounded to a 1e9 denominator before solving. pivots and bland_pivots
+    count the solver's basis changes, the second those priced by Bland's rule.
     """
 
     rows: tuple[Permutation, ...]
@@ -57,6 +65,8 @@ class TransportPlan:
     flow: np.ndarray
     cost: float
     exact: bool = True
+    pivots: int = field(default=0, compare=False)
+    bland_pivots: int = field(default=0, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.flow, dtype=np.float64)
@@ -89,13 +99,19 @@ def _quantize(weights: np.ndarray, denom: int) -> np.ndarray:
 def _integer_weights(p: DiscreteRankingDistribution, q: DiscreteRankingDistribution):
     """Lift both weight vectors to integers over one shared denominator.
 
-    Returns (a, b, denom, exact). Weights that are genuinely rational
-    (empirical counts, consensus atom masses) reconstruct exactly and exact is
+    Returns (a, b, denom, exact). Two sides that carry integer counts are
+    taken as they are, each scaled to the least common multiple of the two
+    totals. Otherwise weights that are genuinely rational reconstruct exactly,
+    each distinct weight value converted to a fraction once, and exact is
     True. If their least common denominator would overflow the integer
     pipeline, both sides are rounded to the denominator 1e9 instead and exact
     is False; the induced error is below one part in 1e9 of the total mass.
-    Each distinct weight value is converted once.
     """
+    if p.counts is not None and q.counts is not None:
+        tp, tq = int(p.counts.sum()), int(q.counts.sum())
+        denom = math.lcm(tp, tq)
+        if denom <= _DENOMINATOR_OVERFLOW_GUARD:
+            return p.counts * (denom // tp), q.counts * (denom // tq), denom, True
 
     def rationals(weights: np.ndarray):
         """Distinct weight values as fractions renormalized to sum 1, with the inverse index."""
@@ -124,10 +140,12 @@ def _integer_weights(p: DiscreteRankingDistribution, q: DiscreteRankingDistribut
 _DEGENERATE_RUN = 16
 
 
-def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray, order=None):
     """Exact network simplex on integer supplies a, demands b and costs.
 
-    Returns (flow, pivots, bland_pivots). The graph has row nodes 0..m-1 and
+    The start is the north-west corner over the rows taken in ``order`` (by
+    default, sorted stably by their nearest column). Returns (flow, pivots,
+    bland_pivots). The graph has row nodes 0..m-1 and
     column nodes m..m+n-1, and flow[i, j] lives on basic cells only. The
     basis is a spanning tree rooted at node 0. A leaf (a node with one basic
     arc, other than the root) keeps only its home, the node at the other end
@@ -137,12 +155,12 @@ def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     """
     m, n = cost.shape
     size = m + n
-    # start: rows sorted stably by their nearest column, then the north-west
-    # corner; close to the coupling that ships every point to its cell median.
-    # The corner walks a staircase: after cell (r, j) it steps down when rows
-    # 0..r hold no more than columns 0..j take (rows first on ties), so its
-    # cells and flows follow from the two running totals
-    order = np.argsort(np.argmin(cost, axis=1), kind="stable")
+    # start: the north-west corner over the rows in order. The corner walks a
+    # staircase: after cell (r, j) it steps down when rows 0..r hold no more
+    # than columns 0..j take (rows first on ties), so its cells and flows
+    # follow from the two running totals
+    if order is None:
+        order = np.argsort(np.argmin(cost, axis=1), kind="stable")
     sa = np.concatenate(([0], np.cumsum(a[order])))
     sb = np.concatenate(([0], np.cumsum(b)))
     down = np.argsort(np.concatenate((sa[1:-1], sb[1:-1])), kind="stable") < m - 1
@@ -314,6 +332,7 @@ def wasserstein(
     p: DiscreteRankingDistribution,
     q: DiscreteRankingDistribution,
     solver_limit: int = SOLVER_LIMIT,
+    start: np.ndarray | None = None,
 ) -> tuple[float, TransportPlan]:
     """Exact minimum-cost coupling of two ranking distributions.
 
@@ -322,6 +341,11 @@ def wasserstein(
     and the pivoting is integer-exact), together with an optimal plan. When
     the weights' common denominator is too large for int64 they are rounded
     to multiples of 1e-9 first; the plan then says so with ``exact=False``.
+
+    ``start``, if given, names a support index of q for each support point of
+    p: the solver's north-west-corner start takes p's points sorted stably by
+    it, so a point's mass goes to its start atom wherever the atoms' masses
+    allow. By default each point starts on its nearest atom.
     """
     if p.n != q.n:
         raise DimensionMismatchError("wasserstein: distributions over different n")
@@ -337,11 +361,13 @@ def wasserstein(
     keep_a, keep_b = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
     flow = np.zeros((m1, m2), dtype=np.float64)
     kept = cost[np.ix_(keep_a, keep_b)]
-    sub, _, _ = _solve_transport(kept, a[keep_a], b[keep_b])
+    order = None if start is None else np.argsort(np.asarray(start)[keep_a], kind="stable")
+    sub, pivots, bland = _solve_transport(kept, a[keep_a], b[keep_b], order)
     total = int((sub * kept).sum())
     flow[np.ix_(keep_a, keep_b)] = sub / denom
     value = float(Fraction(total, denom))
-    plan = TransportPlan(rows=p.support, cols=q.support, flow=flow, cost=value, exact=exact)
+    plan = TransportPlan(rows=p.support, cols=q.support, flow=flow, cost=value, exact=exact,
+                         pivots=pivots, bland_pivots=bland)
     return value, plan
 
 
@@ -362,7 +388,9 @@ class DistortionReport:
     this instance (None when a side is unavailable). w_le_e requires the supplied
     medians to be exact conditional medians; e_le_e_dprime can genuinely fail
     when a cell's conditional marginals are cyclic, so it is reported, not
-    asserted.
+    asserted. pivots and bland_pivots are the transport solver's counts (None
+    when w is None); they describe the solve, not the partition, and take no
+    part in comparisons.
     """
 
     w: float | None
@@ -373,6 +401,109 @@ class DistortionReport:
     e_le_two_e_prime: bool | None
     e_le_e_dprime: bool | None
     w_exact: bool | None = None
+    pivots: int | None = field(default=None, compare=False)
+    bland_pivots: int | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class _CellStats:
+    """A cell's share of a distortion report, from the source points it holds."""
+
+    mask: np.ndarray  # the source's support points in the cell
+    mass: float
+    count: int | None  # the points' integer count, when the source carries counts
+    e_prime: float  # dispersion_v_prime of the cell's conditional marginals
+    e_dprime: float  # dispersion_v of them
+    risk: float | None  # their exact Kemeny risk; None beyond the enumeration limit
+
+
+def _cell_stats(dist: DiscreteRankingDistribution, cell: Cell) -> _CellStats:
+    """The statistics of the cell's conditional distribution under dist."""
+    if cell.n != dist.n:
+        raise DimensionMismatchError("cell over wrong item count")
+    x, weights = dist.support_comparisons, dist.weights
+    mask = cell.comparison_mask(x)
+    mass = float(weights[mask].sum())
+    count = None if dist.counts is None else int(dist.counts[mask].sum())
+    if mass <= 0.0:  # a massless cell adds no atom, so its statistics are never read
+        return _CellStats(mask, mass, count, 0.0, 0.0, 0.0)
+    # the cell's conditional marginals, from its support points' comparison rows
+    marg = PairwiseMatrix.from_comparisons(dist.n, x[mask], weights[mask] / mass)
+    try:
+        risk = exact_kemeny(marg).risk
+    except EnumerationLimitError:
+        risk = None
+    return _CellStats(mask, mass, count, dispersion_v_prime(marg), dispersion_v(marg), risk)
+
+
+def distortion_reports(
+    dist: DiscreteRankingDistribution,
+    steps,
+    solver_limit: int = SOLVER_LIMIT,
+) -> list[DistortionReport]:
+    """Evaluate a sequence of consensus summaries against one source distribution.
+
+    ``steps`` holds (cells, medians) pairs, such as the frontiers of a
+    pruning sequence. Each support point must fall in exactly one cell of
+    every step. Cell masses and conditionals come from the distribution
+    itself, computed once per distinct cell however many steps share it; the
+    consensus atoms come from the supplied medians, and the transport term
+    from the exact solver (w is None when either support exceeds
+    ``solver_limit``), started from the coupling that ships each point to its
+    own cell's median.
+    """
+    memo: dict[Cell, _CellStats] = {}
+    reports = []
+    for cells, medians in steps:
+        cells = list(cells)
+        medians = list(medians)
+        if len(cells) == 0 or len(cells) != len(medians):
+            raise RejectedInputError("need one median per cell")
+        for med in medians:
+            if med.n != dist.n:
+                raise DimensionMismatchError("median over wrong item count")
+        stats = []
+        for cell in cells:
+            if cell not in memo:
+                memo[cell] = _cell_stats(dist, cell)
+            stats.append(memo[cell])
+        owners = tile_owners([st.mask for st in stats])
+
+        e: float | None = 0.0
+        e_prime = 0.0
+        e_dprime = 0.0
+        live = [ci for ci, st in enumerate(stats) if st.mass > 0.0]
+        for ci in live:
+            st = stats[ci]
+            e_prime += st.mass * st.e_prime
+            e_dprime += st.mass * st.e_dprime
+            if e is not None:
+                e = None if st.risk is None else e + st.mass * st.risk
+        crd_dist = DiscreteRankingDistribution.from_pairs(
+            [(medians[ci], stats[ci].mass) for ci in live],
+            None if dist.counts is None else [stats[ci].count for ci in live],
+        )
+        column = {perm.ranks: k for k, perm in enumerate(crd_dist.support)}
+        # a massless cell's points carry no supply, so its start atom does not matter
+        atom_of = np.array([column.get(med.ranks, 0) for med in medians])
+        try:
+            w, plan = wasserstein(dist, crd_dist, solver_limit, start=atom_of[owners])
+            w_exact, pivots, bland = plan.exact, plan.pivots, plan.bland_pivots
+        except CapacityError:
+            w = w_exact = pivots = bland = None
+        reports.append(DistortionReport(
+            w=w,
+            e=e,
+            e_prime=e_prime,
+            e_dprime=e_dprime,
+            w_le_e=None if w is None or e is None else w <= e + _TOL,
+            e_le_two_e_prime=None if e is None else e <= 2.0 * e_prime + _TOL,
+            e_le_e_dprime=None if e is None else e <= e_dprime + _TOL,
+            w_exact=w_exact,
+            pivots=pivots,
+            bland_pivots=bland,
+        ))
+    return reports
 
 
 def distortion_report(
@@ -381,56 +512,8 @@ def distortion_report(
     medians,
     solver_limit: int = SOLVER_LIMIT,
 ) -> DistortionReport:
-    """Evaluate the consensus summary (cells, medians) against the source.
+    """Evaluate one consensus summary (cells, medians) against the source.
 
-    Each support point must fall in exactly one cell. Cell masses and
-    conditionals come from the distribution itself, the consensus atoms from
-    the supplied medians, and the transport term from the exact solver (w is
-    None when either support exceeds ``solver_limit``).
+    The one-step case of distortion_reports.
     """
-    cells = list(cells)
-    medians = list(medians)
-    if len(cells) == 0 or len(cells) != len(medians):
-        raise RejectedInputError("need one median per cell")
-    for med in medians:
-        if med.n != dist.n:
-            raise DimensionMismatchError("median over wrong item count")
-
-    owners = cell_owners(dist.n, dist.support_comparisons, cells)
-    x, weights = dist.support_comparisons, dist.weights
-    e: float | None = 0.0
-    e_prime = 0.0
-    e_dprime = 0.0
-    atoms = []
-    for ci in range(len(cells)):
-        mask = owners == ci
-        mass = float(weights[mask].sum())
-        if mass <= 0.0:
-            continue
-        atoms.append((medians[ci], mass))
-        # the cell's conditional marginals, from its support points' comparison rows
-        marg = PairwiseMatrix.from_comparisons(dist.n, x[mask], weights[mask] / mass)
-        e_prime += mass * dispersion_v_prime(marg)
-        e_dprime += mass * dispersion_v(marg)
-        if e is not None:
-            try:
-                e += mass * exact_kemeny(marg).risk
-            except EnumerationLimitError:
-                e = None
-
-    crd_dist = DiscreteRankingDistribution.from_pairs(atoms)
-    try:
-        w, plan = wasserstein(dist, crd_dist, solver_limit=solver_limit)
-        w_exact = plan.exact
-    except CapacityError:
-        w = w_exact = None
-    return DistortionReport(
-        w=w,
-        e=e,
-        e_prime=e_prime,
-        e_dprime=e_dprime,
-        w_le_e=None if w is None or e is None else w <= e + _TOL,
-        e_le_two_e_prime=None if e is None else e <= 2.0 * e_prime + _TOL,
-        e_le_e_dprime=None if e is None else e <= e_dprime + _TOL,
-        w_exact=w_exact,
-    )
+    return distortion_reports(dist, [(cells, medians)], solver_limit)[0]

@@ -337,6 +337,22 @@ def test_manifest_override_path(tmp_path, spec_path):
     assert not (tmp_path / "r.csv.manifest.json").exists()
 
 
+def test_eval_manifest_counts_cells_and_pivots(tmp_path, spec_path):
+    rank, tree_path, report_path = (tmp_path / f for f in ("r.csv", "t.json", "report.csv"))
+    assert run("sample", "--spec", spec_path, "--size", 120, "--out", rank) == 0
+    assert run(
+        "fit", "--input", rank, "--epsilon", 0, "--max-leaves", 5, "--out", tree_path
+    ) == 0
+    assert run("eval", "--tree", tree_path, "--input", rank, "--out", report_path) == 0
+    leaves = CoastTree.from_json_obj(read_json(tree_path)).leaf_count
+    counters = read_json(str(report_path) + ".manifest.json")["counters"]
+    assert counters["distinct_cells"] == 2 * leaves - 1
+    assert len(counters["steps"]) == len(read_csv(report_path)) == leaves
+    for st in counters["steps"]:
+        assert st["w_exact"] is True and st["pivots"] >= st["bland_pivots"] >= 0
+    assert "counters" not in read_json(str(tree_path) + ".manifest.json")
+
+
 def test_eval_blank_fields_beyond_enumeration_limit(tmp_path):
     spec = random_mallows_mixture_spec(n=10, k=2, phi=1.0, seed=5)
     spec_file = tmp_path / "spec10.json"

@@ -177,6 +177,21 @@ def test_manifest_round_trip(tmp_path):
         RunManifest.from_json_obj({"command": "fit"})
 
 
+def test_manifest_counters_round_trip_and_default_to_empty(tmp_path):
+    fields = dict(command="eval", argv=("eval",), seed=None, config={}, inputs={},
+                  outputs={"report": "ef" * 32}, wall_times={"total": 0.5})
+    manifest = RunManifest(**fields, counters={"distinct_cells": 3, "steps": [{"pivots": 4}]})
+    path = tmp_path / "eval.manifest.json"
+    write_manifest(manifest, path)
+    assert RunManifest.from_json_obj(read_json(path)) == manifest
+    assert json.loads(path.read_text())["counters"]["steps"] == [{"pivots": 4}]
+    bare = RunManifest(**fields).to_json_obj()
+    assert "counters" not in bare
+    assert RunManifest.from_json_obj(bare).counters == {}
+    with pytest.raises(RejectedInputError):
+        RunManifest.from_json_obj(dict(bare, counters=7))
+
+
 def _mixed_rows(rng, n, count, labeled):
     """Ordering rows alternating comma and whitespace fields, with their ranks."""
     lines, ranks = [], []

@@ -225,6 +225,32 @@ def test_empirical_distribution(rng):
     assert mass0 == 0.0 and cond0 is None
 
 
+def test_empirical_distribution_keeps_its_row_counts(rng):
+    s = random_sample(rng, 4, 90)
+    d = DiscreteRankingDistribution.empirical(s)
+    assert d.counts.dtype == np.int64 and d.counts.sum() == 90
+    assert np.array_equal(d.weights, d.counts / 90)  # bit for bit
+    for k, p in zip(d.counts, d.support):
+        assert k == sum(q == p for q in s.rankings)
+
+
+def test_from_pairs_merges_counts_with_weights():
+    e, r = Permutation.identity(3), Permutation.reverse(3)
+    d = DiscreteRankingDistribution.from_pairs([(r, 0.25), (e, 0.5), (r, 0.25)], [1, 2, 1])
+    assert d.support == (e, r)
+    assert d.weights.tolist() == [0.5, 0.5] and d.counts.tolist() == [2, 2]
+    assert DiscreteRankingDistribution.from_pairs([(e, 1.0)]).counts is None
+    with pytest.raises(ValueError):
+        DiscreteRankingDistribution.from_pairs([(e, 0.5), (r, 0.5)], [1])
+
+
+@pytest.mark.parametrize("counts", [[1, 1], [3, -1], [0, 0], [1.0, 3.0], [1, 3, 0]])
+def test_distribution_rejects_counts_that_do_not_give_its_weights(counts):
+    e, r = Permutation.identity(3), Permutation.reverse(3)
+    with pytest.raises(RejectedInputError, match="counts"):
+        DiscreteRankingDistribution(3, (e, r), np.array([0.25, 0.75]), np.array(counts))
+
+
 def test_distribution_validation():
     with pytest.raises(RejectedInputError):
         DiscreteRankingDistribution(

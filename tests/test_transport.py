@@ -28,10 +28,11 @@ from coastrank.transport import (
     _integer_weights,
     _solve_transport,
     distortion_report,
+    distortion_reports,
     wasserstein,
 )
 
-from conftest import random_permutation, random_rational_distribution
+from conftest import random_permutation, random_rational_distribution, random_sample
 from oracles import (
     bland_transport,
     brute_wasserstein,
@@ -279,6 +280,101 @@ def test_distortion_report_matches_conditional_oracle(rng):
         cells = random_partition(rng, n, int(rng.integers(0, 6)))
         meds = [random_permutation(rng, n) for _ in cells]
         assert distortion_report(dist, cells, meds) == conditional_report(dist, cells, meds)
+
+
+def pruning_steps(tree, s):
+    """(cells, medians) of every frontier of the weakest-link sequence."""
+    from coastrank.tree import prune_sequence
+
+    steps = []
+    for sub in prune_sequence(tree, s):
+        atoms = sub.crd().atoms
+        steps.append(([c for _, _, c in atoms], [m for _, m, _ in atoms]))
+    return steps
+
+
+def assert_reports_match_oracle(dist, steps):
+    reports = distortion_reports(dist, steps)
+    assert len(reports) == len(steps)
+    for rep, (cells, meds) in zip(reports, steps):
+        assert rep == conditional_report(dist, cells, meds)
+        assert rep.w_exact is True and rep.pivots >= rep.bland_pivots >= 0
+
+
+def test_distortion_reports_match_conditional_oracle_on_pruning_sequences(rng):
+    from coastrank.tree import grow
+
+    empty_leaves = shared = 0
+    for t in range(12):
+        n = 3 + t % 5
+        s = random_sample(rng, n, int(rng.integers(40, 120)))
+        tree, _ = grow(s, epsilon=0.0, max_leaves=int(rng.integers(2, 9)))
+        steps = pruning_steps(tree, s)  # also gives every collapsed node a median
+        assert_reports_match_oracle(DiscreteRankingDistribution.empirical(s), steps)
+        # evaluated on another, smaller sample: some leaves hold none of its rows
+        other = DiscreteRankingDistribution.empirical(random_sample(rng, n, 4))
+        empty_leaves += sum(
+            not any(c.contains(p) for p in other.support) for c in steps[0][0]
+        )
+        assert_reports_match_oracle(other, steps)
+        # two cells sharing a median: their atoms merge into one
+        cells, meds = steps[0]
+        if len(cells) > 2:
+            assert all(any(map(c.contains, s.rankings)) for c in cells[:2])
+            assert_reports_match_oracle(
+                DiscreteRankingDistribution.empirical(s), [(cells, [meds[1]] + meds[1:])]
+            )
+            shared += 1
+    assert empty_leaves > 0 and shared > 0
+
+
+def test_distortion_reports_evaluate_each_cell_once(rng, monkeypatch):
+    from coastrank import transport
+    from coastrank.tree import grow
+
+    s = random_sample(rng, 5, 200)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=6)
+    steps = pruning_steps(tree, s)
+    calls = []
+    cell_stats = transport._cell_stats
+    monkeypatch.setattr(transport, "_cell_stats", lambda d, c: calls.append(c) or cell_stats(d, c))
+    distortion_reports(DiscreteRankingDistribution.empirical(s), steps)
+    assert len(calls) == len(set(calls)) == 2 * tree.leaf_count - 1
+
+
+def test_distortion_reports_start_each_point_on_its_cell_atom(rng, monkeypatch):
+    from coastrank import transport
+    from coastrank.tree import grow
+
+    s = random_sample(rng, 6, 150)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=5)
+    steps = pruning_steps(tree, s)
+    dist = DiscreteRankingDistribution.empirical(s)
+    solved = []
+    solve = transport.wasserstein
+    monkeypatch.setattr(
+        transport, "wasserstein", lambda p, q, *a, **k: solved.append((q, k["start"])) or solve(p, q, *a, **k)
+    )
+    distortion_reports(dist, steps)
+    assert len(solved) == len(steps)
+    for (cells, meds), (q, start) in zip(steps, solved):
+        for cell, med in zip(cells, meds):
+            inside = [k for k, p in enumerate(dist.support) if cell.contains(p)]
+            assert all(q.support[start[k]] == med for k in inside)
+
+
+def test_distortion_reports_check_every_step(rng):
+    dist = random_rational_distribution(rng, 3, max_support=6)
+    c0, c1 = Cell.root(3).split((0, 1))
+    med = Permutation.identity(3)
+    good = ([Cell.root(3)], [med])
+    with pytest.raises(PartitionIntegrityError):
+        distortion_reports(dist, [good, ([c0, c1, c0], [med] * 3)])
+    with pytest.raises(RejectedInputError):
+        distortion_reports(dist, [good, ([c0, c1], [med])])
+    with pytest.raises(DimensionMismatchError):
+        distortion_reports(dist, [good, ([c0, c1], [med, Permutation.identity(4)])])
+    assert distortion_reports(dist, []) == []
 
 
 def test_trivial_partition_equality(rng):
@@ -570,3 +666,107 @@ def test_empirical_weights_are_exact(rng):
     assert plan.exact is True
     capped = distortion_report(dist, cells, conditional_medians(dist, cells), solver_limit=3)
     assert capped.w is None and capped.w_exact is None
+
+
+def test_caller_given_start_order_reaches_the_same_optimum(rng):
+    for cost, a, b in seeded_transport_problems(rng, 150):
+        default = _solve_transport(cost, a, b)
+        nearest = np.argsort(np.argmin(cost, axis=1), kind="stable")
+        named = _solve_transport(cost, a, b, nearest)
+        assert named[1:] == default[1:] and np.array_equal(named[0], default[0])
+        flow, _, _ = _solve_transport(cost, a, b, rng.permutation(len(a)))
+        assert (flow.sum(axis=1) == a).all() and (flow.sum(axis=0) == b).all()
+        assert np.count_nonzero(flow) <= len(a) + len(b) - 1
+        assert int((flow * cost).sum()) == int((default[0] * cost).sum())
+
+
+def test_start_order_by_atom_is_the_ship_to_atom_coupling(rng):
+    # with every cost zero the start is already optimal, so the solver
+    # returns it untouched: each row ships its whole supply to its atom
+    for _ in range(50):
+        m, k = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        atom = rng.integers(0, k, size=m)
+        a = rng.integers(1, 20, size=m).astype(np.int64)
+        b = np.bincount(atom, weights=a, minlength=k).astype(np.int64)
+        keep = b > 0
+        atom = np.cumsum(keep)[atom] - 1  # renumbered over the atoms that take mass
+        flow, pivots, _ = _solve_transport(
+            np.zeros((m, int(keep.sum())), dtype=np.int64), a, b[keep],
+            np.argsort(atom, kind="stable"),
+        )
+        assert pivots == 0
+        assert (flow[np.arange(m), atom] == a).all()
+
+
+def test_wasserstein_starts_rows_in_the_given_atom_order(rng, monkeypatch):
+    from coastrank import transport
+
+    orders = []
+    solve = transport._solve_transport
+    monkeypatch.setattr(
+        transport, "_solve_transport", lambda *a: orders.append(a[3]) or solve(*a)
+    )
+    for _ in range(20):
+        p = random_rational_distribution(rng, 4, max_support=12)
+        q = random_rational_distribution(rng, 4, max_support=4)
+        # a zero-weight point carries no supply, so the solver never sees it
+        weights = p.weights.copy()
+        if p.size > 1:
+            weights[-1] = 0.0
+            weights /= weights.sum()
+        p = DiscreteRankingDistribution(4, p.support, weights)
+        start = rng.integers(0, q.size, size=p.size)
+        w, _ = wasserstein(p, q, start=start)
+        assert w == pytest.approx(wasserstein(p, q)[0], abs=1e-12)
+        kept = np.flatnonzero(weights > 0)
+        assert np.array_equal(orders[-2], np.argsort(start[kept], kind="stable"))
+        assert orders[-1] is None
+
+
+def _without_counts(d):
+    return DiscreteRankingDistribution(d.n, d.support, d.weights)
+
+
+def _fractions(ints, denom):
+    from fractions import Fraction
+
+    return [Fraction(int(v), denom) for v in ints]
+
+
+def test_count_supplies_equal_the_fraction_path():
+    # N = 350 against a 7-row sample: the count path scales both sides to
+    # lcm(350, 7) and reproduces the fractions the weights stand for
+    from coastrank.models import MixtureSpec, sample_mixture
+
+    spec = MixtureSpec.from_json_obj({"n": 5, "seed": 3, "components": [
+        {"type": "mallows", "center": [1, 2, 3, 4, 5], "phi": 0.5, "mix": 1.0}]})
+    big = DiscreteRankingDistribution.empirical(sample_mixture(spec, 350))
+    small = DiscreteRankingDistribution.empirical(sample_mixture(spec.with_seed(4), 7))
+    assert big.counts.sum() == 350 and small.counts.sum() == 7
+    for p, q in ((big, small), (small, big), (big, big)):
+        a, b, denom, exact = _integer_weights(p, q)
+        fa, fb, fdenom, fexact = _integer_weights(_without_counts(p), _without_counts(q))
+        assert exact and fexact and denom == math.lcm(int(p.counts.sum()), int(q.counts.sum()))
+        assert _fractions(a, denom) == _fractions(fa, fdenom)
+        assert _fractions(b, denom) == _fractions(fb, fdenom)
+        w, plan = wasserstein(p, q)
+        assert w == wasserstein(_without_counts(p), _without_counts(q))[0]
+        assert plan.exact
+
+
+def test_float_weights_take_the_fraction_path(monkeypatch):
+    from coastrank import transport
+    from coastrank.models import MallowsParams, mallows_distribution
+
+    mallows = mallows_distribution(MallowsParams(Permutation.identity(4), 0.8))
+    assert mallows.counts is None
+    emp = DiscreteRankingDistribution.empirical(random_sample(np.random.default_rng(1), 4, 30))
+    converted = []
+    fraction = transport.Fraction
+    monkeypatch.setattr(transport, "Fraction", lambda *a: converted.append(a) or fraction(*a))
+    a, b, denom, _ = _integer_weights(mallows, emp)
+    assert converted
+    assert a.sum() == b.sum() == denom
+    converted.clear()
+    _integer_weights(emp, emp)
+    assert not converted
