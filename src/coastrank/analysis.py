@@ -9,6 +9,7 @@ queries that route into regions the fit never visited still get well-defined
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,29 +42,23 @@ from .tree import CoastTree
 
 
 @dataclass(frozen=True)
-class DepthRecord:
-    """Depth of one query ranking, locally (in its cell) and globally."""
+class DepthTable:
+    """Depths of the query rows, one array per column: ``local_depth`` in the leaf
+    ``cell`` (the query's own, or ddplot's reference leaf), ``global_depth``
+    against the whole fit sample, and the query labels (or None)."""
 
-    index: int
-    local_depth: float
-    global_depth: float
-    cell_id: int
-    label: object = None
+    index: np.ndarray
+    local_depth: np.ndarray
+    global_depth: np.ndarray
+    cell: np.ndarray
+    labels: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
-def _mean_depths(qx: np.ndarray, fx: np.ndarray, max_depth: float) -> np.ndarray:
-    """Depth of each query row against the uniform mixture of the fit rows.
-
-    The summed Kendall distance from a query q to N fit rows with column
-    counts cnt is sum(cnt) + q @ (N - 2 cnt): per pair, the fit rows that
-    disagree with q. Exact in int64, and no Q x N matrix is formed.
-    """
-    m = fx.shape[0]
-    if m == 0:
-        return np.zeros(qx.shape[0])
-    cnt = fx.sum(axis=0, dtype=np.int64)
-    total = int(cnt.sum()) + qx.astype(np.int64) @ (m - 2 * cnt)
-    return max_depth - total / m
+#: Query rows per float64 block: the bytes of a 1024-row float32 Gram chunk.
+_QUERY_ROWS = 512
 
 
 def _check_same_n(tree: CoastTree, *samples: RankingSample) -> None:
@@ -72,46 +67,64 @@ def _check_same_n(tree: CoastTree, *samples: RankingSample) -> None:
             raise DimensionMismatchError("sample and tree cover different item counts")
 
 
+def _depth_table(
+    tree: CoastTree, s_fit: RankingSample, s_query: RankingSample, reference=None
+) -> DepthTable:
+    """Depths in each query's own leaf, or all in the ``reference`` leaf.
+
+    The summed Kendall distance from q to the m rows of a leaf with column
+    counts cnt is sum(cnt) + q @ (m - 2 cnt): per pair, the rows that disagree
+    with q. The weight table's last row is the whole fit sample, so one float64
+    product per query block gives every local and global sum, exactly: every
+    term is an integer below 2**53. A leaf with no fit rows gives depth 0.
+    """
+    _check_same_n(tree, s_fit, s_query)
+    if reference is not None and reference not in tree.frontier:
+        raise RejectedInputError(f"cell {reference} is not a leaf of the tree")
+    _, sizes, cnt = tree.leaf_counts(s_fit)
+    sizes = np.append(sizes, sizes.sum())
+    cnt = np.vstack([cnt, cnt.sum(axis=0)])
+    weights = (sizes[:, None] - 2 * cnt).T.astype(np.float64)
+    base = cnt.sum(axis=1).astype(np.float64)
+    cell = tree.route_sample(s_query) if reference is None else np.full(s_query.size, reference)
+    col = np.searchsorted(tree.frontier, cell)
+    qx = s_query.comparisons
+    local, global_ = np.empty(len(qx)), np.empty(len(qx))
+    for start in range(0, len(qx), _QUERY_ROWS):
+        stop = min(start + _QUERY_ROWS, len(qx))
+        dist = qx[start:stop].astype(np.float64) @ weights + base
+        local[start:stop] = dist[np.arange(stop - start), col[start:stop]]
+        global_[start:stop] = dist[:, -1]
+    top = float(num_pairs(tree.n))
+
+    def depth(total, m):
+        return np.where(m > 0, top - total / np.maximum(m, 1), 0.0)
+
+    return DepthTable(
+        index=np.arange(s_query.size),
+        local_depth=depth(local, sizes[col]),
+        global_depth=depth(global_, sizes[-1]),
+        cell=cell,
+        labels=s_query.labels,
+    )
+
+
 def local_depths(
     tree: CoastTree, s_fit: RankingSample, s_query: RankingSample
-) -> list[DepthRecord]:
+) -> DepthTable:
     """Depth of each query within its own leaf's empirical fit conditional.
 
     A query routed to a leaf holding no fit points gets local depth 0 (nothing
     nearby was ever observed, the most anomalous reading).
     """
-    _check_same_n(tree, s_fit, s_query)
-    top = float(num_pairs(tree.n))
-    qx, fx = s_query.comparisons, s_fit.comparisons
-    q_routes = tree.route_sample(s_query)
-    f_routes = tree.route_sample(s_fit)
-    global_depth = _mean_depths(qx, fx, top)
-    local_depth = np.zeros(s_query.size)
-    for nid in tree.frontier:
-        q_idx = np.flatnonzero(q_routes == nid)
-        if q_idx.size == 0:
-            continue
-        f_idx = np.flatnonzero(f_routes == nid)
-        local_depth[q_idx] = _mean_depths(qx[q_idx], fx[f_idx], top)
-    labels = s_query.labels
-    return [
-        DepthRecord(
-            index=i,
-            local_depth=float(local_depth[i]),
-            global_depth=float(global_depth[i]),
-            cell_id=int(q_routes[i]),
-            label=None if labels is None else labels[i],
-        )
-        for i in range(s_query.size)
-    ]
+    return _depth_table(tree, s_fit, s_query)
 
 
 def anomaly_scores(
     tree: CoastTree, s_fit: RankingSample, s_query: RankingSample
 ) -> np.ndarray:
     """Negated local depth: higher means more anomalous."""
-    records = local_depths(tree, s_fit, s_query)
-    return np.array([-r.local_depth for r in records])
+    return -local_depths(tree, s_fit, s_query).local_depth
 
 
 def ddplot_table(
@@ -119,48 +132,54 @@ def ddplot_table(
     s_fit: RankingSample,
     s_query: RankingSample,
     reference_cell: int,
-) -> list[DepthRecord]:
-    """Depth records with the local axis fixed to one reference leaf.
+) -> DepthTable:
+    """Depth table with the local axis fixed to one reference leaf.
 
     Every query's local depth is taken against the reference cell's fit
     conditional (whether or not the query routes there), which is what makes
     the per-cluster point clouds comparable in a depth-vs-depth plot.
     """
-    _check_same_n(tree, s_fit, s_query)
-    if reference_cell not in set(tree.frontier):
-        raise RejectedInputError(f"cell {reference_cell} is not a leaf of the tree")
-    top = float(num_pairs(tree.n))
-    qx, fx = s_query.comparisons, s_fit.comparisons
-    f_idx = np.flatnonzero(tree.route_sample(s_fit) == reference_cell)
-    local = _mean_depths(qx, fx[f_idx], top)
-    global_depth = _mean_depths(qx, fx, top)
-    labels = s_query.labels
-    return [
-        DepthRecord(
-            index=i,
-            local_depth=float(local[i]),
-            global_depth=float(global_depth[i]),
-            cell_id=int(reference_cell),
-            label=None if labels is None else labels[i],
-        )
-        for i in range(s_query.size)
-    ]
+    return _depth_table(tree, s_fit, s_query, reference_cell)
 
 
-def depth_records_to_csv(records, path) -> None:
+#: Rows formatted per join by the depth and anomaly CSV writers.
+_CSV_ROWS = 4096
+
+
+def _write_rows(path, header: str, line: str, columns, labels) -> None:
+    """Rows ``line % (*columns, label)``, byte for byte as csv.writer writes them.
+
+    ``line`` formats the numbers ("%.12g" as every CLI output) and ends in
+    "\r\n"; csv.writer quotes each distinct (hashable) label once. Each
+    block of rows is one join.
+    """
+    buf, quoted = io.StringIO(), {}
+    writer = csv.writer(buf)
+
+    def field(v) -> str:
+        if (type(v), v) not in quoted:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow([v, ""])  # None as blank; drop ",\r\n"
+            quoted[type(v), v] = buf.getvalue()[:-3]
+        return quoted[type(v), v]
+
+    fields = [""] * len(columns[0]) if labels is None else [field(v) for v in labels]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "local_depth", "global_depth", "cell", "label"])
-        for r in records:
-            w.writerow(
-                [
-                    r.index,
-                    "%.12g" % r.local_depth,
-                    "%.12g" % r.global_depth,
-                    r.cell_id,
-                    "" if r.label is None else r.label,
-                ]
-            )
+        fh.write(header + "\r\n")
+        for start in range(0, len(fields), _CSV_ROWS):
+            block = [c[start : start + _CSV_ROWS].tolist() for c in columns]
+            fh.write("".join(map(line.__mod__, zip(*block, fields[start : start + _CSV_ROWS]))))
+
+
+def depth_table_to_csv(table: DepthTable, path) -> None:
+    _write_rows(path, "index,local_depth,global_depth,cell,label", "%d,%.12g,%.12g,%d,%s\r\n",
+                [table.index, table.local_depth, table.global_depth, table.cell], table.labels)
+
+
+def anomaly_table_to_csv(table: DepthTable, path) -> None:
+    _write_rows(path, "index,anomaly_score,cell,label", "%d,%.12g,%d,%s\r\n",
+                [table.index, -table.local_depth, table.cell], table.labels)
 
 
 # --- co-membership ----------------------------------------------------------------
@@ -291,23 +310,6 @@ def uniform_marginal_discrepancy(cell: Cell) -> list[dict]:
             }
         )
     return rows
-
-
-def discrepancy_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["item_a", "item_b", "enumeration", "factorized", "abs_diff", "diverges"])
-        for r in rows:
-            w.writerow(
-                [
-                    r["item_a"],
-                    r["item_b"],
-                    "%.12g" % r["enumeration"],
-                    "%.12g" % r["factorized"],
-                    "%.12g" % r["abs_diff"],
-                    int(r["diverges"]),
-                ]
-            )
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ import sys
 import time
 
 from .analysis import (
+    anomaly_table_to_csv,
     co_membership,
     co_membership_to_csv,
     ddplot_table,
-    depth_records_to_csv,
+    depth_table_to_csv,
     homogeneity_test,
     local_depths,
     smooth_cell,
@@ -189,49 +190,33 @@ def cmd_eval(args) -> int:
     )
 
 
+def _scoring_inputs(args):
+    """Tree, fit sample and query sample of ``depth``, ``anomaly`` and ``ddplot``."""
+    fmt, tree = args.format, _load_tree(args.tree)
+    return tree, load_rankings(args.fit, format=fmt), load_rankings(args.query, format=fmt)
+
+
+def _finish_scoring(args, role: str, t0: float) -> int:
+    inputs = {"tree": args.tree, "fit": args.fit, "query": args.query}
+    return _finish(args, inputs, {role: args.out}, t0)
+
+
 def cmd_depth(args) -> int:
     t0 = time.perf_counter()
-    tree = _load_tree(args.tree)
-    s_fit = load_rankings(args.fit, format=args.format)
-    s_query = load_rankings(args.query, format=args.format)
-    depth_records_to_csv(local_depths(tree, s_fit, s_query), args.out)
-    return _finish(
-        args, {"tree": args.tree, "fit": args.fit, "query": args.query},
-        {"depths": args.out}, t0,
-    )
+    depth_table_to_csv(local_depths(*_scoring_inputs(args)), args.out)
+    return _finish_scoring(args, "depths", t0)
 
 
 def cmd_anomaly(args) -> int:
     t0 = time.perf_counter()
-    tree = _load_tree(args.tree)
-    s_fit = load_rankings(args.fit, format=args.format)
-    s_query = load_rankings(args.query, format=args.format)
-    records = local_depths(tree, s_fit, s_query)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "anomaly_score", "cell", "label"])
-        for r in records:
-            w.writerow(
-                [r.index, _fmt(-r.local_depth), r.cell_id,
-                 "" if r.label is None else r.label]
-            )
-    return _finish(
-        args, {"tree": args.tree, "fit": args.fit, "query": args.query},
-        {"scores": args.out}, t0,
-    )
+    anomaly_table_to_csv(local_depths(*_scoring_inputs(args)), args.out)
+    return _finish_scoring(args, "scores", t0)
 
 
 def cmd_ddplot(args) -> int:
     t0 = time.perf_counter()
-    tree = _load_tree(args.tree)
-    s_fit = load_rankings(args.fit, format=args.format)
-    s_query = load_rankings(args.query, format=args.format)
-    table = ddplot_table(tree, s_fit, s_query, args.cell)
-    depth_records_to_csv(table, args.out)
-    return _finish(
-        args, {"tree": args.tree, "fit": args.fit, "query": args.query},
-        {"table": args.out}, t0,
-    )
+    depth_table_to_csv(ddplot_table(*_scoring_inputs(args), args.cell), args.out)
+    return _finish_scoring(args, "table", t0)
 
 
 def cmd_smooth(args) -> int:

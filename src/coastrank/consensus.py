@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .perms import (
     PairwiseMatrix,
     Permutation,
     pair_indices,
-    pair_list,
     risk_from_marginals,
     symmetric_group,
 )
@@ -104,12 +104,21 @@ def copeland_median(m: PairwiseMatrix) -> Permutation:
 _KEMENY_CHUNK = 50000
 
 
+@lru_cache(maxsize=1)
+def _float_group(n: int) -> np.ndarray:
+    """symmetric_group(n)'s comparison rows as float64: 847 KB at n = 7."""
+    table = symmetric_group(n)[1].astype(np.float64)
+    table.setflags(write=False)
+    return table
+
+
 def exact_kemeny(d: DiscreteRankingDistribution | PairwiseMatrix) -> MedianResult:
     """Exhaustive Kemeny median set over the whole symmetric group.
 
     Takes a distribution or its pairwise marginals: risks are computed
-    through the pairwise decomposition of the Kendall distance, one
-    50000-row chunk of the cached S_n table at a time.
+    through the pairwise decomposition of the Kendall distance. Up to
+    EXACT_N_LIMIT the float64 S_n table is cached (it is one chunk); above
+    it the cached boolean table is cast one 50000-row chunk at a time.
     """
     n = d.n
     ranks, cmp = symmetric_group(n)
@@ -117,17 +126,22 @@ def exact_kemeny(d: DiscreteRankingDistribution | PairwiseMatrix) -> MedianResul
     upper = m.p[pair_indices(n)]
     base = float(upper.sum())
     coef = 1.0 - 2.0 * upper
-    risks = np.concatenate(
-        [
-            cmp[k : k + _KEMENY_CHUNK].astype(np.float64) @ coef + base
-            for k in range(0, len(cmp), _KEMENY_CHUNK)
-        ]
-    )
+    if n <= EXACT_N_LIMIT:
+        chunks = [_float_group(n)]
+    else:
+        chunks = (cmp[k : k + _KEMENY_CHUNK].astype(np.float64)
+                  for k in range(0, len(cmp), _KEMENY_CHUNK))
+    risks = np.concatenate([c @ coef + base for c in chunks])
     best = float(risks.min())
     medians = tuple(
         Permutation._trusted(r) for r in ranks[np.flatnonzero(risks <= best + 1e-9)].tolist()
     )
     return MedianResult(medians=medians, risk=best, method="exact")
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """Python's sum of the terms, to the bit: from 0, left to right."""
+    return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 
 def dispersion_v(m: PairwiseMatrix) -> float:
@@ -136,12 +150,14 @@ def dispersion_v(m: PairwiseMatrix) -> float:
     Lower-bounds the optimal ranking risk (every ranking pays at least the
     minority mass on each pair); attained exactly under strict transitivity.
     """
-    return float(sum(min(m.p[i, j], m.p[j, i]) for i, j in pair_list(m.n)))
+    i, j = pair_indices(m.n)
+    return _sequential_sum(np.minimum(m.p[i, j], m.p[j, i]))
 
 
 def dispersion_v_prime(m: PairwiseMatrix) -> float:
     """Sum over pairs of p(1-p): half the expected distance of two draws."""
-    return float(sum(m.p[i, j] * m.p[j, i] for i, j in pair_list(m.n)))
+    i, j = pair_indices(m.n)
+    return _sequential_sum(m.p[i, j] * m.p[j, i])
 
 
 #: A swap changes the risk by 2 p[a, b] - 1; the climb takes it only below -_CLIMB_TOL.

@@ -245,6 +245,25 @@ class CoastTree:
             stack.append((node.children[1], idx[~bits]))
         return out
 
+    def leaf_counts(self, s: RankingSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Leaf node id per row; per frontier leaf, its row count and column counts.
+
+        The counts are one leaf-indicator × comparison-matrix product, run in
+        _GRAM_ROWS-row chunks in _gram_dtype, so they are exact integers for
+        the reason the split search's Gram entries are.
+        """
+        leaf_of = self.route_sample(s)
+        pos = np.searchsorted(self.frontier, leaf_of)
+        x, dtype, leaves = s.comparisons, _gram_dtype(len(s)), np.arange(self.leaf_count)
+        # columns × leaves: a transposed chunk of the column-major comparison
+        # matrix is row-major, which BLAS reads fastest
+        counts = np.zeros((x.shape[1], self.leaf_count), dtype=dtype)
+        for start in range(0, len(s), _GRAM_ROWS):
+            onehot = (pos[start : start + _GRAM_ROWS, None] == leaves).astype(dtype)
+            counts += x[start : start + _GRAM_ROWS].T.astype(dtype) @ onehot
+        rows = np.bincount(pos, minlength=self.leaf_count)
+        return leaf_of, rows, counts.T.astype(np.int64)
+
     # -- readout -------------------------------------------------------------
 
     def crd(self) -> CRD:
@@ -815,43 +834,21 @@ def prune_sequence(tree: CoastTree, s: RankingSample) -> list[CoastTree]:
     routed once, and a collapsed node's counts are its children's sums.
     """
     agg = tree.aggregator or make_aggregator("auto", seed=0)
-    parent_of: dict[int, int] = {}
-    stack = [0]
-    while stack:
-        nid = stack.pop()
-        node = tree.nodes[nid]
-        if nid not in tree._frontier_set and node.children is not None:
-            for c in node.children:
-                parent_of[c] = nid
-                stack.append(c)
-    leaf_of = tree.route_sample(s)
-    x = s.comparisons
-    rows: dict[int, tuple[int, np.ndarray]] = {}
-    for nid in tree.frontier:
-        mine = x[leaf_of == nid]
-        rows[nid] = (len(mine), mine.sum(axis=0, dtype=np.int64))
+    # only frontier nodes and the nodes above them are ever looked up
+    parent_of = {c: p for p, node in enumerate(tree.nodes) for c in node.children or ()}
+    _, sizes, leaf_cnt = tree.leaf_counts(s)
+    rows = {nid: (int(m), c) for nid, m, c in zip(tree.frontier, sizes, leaf_cnt)}
     frontier = set(tree.frontier)
     seq = [tree]
+
+    def cost(p):  # the criterion's increase if p collapses, then p
+        a, b = (tree.nodes[c].contribution for c in tree.nodes[p].children)
+        return tree.nodes[p].contribution - a - b, p
+
     while len(frontier) > 1:
-        collapsible = sorted(
-            {
-                parent_of[nid]
-                for nid in frontier
-                if nid in parent_of
-                and all(c in frontier for c in tree.nodes[parent_of[nid]].children)
-            }
-        )
-        node_of = tree.nodes.__getitem__
-        deltas = [
-            (
-                node_of(p).contribution
-                - node_of(node_of(p).children[0]).contribution
-                - node_of(node_of(p).children[1]).contribution,
-                p,
-            )
-            for p in collapsible
-        ]
-        _, victim = min(deltas, key=lambda dp: (dp[0], dp[1]))
+        parents = {parent_of[nid] for nid in frontier if nid in parent_of}
+        victim = min(sorted(p for p in parents if frontier.issuperset(tree.nodes[p].children)),
+                     key=cost)
         node = tree.nodes[victim]
         (m0, c0), (m1, c1) = (rows.pop(c) for c in node.children)
         frontier.difference_update(node.children)

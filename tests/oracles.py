@@ -301,6 +301,73 @@ def brute_local_depths(tree, s_fit: RankingSample, s_query: RankingSample):
     return local, hamming_depths(qx, fx, top)
 
 
+def mask_leaf_counts(tree, s: RankingSample):
+    """(rows, int64 column counts) per frontier leaf, one boolean mask per leaf."""
+    leaf_of = tree.route_sample(s)
+    x = s.comparisons
+    masks = [leaf_of == nid for nid in tree.frontier]
+    rows = np.array([int(m.sum()) for m in masks], dtype=np.int64)
+    counts = np.array([x[m].sum(axis=0, dtype=np.int64) for m in masks]).reshape(len(masks), -1)
+    return rows, counts
+
+
+def row_writer_depth_csv(table, path) -> None:
+    """depths.csv / ddplot output, one csv.writer row per query."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "local_depth", "global_depth", "cell", "label"])
+        for k in range(len(table)):
+            label = None if table.labels is None else table.labels[k]
+            w.writerow(
+                [
+                    int(table.index[k]),
+                    "%.12g" % table.local_depth[k],
+                    "%.12g" % table.global_depth[k],
+                    int(table.cell[k]),
+                    "" if label is None else label,
+                ]
+            )
+
+
+def row_writer_anomaly_csv(table, path) -> None:
+    """scores.csv, one csv.writer row per query."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "anomaly_score", "cell", "label"])
+        for k in range(len(table)):
+            label = None if table.labels is None else table.labels[k]
+            w.writerow(
+                [int(table.index[k]), "%.12g" % -float(table.local_depth[k]),
+                 int(table.cell[k]), "" if label is None else label]
+            )
+
+
+def discrepancy_to_csv(rows, path) -> None:
+    """uniform_marginal_discrepancy rows as CSV."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["item_a", "item_b", "enumeration", "factorized", "abs_diff", "diverges"])
+        for r in rows:
+            w.writerow(
+                [
+                    r["item_a"],
+                    r["item_b"],
+                    "%.12g" % r["enumeration"],
+                    "%.12g" % r["factorized"],
+                    "%.12g" % r["abs_diff"],
+                    int(r["diverges"]),
+                ]
+            )
+
+
+def loop_dispersion_v(m: PairwiseMatrix) -> float:
+    return float(sum(min(m.p[i, j], m.p[j, i]) for i, j in pair_list(m.n)))
+
+
+def loop_dispersion_v_prime(m: PairwiseMatrix) -> float:
+    return float(sum(m.p[i, j] * m.p[j, i] for i, j in pair_list(m.n)))
+
+
 def _solve_basis_flow(chosen, supply, demand, m, k):
     """Unique flow supported on the chosen cells, or None if infeasible.
 

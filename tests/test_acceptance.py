@@ -259,8 +259,8 @@ def test_c05_anomaly_separation():
         )
 
         def split_auc(sub):
-            d_in = [r.local_depth for r in local_depths(sub, train, inliers)]
-            d_out = [r.local_depth for r in local_depths(sub, train, outliers)]
+            d_in = local_depths(sub, train, inliers).local_depth.tolist()
+            d_out = local_depths(sub, train, outliers).local_depth.tolist()
             # anomaly score is negated depth: outliers should score higher
             return _auc([-d for d in d_out], [-d for d in d_in])
 
@@ -384,7 +384,7 @@ def test_c09_homogeneity_power_and_calibration():
         )
 
         def depths(tree, q):
-            return [r.local_depth for r in local_depths(tree, train, q)]
+            return local_depths(tree, train, q).local_depth.tolist()
 
         if homogeneity_test(depths(trees[3], qa), depths(trees[3], qb0)).p_value < 0.05:
             h0_rejections += 1

@@ -12,9 +12,9 @@ from coastrank.analysis import (
     chain_pmf,
     co_membership,
     co_membership_to_csv,
+    anomaly_table_to_csv,
     ddplot_table,
-    depth_records_to_csv,
-    discrepancy_to_csv,
+    depth_table_to_csv,
     homogeneity_test,
     local_depths,
     smooth_cell,
@@ -51,11 +51,14 @@ from conftest import random_permutation, random_rational_distribution, random_sa
 from oracles import (
     brute_local_depths,
     condition,
+    discrepancy_to_csv,
     hamming_depths,
     loop_smooth_scores,
     loop_uniform_marginals,
     members_by_contains,
     route_one,
+    row_writer_anomaly_csv,
+    row_writer_depth_csv,
 )
 from test_cells import seeded_cells
 
@@ -124,12 +127,11 @@ def root_tree(n):
 def test_root_tree_local_equals_global(rng):
     s_fit = random_sample(rng, 5, 40)
     s_query = random_sample(rng, 5, 15)
-    records = local_depths(root_tree(5), s_fit, s_query)
-    assert len(records) == 15
-    for r in records:
-        assert r.local_depth == pytest.approx(r.global_depth, abs=1e-12)
-        assert 0.0 <= r.local_depth <= num_pairs(5)
-        assert r.cell_id == 0 and r.label is None
+    table = local_depths(root_tree(5), s_fit, s_query)
+    assert len(table) == 15
+    assert table.local_depth == pytest.approx(table.global_depth, abs=1e-12)
+    assert ((0.0 <= table.local_depth) & (table.local_depth <= num_pairs(5))).all()
+    assert (table.cell == 0).all() and table.labels is None
 
 
 def test_leaf_median_has_maximal_local_depth():
@@ -142,13 +144,11 @@ def test_leaf_median_has_maximal_local_depth():
         if node.median is None or not node.cell.contains(node.median):
             continue  # an unconstrained median may fall outside its own cell
         members = list(node.cell.enumerate_members())
-        records = local_depths(tree, s, RankingSample(tuple(members)))
+        table = local_depths(tree, s, RankingSample(tuple(members)))
         med_depth = next(
-            r.local_depth for r, q in zip(records, members) if q == node.median
+            d for d, q in zip(table.local_depth, members) if q == node.median
         )
-        assert all(
-            r.local_depth <= med_depth + 1e-9 for r in records if r.cell_id == nid
-        )
+        assert (table.local_depth[table.cell == nid] <= med_depth + 1e-9).all()
         checked += 1
     assert checked >= 1
 
@@ -157,19 +157,14 @@ def test_empty_leaf_gets_zero_depth():
     tree = two_leaf_tree(4, (0, 1))
     fit = RankingSample((Permutation.identity(4),) * 6)  # all in leaf "0 first"
     far = Permutation.from_ordering((1, 0, 2, 3))  # routes to the other leaf
-    records = local_depths(tree, fit, RankingSample((far, Permutation.identity(4))))
-    by_cell = {r.cell_id: r for r in records}
-    assert len(by_cell) == 2
-    empty_leaf = records[0]
-    assert empty_leaf.local_depth == 0.0
-    assert records[1].local_depth == num_pairs(4)  # identical to all fit points
+    table = local_depths(tree, fit, RankingSample((far, Permutation.identity(4))))
+    assert len(set(table.cell.tolist())) == 2
+    assert table.local_depth[0] == 0.0  # the empty leaf
+    assert table.local_depth[1] == num_pairs(4)  # identical to all fit points
 
 
-def _depth_arrays(records):
-    return (
-        np.array([r.local_depth for r in records]),
-        np.array([r.global_depth for r in records]),
-    )
+def _depth_arrays(table):
+    return table.local_depth, table.global_depth
 
 
 @pytest.mark.parametrize("q", [1, 40])
@@ -211,6 +206,33 @@ def test_depths_match_oracle_with_empty_leaf():
     assert np.array_equal(single[1], want_global[:1])
 
 
+def test_chunked_depths_match_oracle_with_empty_leaf(monkeypatch):
+    import coastrank.analysis as analysis_mod
+    import coastrank.tree as tree_mod
+
+    spec = random_mallows_mixture_spec(n=7, k=3, phi=1.0, seed=11)
+    s = sample_mixture(spec, 300)
+    s_query = sample_mixture(spec.with_seed(12), 40)
+    tree, _ = grow(s, epsilon=0.0, rule="min-distortion", max_leaves=6)
+    empty = tree.frontier[0]
+    # the fit sample leaves out every row of one leaf
+    s_fit = s.subset(np.flatnonzero(tree.route_sample(s) != empty))
+    assert (tree.route_sample(s_query) == empty).any()
+    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", 7)
+    monkeypatch.setattr(analysis_mod, "_QUERY_ROWS", 5)
+    table = local_depths(tree, s_fit, s_query)
+    want_local, want_global = brute_local_depths(tree, s_fit, s_query)
+    assert np.array_equal(table.local_depth, want_local)
+    assert np.array_equal(table.global_depth, want_global)
+    assert (table.local_depth[table.cell == empty] == 0.0).all()
+    top = float(num_pairs(7))
+    for leaf in tree.frontier:
+        ref_rows = s_fit.comparisons[tree.route_sample(s_fit) == leaf]
+        table = ddplot_table(tree, s_fit, s_query, leaf)
+        assert np.array_equal(table.local_depth, hamming_depths(s_query.comparisons, ref_rows, top))
+        assert np.array_equal(table.global_depth, want_global)
+
+
 def test_depths_invariant_under_relabeling(rng):
     n = 5
     pi = tuple(int(v) for v in rng.permutation(n))
@@ -231,9 +253,8 @@ def test_depths_invariant_under_relabeling(rng):
     query_rel = RankingSample(tuple(relabel_perm(p) for p in s_query.rankings))
     base = local_depths(tree, s_fit, s_query)
     rel = local_depths(tree_rel, fit_rel, query_rel)
-    for a, b in zip(base, rel):
-        assert a.local_depth == pytest.approx(b.local_depth, abs=1e-12)
-        assert a.global_depth == pytest.approx(b.global_depth, abs=1e-12)
+    assert base.local_depth == pytest.approx(rel.local_depth, abs=1e-12)
+    assert base.global_depth == pytest.approx(rel.global_depth, abs=1e-12)
 
 
 def test_anomaly_scores_are_negated_depths(rng):
@@ -241,8 +262,8 @@ def test_anomaly_scores_are_negated_depths(rng):
     s_query = random_sample(rng, 5, 10)
     tree = root_tree(5)
     scores = anomaly_scores(tree, s_fit, s_query)
-    records = local_depths(tree, s_fit, s_query)
-    assert np.allclose(scores, [-r.local_depth for r in records])
+    table = local_depths(tree, s_fit, s_query)
+    assert np.allclose(scores, -table.local_depth)
 
 
 def test_anomaly_center_vs_outlier():
@@ -266,16 +287,43 @@ def test_anomaly_center_vs_outlier():
 def test_depth_csv_roundtrip(tmp_path, rng):
     s_fit = random_sample(rng, 4, 20)
     s_query = RankingSample(tuple(s_fit.rankings[:5]), labels=("a", "b", "c", "d", "e"))
-    records = local_depths(root_tree(4), s_fit, s_query)
+    table = local_depths(root_tree(4), s_fit, s_query)
     path = tmp_path / "depths.csv"
-    depth_records_to_csv(records, path)
+    depth_table_to_csv(table, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5
-    for row, rec in zip(rows, records):
-        assert int(row["index"]) == rec.index
-        assert float(row["local_depth"]) == pytest.approx(rec.local_depth, abs=1e-9)
-        assert row["label"] == rec.label
+    for k, row in enumerate(rows):
+        assert int(row["index"]) == table.index[k]
+        assert float(row["local_depth"]) == pytest.approx(table.local_depth[k], abs=1e-9)
+        assert row["label"] == table.labels[k]
+
+
+@pytest.mark.parametrize("labels", [None, "ints", "strings"])
+def test_depth_csvs_equal_the_row_writers_byte_for_byte(tmp_path, monkeypatch, rng, labels):
+    import coastrank.analysis as analysis_mod
+
+    monkeypatch.setattr(analysis_mod, "_CSV_ROWS", 4)
+    tree = two_leaf_tree(4, (0, 1))
+    # every fit row puts item 0 first, so leaf 2 holds none: depth 0, score -0
+    fit = RankingSample(tuple(Permutation((0,) + tuple(int(v) + 1 for v in rng.permutation(3)))
+                              for _ in range(9)))
+    perms = random_sample(rng, 4, 11).rankings
+    names = ["a,b", 'q"x', "plain", "", "two\nlines", " pad "]
+    query = RankingSample(perms, labels={
+        None: None,
+        "ints": [k % 3 for k in range(11)],
+        "strings": [names[k % len(names)] for k in range(11)],
+    }[labels])
+    for table in (local_depths(tree, fit, query), ddplot_table(tree, fit, query, 2)):
+        assert (table.local_depth == 0.0).any()
+        for write, oracle in ((depth_table_to_csv, row_writer_depth_csv),
+                              (anomaly_table_to_csv, row_writer_anomaly_csv)):
+            write(table, tmp_path / "columns.csv")
+            oracle(table, tmp_path / "rows.csv")
+            got = (tmp_path / "columns.csv").read_bytes()
+            assert got == (tmp_path / "rows.csv").read_bytes()
+    assert b",-0,2," in got
 
 
 # --- ddplot ------------------------------------------------------------------------
@@ -295,11 +343,11 @@ def test_ddplot_reference_separation():
         k for k, c in enumerate(centers) if route_one(tree, c) == ref
     )
     top = num_pairs(8)
-    in_depths = [r.local_depth for r in table if queries.labels[r.index] == ref_component]
-    out_depths = [r.local_depth for r in table if queries.labels[r.index] != ref_component]
+    in_ref = np.array([queries.labels[k] == ref_component for k in table.index])
+    in_depths, out_depths = table.local_depth[in_ref], table.local_depth[~in_ref]
     assert min(in_depths) > max(out_depths)
     assert min(in_depths) >= top - 1.0  # near-point-mass component hugs its center
-    assert all(r.cell_id == ref for r in table)
+    assert (table.cell == ref).all()
 
 
 def test_ddplot_validation(rng):
@@ -617,8 +665,8 @@ def test_homogeneity_calibration():
         seeds = master.integers(0, 2**31, size=2)
         qa = sample_mixture(spec.with_seed(int(seeds[0])), 60)
         qb = sample_mixture(spec.with_seed(int(seeds[1])), 60)
-        da = [r.local_depth for r in local_depths(tree, fit, qa)]
-        db = [r.local_depth for r in local_depths(tree, fit, qb)]
+        da = local_depths(tree, fit, qa).local_depth.tolist()
+        db = local_depths(tree, fit, qb).local_depth.tolist()
         if homogeneity_test(da, db).p_value < 0.05:
             rejections += 1
     assert 0.01 * reps <= rejections <= 0.12 * reps

@@ -29,6 +29,7 @@ from coastrank.perms import (
     RankingSample,
     enumerate_permutations,
     num_pairs,
+    pair_list,
     pairwise_marginals,
     ranking_risk,
 )
@@ -37,6 +38,8 @@ from conftest import random_permutation, random_rational_distribution, random_sa
 from oracles import (
     brute_kemeny,
     brute_risk,
+    loop_dispersion_v,
+    loop_dispersion_v_prime,
     loop_climb,
     loop_depth_climb_median,
     naive_kendall,
@@ -335,6 +338,22 @@ def test_dispersion_cycle_bounds_kemeny():
     assert np.allclose(got.p, m.p)
     # one disagreement costs 0.6 in place of 0.4
     assert exact_kemeny(dist).risk == pytest.approx(1.4, abs=1e-12)
+
+
+def test_dispersions_equal_the_pair_loops_bit_for_bit(rng):
+    for n in range(1, 10):
+        for _ in range(20):
+            pairs = pair_list(n)
+            random = dict(zip(pairs, rng.random(len(pairs))))
+            # ties at 1/2, exact 0 and 1, and sample marginals
+            tied = dict(zip(pairs, rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=len(pairs))))
+            for m in (matrix_from_upper(random, n), matrix_from_upper(tied, n),
+                      pairwise_marginals(random_sample(rng, n, int(rng.integers(1, 30))))):
+                for fast, loop in ((dispersion_v, loop_dispersion_v),
+                                   (dispersion_v_prime, loop_dispersion_v_prime)):
+                    got, want = fast(m), loop(m)
+                    assert type(got) is float
+                    assert got.hex() == want.hex()
 
 
 def test_sandwich_v_prime_v_2v_prime(rng):

@@ -40,7 +40,7 @@ from coastrank.tree import (
 )
 
 from conftest import random_sample
-from oracles import brute_v_hat, route_one, v_hat_of_indices
+from oracles import brute_v_hat, mask_leaf_counts, route_one, v_hat_of_indices
 
 
 def brute_best_split(s, cell=None):
@@ -445,6 +445,40 @@ def test_prune_sequence_nested_and_monotone():
     # every pruned tree can produce a CRD (lazy median aggregation)
     for t in seq:
         assert t.crd().k == t.leaf_count
+
+
+@pytest.mark.parametrize("gram_rows", [1024, 7])
+@pytest.mark.parametrize("float64", [False, True])
+def test_leaf_counts_equal_per_leaf_mask_sums(monkeypatch, gram_rows, float64):
+    import coastrank.tree as tree_mod
+
+    s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=10)
+    subtrees = prune_sequence(tree, s)[::3]
+    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", gram_rows)
+    if float64:
+        monkeypatch.setattr(tree_mod, "_FLOAT32_ROWS", 1)
+    # the 5-row sample leaves most leaves without rows
+    for sample in (s, s.subset(np.arange(5))):
+        for sub in subtrees:
+            leaf_of, rows, counts = sub.leaf_counts(sample)
+            want_rows, want_counts = mask_leaf_counts(sub, sample)
+            assert np.array_equal(leaf_of, sub.route_sample(sample))
+            assert counts.dtype == np.int64 and counts.shape == want_counts.shape
+            assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+    assert (mask_leaf_counts(tree, s.subset(np.arange(5)))[0] == 0).any()
+
+
+def test_prune_sequence_does_not_depend_on_count_chunks(monkeypatch):
+    import coastrank.tree as tree_mod
+
+    s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
+    doc = grow(s, epsilon=0.0, max_leaves=10)[0].to_json_obj()
+    assert any(node["median"] is None for node in doc["nodes"])  # prune aggregates these
+    whole = [tree_json(t) for t in prune_sequence(CoastTree.from_json_obj(doc), s)]
+    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", 7)
+    chunked = [tree_json(t) for t in prune_sequence(CoastTree.from_json_obj(doc), s)]
+    assert chunked == whole and len(whole) > 4
 
 
 def test_prune_rejects_collapsing_a_node_without_rows():
