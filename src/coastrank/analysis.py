@@ -30,10 +30,10 @@ from .perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    _sequential_sum,
     inverse_rows,
     num_pairs,
     pair_list,
-    permutations_of,
     symmetric_group,
 )
 from .tree import CoastTree
@@ -312,18 +312,19 @@ def uniform_marginal_discrepancy(cell: Cell) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothedCellDistribution:
     """Concordance-scored distribution over a cell.
 
-    scores maps cell members to unnormalized scores (empty when the cell was
-    too large to enumerate); z is the normalizer actually in force for the
-    chosen method; z_factorized records the closed-form normalizer whenever
-    the cell shape admits it, for comparison rather than use.
+    members holds the cell's rank rows in lexicographic order and scores their
+    unnormalized scores (both empty when the cell is too large to enumerate);
+    z is the normalizer in force for the chosen method; z_factorized records
+    the closed-form normalizer whenever the cell shape admits it, for comparison.
     """
 
     cell: Cell
-    scores: dict
+    members: np.ndarray
+    scores: np.ndarray
     z: float
     method: SmoothMethod
     z_factorized: float | None
@@ -343,13 +344,13 @@ class SmoothedCellDistribution:
         return self.score_of(sigma) / self.z
 
     def to_json_obj(self) -> dict:
-        """{one-based ranks -> probability} over the enumerated members."""
-        if not self.scores:
+        """{one-based ranks -> probability} over the enumerated members, in their order."""
+        if not len(self.scores):
             raise RejectedInputError("no enumerated scores to export")
-        return {
-            ",".join(str(v) for v in perm.to_one_based()): self.scores[perm] / self.z
-            for perm in sorted(self.scores, key=lambda q: q.ranks)
-        }
+        if not self.z > 0:  # one item: no pairs, so every score and z are 0
+            raise RejectedInputError(f"normalizer z = {self.z!r}: no probabilities to export")
+        keys = (",".join(map(str, row)) for row in (self.members + 1).tolist())
+        return dict(zip(keys, (self.scores / self.z).tolist()))
 
 
 def smooth_cell(
@@ -382,24 +383,23 @@ def smooth_cell(
             )
         )
 
-    scores: dict[Permutation, float] = {}
+    members, scores = np.empty((0, cell.n), dtype=np.uint8), np.empty(0)
     if cell.n <= ENUMERATION_LIMIT:
         ranks, cmp = symmetric_group(cell.n)
         members = ranks[cell.comparison_mask(cmp)]
         order = inverse_rows(members)
         # one position pair at a time, in the order a Python sum over the
         # pairs would add them, so every score is that sum to the last bit
-        acc = np.zeros(len(members))
+        scores = np.zeros(len(members))
         for i, j in itertools.combinations(range(cell.n), 2):
-            acc = acc + marg.p[order[:, i], order[:, j]]
-        scores = dict(zip(permutations_of(members), acc.tolist()))
+            scores = scores + marg.p[order[:, i], order[:, j]]
 
     if method is SmoothMethod.ENUMERATION:
         if cell.n > ENUMERATION_LIMIT:
             raise CapacityError(
                 f"smoothing by enumeration needs n <= {ENUMERATION_LIMIT}"
             )
-        z = float(sum(scores.values()))
+        z = _sequential_sum(scores)
     else:
         if z_factorized is None:
             raise RejectedInputError(
@@ -408,6 +408,7 @@ def smooth_cell(
         z = z_factorized
     return SmoothedCellDistribution(
         cell=cell,
+        members=members,
         scores=scores,
         z=z,
         method=method,

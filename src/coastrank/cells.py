@@ -18,7 +18,7 @@ from .errors import (
     PartitionIntegrityError,
     RejectedInputError,
 )
-from .perms import Permutation, RankingSample, pair_list, permutations_of, symmetric_group
+from .perms import Permutation, RankingSample, pair_list
 
 
 def _closure_of(n: int, edges) -> np.ndarray:
@@ -112,11 +112,6 @@ class Cell:
         closure = self.closure | np.outer(anc, desc)
         return Cell(self.n, self.constraints | {(a, b)}, closure)
 
-    def enumerate_members(self):
-        """All permutations in the cell, in the S_n table's lexicographic order."""
-        ranks, cmp = symmetric_group(self.n)
-        yield from permutations_of(ranks[self.comparison_mask(cmp)])
-
     def to_json_obj(self) -> list[list[int]]:
         """Constraint list with 1-based items, sorted for determinism."""
         return [[a + 1, b + 1] for a, b in sorted(self.constraints)]
@@ -140,19 +135,6 @@ def v_hat_of_counts(counts: np.ndarray, m: int) -> float:
     return pair_distance_sum(counts, m) / (m * (m - 1)) if m >= 2 else 0.0
 
 
-def cell_owners(n: int, x: np.ndarray, cells) -> np.ndarray:
-    """Index of the one cell holding each comparison row of x.
-
-    Raises PartitionIntegrityError unless the cells tile the rows (every row
-    matched by exactly one cell).
-    """
-    cells = list(cells)
-    for cell in cells:
-        if cell.n != n:
-            raise DimensionMismatchError("cell over wrong item count")
-    return tile_owners([cell.comparison_mask(x) for cell in cells])
-
-
 def tile_owners(masks) -> np.ndarray:
     """Index of the one mask holding each row, given one boolean row mask per cell.
 
@@ -172,19 +154,3 @@ def tile_owners(masks) -> np.ndarray:
             f"cells do not tile the rankings: {over} multiply covered, {under} uncovered"
         )
     return owners
-
-
-def partition_criterion(s: RankingSample, cells) -> float:
-    """Weighted intra-cell variability of a partition: sum (N_c/N) v_hat(c).
-
-    Raises PartitionIntegrityError unless the cells tile the sample (every
-    ranking matched by exactly one cell).
-    """
-    cells = list(cells)
-    owners = cell_owners(s.n, s.comparisons, cells)
-    total = 0.0
-    for ci in range(len(cells)):
-        mask = owners == ci
-        m = int(mask.sum())
-        total += (m / s.size) * v_hat_of_counts(s.comparisons[mask].sum(axis=0, dtype=np.int64), m)
-    return float(total)

@@ -235,7 +235,7 @@ def cmd_smooth(args) -> int:
         "z": sm.z,
         "z_factorized": sm.z_factorized,
         "marginals": [[float(v) for v in row] for row in sm.marginals.p],
-        "probabilities": sm.to_json_obj() if sm.scores else None,
+        "probabilities": sm.to_json_obj() if len(sm.scores) else None,
     }
     write_json(doc, args.out)
     return _finish(

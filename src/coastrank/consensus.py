@@ -18,6 +18,7 @@ from .perms import (
     DiscreteRankingDistribution,
     PairwiseMatrix,
     Permutation,
+    _sequential_sum,
     pair_indices,
     risk_from_marginals,
     symmetric_group,
@@ -137,11 +138,6 @@ def exact_kemeny(d: DiscreteRankingDistribution | PairwiseMatrix) -> MedianResul
         Permutation._trusted(r) for r in ranks[np.flatnonzero(risks <= best + 1e-9)].tolist()
     )
     return MedianResult(medians=medians, risk=best, method="exact")
-
-
-def _sequential_sum(terms: np.ndarray) -> float:
-    """Python's sum of the terms, to the bit: from 0, left to right."""
-    return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 
 def dispersion_v(m: PairwiseMatrix) -> float:

@@ -19,7 +19,6 @@ from .perms import (
     RankingSample,
     kendall_tau,
     num_pairs,
-    permutations_of,
     symmetric_group,
 )
 
@@ -103,7 +102,7 @@ def mallows_distribution(params: MallowsParams) -> DiscreteRankingDistribution:
     tau = (cmp != np.array(params.center.comparison_bits(), dtype=bool)).sum(axis=1)
     z = mallows_normalizer(n, params.phi)
     mass = np.array([math.exp(-params.phi * d) / z for d in range(num_pairs(n) + 1)])
-    return DiscreteRankingDistribution._trusted(n, permutations_of(ranks), mass[tau], cmp)
+    return DiscreteRankingDistribution._trusted(n, ranks, mass[tau], cmp)
 
 
 def _displacement_counts(n: int, phi: float, size: int, rng: np.random.Generator) -> np.ndarray:

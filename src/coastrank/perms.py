@@ -124,19 +124,6 @@ class Permutation:
         return tuple(1 if r[i] < r[j] else 0 for i, j in itertools.combinations(range(self.n), 2))
 
 
-#: Rank rows turned into Permutation objects per tolist() call.
-_ROW_BLOCK = 65536
-
-
-def permutations_of(ranks: np.ndarray):
-    """Yield a Permutation per row of a rank array known to hold permutations.
-
-    Rows are converted a block at a time, so no list of all rows is held.
-    """
-    for k in range(0, len(ranks), _ROW_BLOCK):
-        yield from map(Permutation._trusted, ranks[k : k + _ROW_BLOCK].tolist())
-
-
 def enumerate_permutations(n: int, limit: int = ENUMERATION_LIMIT):
     """Yield all n! permutations once, lexicographically by rank vector."""
     if n < 1:
@@ -234,7 +221,7 @@ class RankingSample:
             if p.n != n:
                 raise DimensionMismatchError(f"sample mixes n={n} and n={p.n}")
         self._set_state(np.array([p.ranks for p in rankings], dtype=np.int32), labels)
-        self._rankings = rankings
+        self.__dict__["rankings"] = rankings
 
     @classmethod
     def from_ranks(cls, ranks, labels=None) -> "RankingSample":
@@ -271,7 +258,6 @@ class RankingSample:
         ranks.setflags(write=False)
         self._ranks = ranks
         self._labels = labels
-        self._rankings = None
 
     @property
     def n(self) -> int:
@@ -281,11 +267,9 @@ class RankingSample:
     def size(self) -> int:
         return self._ranks.shape[0]
 
-    @property
+    @cached_property
     def rankings(self) -> tuple[Permutation, ...]:
-        if self._rankings is None:
-            self._rankings = tuple(Permutation._trusted(r) for r in self._ranks.tolist())
-        return self._rankings
+        return tuple(map(Permutation._trusted, self._ranks.tolist()))
 
     @property
     def labels(self):
@@ -299,7 +283,7 @@ class RankingSample:
         return self._ranks.shape[0]
 
     def __getitem__(self, i):
-        if self._rankings is not None or isinstance(i, slice):
+        if "rankings" in self.__dict__ or isinstance(i, slice):
             return self.rankings[i]
         return Permutation._trusted(self._ranks[i].tolist())
 
@@ -391,10 +375,25 @@ def pairwise_marginals(s: RankingSample) -> PairwiseMatrix:
     return PairwiseMatrix.from_comparisons(s.n, s.comparisons)
 
 
-@dataclass(frozen=True, eq=False)
+def _rank_rows(perms) -> np.ndarray:
+    """The (K, n) int32 rank array of K permutations of one size."""
+    try:
+        return np.array([p.ranks for p in perms], dtype=np.int32)
+    except ValueError:  # a ragged list: the permutations differ in size
+        raise DimensionMismatchError("support permutation of wrong size") from None
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """Python's sum of the terms, to the bit: from 0, left to right."""
+    return float(np.add.accumulate(np.append(0.0, terms))[-1])
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DiscreteRankingDistribution:
     """A finitely supported distribution over rankings (distinct support).
 
+    The state is ``ranks``, the read-only (K, n) integer array of the support
+    points' ranks; ``support`` builds ``Permutation`` objects only on request.
     ``counts``, when known, are integer multiplicities with weights equal to
     ``counts / counts.sum()``: an empirical distribution's row counts, or the
     row counts of a consensus distribution's cells. Exact transport takes
@@ -402,46 +401,48 @@ class DiscreteRankingDistribution:
     """
 
     n: int
-    support: tuple[Permutation, ...]
+    ranks: np.ndarray
     weights: np.ndarray
     counts: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __init__(self, n: int, support, weights, counts=None):
+        support = tuple(support)
+        ranks = _rank_rows(support)
+        self.__dict__.update(n=n, ranks=ranks, weights=weights, counts=counts, support=support)
         self._check(support=True)
 
     @classmethod
     def _trusted(
-        cls, n: int, support, weights, comparisons=None, counts=None
+        cls, n: int, ranks: np.ndarray, weights, comparisons=None, counts=None
     ) -> "DiscreteRankingDistribution":
-        """Build from distinct permutations of n items; only weights and counts are checked.
+        """Wrap a (K, n) array of distinct rank rows as is; only weights and counts are checked.
 
-        ``comparisons``, when given, must be the support's comparison rows as
+        ``comparisons``, when given, must be the rows' comparison rows as
         comparison_matrix lays them out (Fortran order, read-only); it seeds
         ``support_comparisons``.
         """
         d = object.__new__(cls)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "support", tuple(support))
-        object.__setattr__(d, "weights", weights)
-        object.__setattr__(d, "counts", counts)
+        d.__dict__.update(n=n, ranks=ranks, weights=weights, counts=counts)
         d._check(support=False)
         if comparisons is not None:
             d.__dict__["support_comparisons"] = comparisons
         return d
 
     def _check(self, support: bool) -> None:
-        """Coerce the weights to float64 and check them, and the support if asked."""
+        """Freeze the ranks, coerce the weights to float64, check both, and the support if asked."""
         w = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", w)
-        if len(self.support) == 0:
+        self.ranks.setflags(write=False)
+        if self.size == 0:
             raise RejectedInputError("empty support")
-        if len(self.support) != w.shape[0]:
+        if self.size != w.shape[0]:
             raise DimensionMismatchError("support/weights length mismatch")
         if support:
-            for p in self.support:
-                if p.n != self.n:
-                    raise DimensionMismatchError("support permutation of wrong size")
-            if len({p.ranks for p in self.support}) != len(self.support):
+            if self.ranks.shape[1] != self.n:
+                raise DimensionMismatchError("support permutation of wrong size")
+            if (inverse_rows(self.ranks) < 0).any():
+                raise RejectedInputError("support points must be permutations")
+            if len(np.unique(self.ranks, axis=0)) != self.size:
                 raise RejectedInputError("support points must be distinct")
         if np.any(w < -1e-15):
             raise RejectedInputError("negative weight")
@@ -458,7 +459,12 @@ class DiscreteRankingDistribution:
 
     @property
     def size(self) -> int:
-        return len(self.support)
+        return self.ranks.shape[0]
+
+    @cached_property
+    def support(self) -> tuple[Permutation, ...]:
+        """The support points as Permutation objects, in the order of ``ranks``."""
+        return tuple(map(Permutation._trusted, self.ranks.tolist()))
 
     @classmethod
     def from_pairs(cls, pairs, counts=None) -> "DiscreteRankingDistribution":
@@ -468,32 +474,28 @@ class DiscreteRankingDistribution:
         add their counts as they add their weights.
         """
         pairs = list(pairs)
-        acc: dict[tuple[int, ...], float] = {}
-        n = None
-        for perm, w in pairs:
-            n = perm.n if n is None else n
-            acc[perm.ranks] = acc.get(perm.ranks, 0.0) + float(w)
-        items = sorted(acc.items())
-        support = tuple(Permutation(r) for r, _ in items)
-        weights = np.array([w for _, w in items], dtype=np.float64)
-        if counts is not None:
-            tally = dict.fromkeys(acc, 0)
-            for (perm, _), k in zip(pairs, counts, strict=True):
-                tally[perm.ranks] += int(k)
-            counts = np.array([tally[r] for r, _ in items], dtype=np.int64)
-        return cls(n, support, weights, counts)
+        if not pairs:
+            raise RejectedInputError("empty support")
+        ranks = _rank_rows(p for p, _ in pairs)
+        # np.unique(axis=0)'s order, without its ~0.1-ms cost per call however few the rows
+        order = np.lexsort(ranks.T[::-1])
+        first = np.append(True, (np.diff(ranks[order], axis=0) != 0).any(axis=1))
+        inv = np.empty(len(pairs), dtype=np.intp)
+        inv[order] = np.cumsum(first) - 1
+        weights = np.bincount(inv, weights=[float(w) for _, w in pairs])
+        if counts is not None:  # the float sums of integer counts are exact below 2**53
+            counts = np.bincount(inv, [int(c) for c in counts]).astype(np.int64)
+        return cls._trusted(ranks.shape[1], ranks[order[first]], weights, counts=counts)
 
     @classmethod
     def empirical(cls, s: RankingSample) -> "DiscreteRankingDistribution":
         """The empirical distribution of a sample (support sorted, weights k/N, counts k)."""
         rows, counts = np.unique(s.ranks_matrix, axis=0, return_counts=True)
-        support = tuple(Permutation._trusted(r) for r in rows.tolist())
-        return cls._trusted(s.n, support, counts / s.size, counts=counts)
+        return cls._trusted(s.n, rows, counts / s.size, counts=counts)
 
     @cached_property
     def support_comparisons(self) -> np.ndarray:
-        ranks = np.array([p.ranks for p in self.support], dtype=np.int32)
-        x = comparison_matrix(ranks)
+        x = comparison_matrix(self.ranks)
         x.setflags(write=False)
         return x
 
@@ -501,17 +503,18 @@ class DiscreteRankingDistribution:
         return PairwiseMatrix.from_comparisons(self.n, self.support_comparisons, self.weights)
 
     def prob_of(self, sigma: Permutation) -> float:
-        for p, w in zip(self.support, self.weights):
-            if p.ranks == sigma.ranks:
-                return float(w)
-        return 0.0
+        if sigma.n != self.n:
+            return 0.0
+        hit = np.flatnonzero((self.ranks == sigma.ranks).all(axis=1))
+        return float(self.weights[hit[0]]) if hit.size else 0.0
 
 
 def ranking_risk(d: DiscreteRankingDistribution, sigma: Permutation) -> float:
     """Expected Kendall tau distance from a draw of d to sigma."""
     if d.n != sigma.n:
         raise DimensionMismatchError("ranking_risk: size mismatch")
-    return float(sum(w * kendall_tau(p, sigma) for p, w in zip(d.support, d.weights)))
+    wrong = d.support_comparisons != np.array(sigma.comparison_bits(), dtype=bool)
+    return _sequential_sum(d.weights * wrong.sum(axis=1))
 
 
 def risk_from_marginals(m: PairwiseMatrix, sigma: Permutation) -> float:
@@ -527,5 +530,4 @@ def risk_from_marginals(m: PairwiseMatrix, sigma: Permutation) -> float:
     r = np.asarray(sigma.ranks)
     later = r[i] > r[j]
     loss = m.p[np.where(later, i, j), np.where(later, j, i)]
-    # accumulate adds left to right from 0.0, as a loop over the pairs would
-    return float(np.add.accumulate(np.concatenate(([0.0], loss)))[-1])
+    return _sequential_sum(loss)

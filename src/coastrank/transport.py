@@ -41,7 +41,7 @@ from .errors import (
     EnumerationLimitError,
     RejectedInputError,
 )
-from .perms import DiscreteRankingDistribution, PairwiseMatrix, Permutation, hamming_cross
+from .perms import DiscreteRankingDistribution, PairwiseMatrix, hamming_cross
 
 SOLVER_LIMIT = 2000
 #: Slack allowed when distortion_report checks its inequalities.
@@ -53,15 +53,16 @@ _WEIGHT_DENOMINATOR_CAP = 10**7
 class TransportPlan:
     """An explicit coupling between two supports.
 
-    flow[a, b] is the mass moved from rows[a] to cols[b]; cost is the total
-    transported Kendall distance. Row sums reproduce the source weights and
-    column sums the target weights. exact is False when the weights had to be
-    rounded to a 1e9 denominator before solving. pivots and bland_pivots
-    count the solver's basis changes, the second those priced by Bland's rule.
+    flow[a, b] is the mass moved from rows[a] to cols[b], rows of the two
+    supports' rank arrays; cost is the total transported Kendall distance.
+    Row sums reproduce the source weights and column sums the target weights.
+    exact is False when the weights had to be rounded to a 1e9 denominator
+    before solving. pivots and bland_pivots count the solver's basis changes,
+    the second those priced by Bland's rule.
     """
 
-    rows: tuple[Permutation, ...]
-    cols: tuple[Permutation, ...]
+    rows: np.ndarray
+    cols: np.ndarray
     flow: np.ndarray
     cost: float
     exact: bool = True
@@ -366,7 +367,7 @@ def wasserstein(
     total = int((sub * kept).sum())
     flow[np.ix_(keep_a, keep_b)] = sub / denom
     value = float(Fraction(total, denom))
-    plan = TransportPlan(rows=p.support, cols=q.support, flow=flow, cost=value, exact=exact,
+    plan = TransportPlan(rows=p.ranks, cols=q.ranks, flow=flow, cost=value, exact=exact,
                          pivots=pivots, bland_pivots=bland)
     return value, plan
 
@@ -483,9 +484,10 @@ def distortion_reports(
             [(medians[ci], stats[ci].mass) for ci in live],
             None if dist.counts is None else [stats[ci].count for ci in live],
         )
-        column = {perm.ranks: k for k, perm in enumerate(crd_dist.support)}
         # a massless cell's points carry no supply, so its start atom does not matter
-        atom_of = np.array([column.get(med.ranks, 0) for med in medians])
+        atom_of = np.zeros(len(medians), dtype=np.intp)
+        for ci in live:
+            atom_of[ci] = (crd_dist.ranks == medians[ci].ranks).all(axis=1).argmax()
         try:
             w, plan = wasserstein(dist, crd_dist, solver_limit, start=atom_of[owners])
             w_exact, pivots, bland = plan.exact, plan.pivots, plan.bland_pivots

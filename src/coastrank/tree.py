@@ -313,13 +313,13 @@ class CoastTree:
     def from_json_obj(cls, obj: dict, aggregator=None) -> "CoastTree":
         """Load a tree document, rejecting any node that cannot route.
 
-        Every node needs ``id``, ``constraints``, ``weight`` and ``v_hat``; a
-        split names two distinct items in 1..n and comes with two children;
-        each child exists and has one parent, every node is reachable from
-        the one root, and a child's constraints are its parent's plus the
-        split in the child's orientation. Each internal node's weight is the
-        sum of its children's, and the frontier weights sum to 1, both within
-        ``_WEIGHT_TOL``. Splits are normalized to i < j.
+        Every node needs ``id``, ``constraints`` and a finite, non-negative
+        ``weight`` and ``v_hat``; a split names two distinct items in 1..n and
+        comes with two children; each child exists and has one parent, every
+        node is reachable from the one root, and a child's constraints are
+        its parent's plus the split in the child's orientation. Each internal
+        node's weight is the sum of its children's, and the frontier weights
+        sum to 1, both within ``_WEIGHT_TOL``. Splits are normalized to i < j.
         """
         try:
             n = int(obj["n"])
@@ -410,12 +410,16 @@ def _node_from_json(n: int, r, pos: int) -> CoastNode:
             a, b = (int(v) for v in children)
             # child 0 holds "split[0] before split[1]": flip both to keep i < j
             split, children = ((i - 1, j - 1), (a, b)) if i < j else ((j - 1, i - 1), (b, a))
+        weight, v_hat = float(r["weight"]), float(r["v_hat"])
+        for key, v in (("weight", weight), ("v_hat", v_hat)):
+            if not (math.isfinite(v) and v >= 0.0):  # NaN would pass every later tolerance check
+                raise ValueError(f"{key} must be finite and >= 0, got {v!r}")
         return CoastNode(
             node_id=nid,
             cell=cell,
             depth=len(cell.constraints),
-            weight=float(r["weight"]),
-            v_hat=float(r["v_hat"]),
+            weight=weight,
+            v_hat=v_hat,
             split=split,
             children=children,
             median=None if median is None else Permutation.from_one_based(median),

@@ -37,6 +37,15 @@ def random_rational_distribution(
     return DiscreteRankingDistribution(n, tuple(support), weights)
 
 
+def record_permutation_builds(monkeypatch) -> list:
+    """A list that gains an entry for every Permutation built, checked or not."""
+    built = []
+    trusted, checked = Permutation._trusted, Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "_trusted", classmethod(lambda cls, r: built.append(r) or trusted(r)))
+    monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p) or checked(p))
+    return built
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)

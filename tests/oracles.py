@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coastrank.cells import Cell, v_hat_of_counts
+from coastrank.cells import Cell, tile_owners, v_hat_of_counts
 from coastrank.errors import DimensionMismatchError, RankingParseError, RejectedInputError
 from coastrank.models import MallowsParams, mallows_normalizer
 from coastrank.perms import (
@@ -29,6 +29,7 @@ from coastrank.perms import (
     num_pairs,
     pair_list,
     ranking_risk,
+    symmetric_group,
 )
 from coastrank.transport import _DEGENERATE_RUN
 
@@ -139,7 +140,7 @@ def verify_plan(
     plan, source: DiscreteRankingDistribution, target: DiscreteRankingDistribution, tol=1e-9
 ) -> None:
     """Check a transport plan's coupling invariants against its two endpoints."""
-    if plan.rows != source.support or plan.cols != target.support:
+    if not (np.array_equal(plan.rows, source.ranks) and np.array_equal(plan.cols, target.ranks)):
         raise RejectedInputError("plan supports do not match the distributions")
     if np.abs(plan.row_sums() - source.weights).max() > tol:
         raise RejectedInputError("row sums do not reproduce source weights")
@@ -148,6 +149,82 @@ def verify_plan(
     d = hamming_cross(source.support_comparisons, target.support_comparisons)
     if abs(float((plan.flow * d).sum()) - plan.cost) > tol:
         raise RejectedInputError("stored cost disagrees with the flow")
+
+
+def enumerate_members(cell: Cell) -> list[Permutation]:
+    """All permutations in the cell, in the S_n table's lexicographic order."""
+    ranks, cmp = symmetric_group(cell.n)
+    return [Permutation._trusted(r) for r in ranks[cell.comparison_mask(cmp)].tolist()]
+
+
+def cell_owners(n: int, x: np.ndarray, cells) -> np.ndarray:
+    """Index of the one cell holding each comparison row of x.
+
+    Raises PartitionIntegrityError unless the cells tile the rows (every row
+    matched by exactly one cell).
+    """
+    cells = list(cells)
+    for cell in cells:
+        if cell.n != n:
+            raise DimensionMismatchError("cell over wrong item count")
+    return tile_owners([cell.comparison_mask(x) for cell in cells])
+
+
+def partition_criterion(s: RankingSample, cells) -> float:
+    """Weighted intra-cell variability of a partition: sum (N_c/N) v_hat(c).
+
+    Raises PartitionIntegrityError unless the cells tile the sample (every
+    ranking matched by exactly one cell).
+    """
+    cells = list(cells)
+    owners = cell_owners(s.n, s.comparisons, cells)
+    total = 0.0
+    for ci in range(len(cells)):
+        mask = owners == ci
+        m = int(mask.sum())
+        total += (m / s.size) * v_hat_of_counts(s.comparisons[mask].sum(axis=0, dtype=np.int64), m)
+    return float(total)
+
+
+def dict_from_pairs(pairs, counts=None):
+    """(support, weights, counts) of from_pairs by a dict merge over rank tuples."""
+    pairs = list(pairs)
+    acc: dict[tuple[int, ...], float] = {}
+    for perm, w in pairs:
+        acc[perm.ranks] = acc.get(perm.ranks, 0.0) + float(w)
+    items = sorted(acc.items())
+    support = tuple(Permutation(r) for r, _ in items)
+    weights = np.array([w for _, w in items], dtype=np.float64)
+    if counts is not None:
+        tally = dict.fromkeys(acc, 0)
+        for (perm, _), k in zip(pairs, counts, strict=True):
+            tally[perm.ranks] += int(k)
+        counts = np.array([tally[r] for r, _ in items], dtype=np.int64)
+    return support, weights, counts
+
+
+def loop_check_support(n: int, support) -> None:
+    """The support checks of a distribution, one point at a time."""
+    if len(support) == 0:
+        raise RejectedInputError("empty support")
+    for p in support:
+        if p.n != n:
+            raise DimensionMismatchError("support permutation of wrong size")
+    if len({p.ranks for p in support}) != len(support):
+        raise RejectedInputError("support points must be distinct")
+
+
+def members_of(sm) -> list[Permutation]:
+    """A smoothed distribution's members as Permutation objects, in its order."""
+    return [Permutation._trusted(r) for r in sm.members.tolist()]
+
+
+def dict_smooth_json(scores: dict, z: float) -> dict:
+    """The smoothing writer over Permutation-keyed scores: keys sorted by rank tuple."""
+    return {
+        ",".join(str(v) for v in perm.to_one_based()): scores[perm] / z
+        for perm in sorted(scores, key=lambda q: q.ranks)
+    }
 
 
 def members_by_contains(cell: Cell) -> list[Permutation]:
@@ -188,6 +265,7 @@ def loop_mallows_distribution(params: MallowsParams) -> DiscreteRankingDistribut
 
 
 def brute_risk(dist: DiscreteRankingDistribution, sigma: Permutation) -> float:
+    """The loop ranking risk: a Python sum of weight times distance, point by point."""
     return sum(w * naive_kendall(p, sigma) for p, w in zip(dist.support, dist.weights))
 
 
@@ -700,10 +778,10 @@ def l2_distance(p: DiscreteRankingDistribution, q: DiscreteRankingDistribution) 
 
 def plan_to_csv(plan, path) -> None:
     """Write a transport plan's nonzero flows as (source index, target index, mass, unit cost)."""
-    d = hamming_cross(
-        np.array([p.comparison_bits() for p in plan.rows], dtype=np.uint8),
-        np.array([p.comparison_bits() for p in plan.cols], dtype=np.uint8),
-    )
+    def bits(ranks):
+        return np.array([Permutation(r).comparison_bits() for r in ranks.tolist()], dtype=np.uint8)
+
+    d = hamming_cross(bits(plan.rows), bits(plan.cols))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["source", "target", "mass", "unit_cost"])

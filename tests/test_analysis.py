@@ -1,6 +1,7 @@
 """Depths, anomaly scores, smoothing, homogeneity testing, chain factorization."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -51,11 +52,14 @@ from conftest import random_permutation, random_rational_distribution, random_sa
 from oracles import (
     brute_local_depths,
     condition,
+    dict_smooth_json,
     discrepancy_to_csv,
+    enumerate_members,
     hamming_depths,
     loop_smooth_scores,
     loop_uniform_marginals,
     members_by_contains,
+    members_of,
     route_one,
     row_writer_anomaly_csv,
     row_writer_depth_csv,
@@ -143,7 +147,7 @@ def test_leaf_median_has_maximal_local_depth():
         node = tree.node(nid)
         if node.median is None or not node.cell.contains(node.median):
             continue  # an unconstrained median may fall outside its own cell
-        members = list(node.cell.enumerate_members())
+        members = enumerate_members(node.cell)
         table = local_depths(tree, s, RankingSample(tuple(members)))
         med_depth = next(
             d for d, q in zip(table.local_depth, members) if q == node.median
@@ -475,7 +479,7 @@ def test_smooth_uniform_sample_is_uniform():
     sample = RankingSample(tuple(enumerate_permutations(3)))
     sm = smooth_cell(sample, Cell.root(3), "enumeration")
     assert len(sm.scores) == 6
-    for score in sm.scores.values():
+    for score in sm.scores:
         assert score == pytest.approx(1.5, abs=1e-12)
     assert sm.z == pytest.approx(9.0, abs=1e-12)
     for prob in sm.to_json_obj().values():
@@ -486,9 +490,9 @@ def test_smooth_point_mass_scores():
     center = Permutation.from_ordering((2, 0, 1))
     sample = RankingSample((center,) * 5)
     sm = smooth_cell(sample, Cell.root(3), "enumeration")
-    for perm, score in sm.scores.items():
+    for perm, score in zip(members_of(sm), sm.scores):
         assert score == pytest.approx(3 - kendall_tau(perm, center), abs=1e-12)
-    assert max(sm.scores, key=sm.scores.get) == center
+    assert members_of(sm)[int(np.argmax(sm.scores))] == center
 
 
 def test_smoothing_depth_identity(rng):
@@ -506,9 +510,9 @@ def test_smoothing_depth_identity(rng):
         for perm in enumerate_permutations(4):
             want = num_pairs(4) - ranking_risk(cond, perm)
             assert sm.score_of(perm) == pytest.approx(want, abs=1e-12)
-        total = sum(sm.scores.values())
+        total = sum(sm.scores)
         assert total == pytest.approx(sm.z, abs=1e-9)
-        assert sum(v / sm.z for v in sm.scores.values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(v / sm.z for v in sm.scores) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -521,8 +525,29 @@ def test_smooth_scores_equal_loop_oracle(n):
         s = RankingSample(picks + random_sample(rng, n, 20).rankings)
         sm = smooth_cell(s, cell, "enumeration")
         want = loop_smooth_scores(sm.marginals, cell)
-        assert list(sm.scores.items()) == list(want.items())
+        assert np.array_equal(sm.members, [p.ranks for p in want])
+        assert np.array_equal(sm.scores, list(want.values()))
         assert sm.z == float(sum(want.values()))
+
+
+def test_smooth_json_equals_the_dict_writer(rng):
+    # the keys come out in the S_n table's order, which is the sorted order the writer used
+    s = random_sample(rng, 5, 200)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=6)
+    cases = [(s, tree.node(nid).cell) for nid in tree.frontier]
+    cases.append((random_sample(rng, 7, 300), Cell.root(7)))
+    for sample, cell in cases:
+        sm = smooth_cell(sample, cell, "enumeration")
+        want = dict_smooth_json(loop_smooth_scores(sm.marginals, cell), sm.z)
+        assert json.dumps(sm.to_json_obj(), indent=2) == json.dumps(want, indent=2)
+    assert len(cases) == tree.leaf_count + 1 >= 4
+
+
+def test_smooth_one_item_has_no_probabilities_to_export():
+    sm = smooth_cell(RankingSample((Permutation.identity(1),) * 3), Cell.root(1))
+    assert sm.z == 0.0 and sm.scores.tolist() == [0.0]
+    with pytest.raises(RejectedInputError, match="normalizer"):
+        sm.to_json_obj()
 
 
 def test_smooth_marginals_equal_sub_sample_marginals(rng):
@@ -551,8 +576,8 @@ def test_smooth_argmax_is_copeland_under_sst(rng):
         if status.kind is not SstKind.STRICT:
             continue
         cop = copeland_median(sm.marginals)
-        best = max(sm.scores.values())
-        assert sm.scores[cop] == pytest.approx(best, abs=1e-12)
+        best = max(sm.scores)
+        assert sm.scores[members_of(sm).index(cop)] == pytest.approx(best, abs=1e-12)
         hits += 1
         if hits >= 10:
             break
@@ -568,7 +593,8 @@ def test_smooth_factorized_normalizer():
     assert sm_fact.z == sm_fact.z_factorized
     assert sm_enum.z_factorized == pytest.approx(sm_fact.z, abs=1e-12)
     assert sm_enum.z != pytest.approx(sm_fact.z)  # the two normalizers disagree
-    assert sm_enum.scores == sm_fact.scores
+    assert np.array_equal(sm_enum.members, sm_fact.members)
+    assert np.array_equal(sm_enum.scores, sm_fact.scores)
     # closed-form normalizer from the conditional marginals and factorized uniforms
     marg = sm_enum.marginals
     uni = uniform_cell_marginals(cell, "factorized")

@@ -17,7 +17,7 @@ from coastrank.models import random_mallows_mixture_spec
 from coastrank.perms import DiscreteRankingDistribution, RankingSample
 from coastrank.tree import CoastTree
 
-from conftest import random_permutation
+from conftest import random_permutation, record_permutation_builds
 from oracles import l2_distance
 
 
@@ -372,6 +372,30 @@ def test_eval_blank_fields_beyond_enumeration_limit(tmp_path):
             assert row[col] == ""
 
 
+def test_eval_builds_permutations_per_median_not_per_row(tmp_path, monkeypatch):
+    spec = random_mallows_mixture_spec(n=5, k=3, phi=0.5, seed=3)
+    spec_file = tmp_path / "spec5.json"
+    spec_file.write_text(json.dumps(spec.to_json_obj()))
+    rank, tree_path = tmp_path / "r5.csv", tmp_path / "t5.json"
+    assert run("sample", "--spec", spec_file, "--size", 600, "--out", rank) == 0
+    assert run("fit", "--input", rank, "--epsilon", 0, "--max-leaves", 8, "--out", tree_path) == 0
+    nodes = len(CoastTree.from_json_obj(read_json(tree_path)).nodes)
+    distinct = len(DiscreteRankingDistribution.empirical(load_rankings(rank)).ranks)
+    built = record_permutation_builds(monkeypatch)
+    assert run("eval", "--tree", tree_path, "--input", rank, "--out", tmp_path / "rep.csv") == 0
+    # the tree's medians and each cell's exact medians, none per sample row or support point
+    assert 0 < len(built) <= 3 * nodes < distinct
+
+
+def test_smooth_one_item_exits_one(tmp_path, capsys):
+    rank, tree = tmp_path / "r1.csv", tmp_path / "t1.json"
+    rank.write_text("item_1\n1\n1\n")
+    assert run("fit", "--input", rank, "--epsilon", 0, "--out", tree) == 0
+    assert run("smooth", "--tree", tree, "--input", rank, "--cell", 0, "--out", tmp_path / "s.json") == 1
+    assert capsys.readouterr().err.startswith("error: normalizer z = 0.0")
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_invalid_rank_threads_exits_one(tmp_path, spec_path, monkeypatch, capsys):
     rank = tmp_path / "r.csv"
     assert run("sample", "--spec", spec_path, "--size", 30, "--out", rank) == 0
@@ -502,6 +526,25 @@ def test_tree_weights_that_do_not_add_up_exit_one(tmp_path, fitted):
     assert_rejected(
         depth_on(tmp_path, scaled, rank), "tree node 0: frontier weights sum to",
     )
+
+
+@pytest.mark.parametrize("key, value", [("weight", "nan"), ("v_hat", "inf"), ("weight", -0.25)])
+def test_tree_weight_not_finite_and_non_negative_exits_one(tmp_path, fitted, key, value):
+    doc, rank = fitted
+    leaf = next(nd for nd in doc["nodes"] if nd["children"] is None)
+    leaf[key] = float(value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "coastrank.cli", "prune", "--tree", str(bad), "--input", str(rank),
+         "--lambda", "0.01", "--out", str(tmp_path / "sub.json")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_memory,
+    )
+    assert_rejected(proc, f"tree node {leaf['id']}: {key} must be finite and >= 0")
+    assert not (tmp_path / "sub.json").exists()
 
 
 def test_tree_weights_within_the_tolerance_load(tmp_path, fitted):

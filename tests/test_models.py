@@ -29,9 +29,10 @@ from coastrank.perms import (
     enumerate_permutations,
     kendall_tau,
     pairwise_marginals,
+    symmetric_group,
 )
 
-from conftest import random_permutation
+from conftest import random_permutation, record_permutation_builds
 from oracles import loop_mallows_distribution, naive_kendall, pl_pmf
 
 
@@ -119,6 +120,16 @@ def test_mallows_support_comparisons_come_from_the_table(rng, n):
     assert x.dtype == bool and x.flags.f_contiguous and not x.flags.writeable
     rebuilt = loop_mallows_distribution(params)  # comparison rows built from its support
     assert np.array_equal(dist.marginals().p, rebuilt.marginals().p)
+
+
+def test_mallows_distribution_builds_no_permutation(rng, monkeypatch):
+    params = MallowsParams(random_permutation(rng, 9), 0.5)
+    built = record_permutation_builds(monkeypatch)
+    dist = mallows_distribution(params)
+    assert built == []
+    # its state is the S_n table itself, uint8 and uncopied
+    assert dist.ranks is symmetric_group(9)[0] and dist.ranks.dtype == np.uint8
+    assert dist.size == math.factorial(9)
 
 
 # --- sampler vs pmf -----------------------------------------------------------

@@ -30,8 +30,10 @@ from conftest import random_permutation, random_sample
 from oracles import (
     brute_risk,
     condition,
+    dict_from_pairs,
     gathered_comparison_matrix,
     kendall_tau_pairs,
+    loop_check_support,
     loop_risk_from_marginals,
     merge_sort_kendall,
     naive_kendall,
@@ -278,7 +280,82 @@ def test_distribution_rejections_fire_in_both_public_constructors():
         DiscreteRankingDistribution.from_pairs([(e, 0.5), (r, 0.4)])
     # the trusted builder skips the support checks, not the weight checks
     with pytest.raises(RejectedInputError, match="not 1"):
-        DiscreteRankingDistribution._trusted(3, (e, r), np.array([0.5, 0.4]))
+        DiscreteRankingDistribution._trusted(3, np.array([e.ranks, r.ranks]), np.array([0.5, 0.4]))
+
+
+def random_pairs(rng, n, k):
+    """k (permutation, weight) pairs drawn from a few points, so most points repeat."""
+    points = [random_permutation(rng, n) for _ in range(max(1, k // 3))]
+    w = rng.random(k)
+    return [(points[int(i)], float(x)) for i, x in zip(rng.integers(len(points), size=k), w / w.sum())]
+
+
+def test_from_pairs_equals_the_dict_merge(rng):
+    for n, k in [(1, 4), (3, 7), (4, 30), (6, 90)]:
+        pairs = random_pairs(rng, n, k)
+        support, weights, _ = dict_from_pairs(pairs)
+        d = DiscreteRankingDistribution.from_pairs(pairs)
+        assert d.support == support
+        assert d.weights.tobytes() == weights.tobytes()  # bit for bit, same order
+        # with counts, the weights are the counts' shares
+        counts = rng.integers(1, 9, size=k)
+        pairs = [(p, c / counts.sum()) for (p, _), c in zip(pairs, counts)]
+        support, weights, tally = dict_from_pairs(pairs, counts.tolist())
+        d = DiscreteRankingDistribution.from_pairs(pairs, counts.tolist())
+        assert d.support == support
+        assert d.weights.tobytes() == weights.tobytes()
+        assert d.counts.dtype == np.int64 and np.array_equal(d.counts, tally)
+
+
+def test_from_pairs_rejects_empty_and_mixed_sizes():
+    with pytest.raises(RejectedInputError, match="empty support"):
+        DiscreteRankingDistribution.from_pairs([])
+    with pytest.raises(DimensionMismatchError):
+        DiscreteRankingDistribution.from_pairs(
+            [(Permutation.identity(4), 0.5), (Permutation.identity(3), 0.5)]
+        )
+
+
+def test_support_checks_match_the_point_loop():
+    e, r, f = Permutation.identity(3), Permutation.reverse(3), Permutation.identity(4)
+    for support in [(), (e,), (f,), (e, r), (e, f), (f, e), (e, r, e), (r, r)]:
+        weights = np.full(len(support), 1 / max(len(support), 1))
+        try:
+            loop_check_support(3, support)
+            want = None
+        except RejectedInputError as exc:
+            want = type(exc)
+        if want is None:
+            assert DiscreteRankingDistribution(3, support, weights).size == len(support)
+        else:
+            with pytest.raises(want) as got:
+                DiscreteRankingDistribution(3, support, weights)
+            assert type(got.value) is want
+
+
+def test_support_round_trips_to_the_rank_array(rng):
+    s = random_sample(rng, 5, 60)
+    built = [
+        DiscreteRankingDistribution.empirical(s),
+        DiscreteRankingDistribution.from_pairs(random_pairs(rng, 4, 20)),
+    ]
+    built.append(DiscreteRankingDistribution(4, built[1].support, built[1].weights))
+    for d in built:
+        assert not d.ranks.flags.writeable
+        assert d.ranks.shape == (d.size, d.n)
+        assert np.array_equal(np.array([p.ranks for p in d.support]), d.ranks)
+        again = DiscreteRankingDistribution(d.n, d.support, d.weights)
+        assert np.array_equal(again.ranks, d.ranks)
+
+
+def test_risk_and_mass_equal_the_point_loops(rng):
+    for n in (1, 3, 5, 7):
+        d = DiscreteRankingDistribution.empirical(random_sample(rng, n, 40))
+        for sigma in list(d.support[:3]) + [random_permutation(rng, n) for _ in range(3)]:
+            assert ranking_risk(d, sigma) == brute_risk(d, sigma)  # same sum, bit for bit
+            want = next((w for p, w in zip(d.support, d.weights) if p == sigma), 0.0)
+            assert d.prob_of(sigma) == want
+        assert d.prob_of(Permutation.identity(n + 1)) == 0.0
 
 
 def test_inverse_rows_in_range_rows_keep_their_gaps():

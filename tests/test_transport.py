@@ -180,7 +180,7 @@ def test_input_validation(rng):
         wasserstein(big, big, solver_limit=big.size - 1)
 
     class Lopsided(DiscreteRankingDistribution):
-        def __post_init__(self):
+        def _check(self, support):
             object.__setattr__(self, "weights", np.asarray(self.weights, float))
 
     q = Lopsided(3, (Permutation.identity(3),), np.array([0.7]))
@@ -189,8 +189,8 @@ def test_input_validation(rng):
 
     with pytest.raises(RejectedInputError):
         TransportPlan(
-            rows=p3.support,
-            cols=p3.support,
+            rows=p3.ranks,
+            cols=p3.ranks,
             flow=np.full((p3.size, p3.size), -0.5),
             cost=0.0,
         )
@@ -361,6 +361,36 @@ def test_distortion_reports_start_each_point_on_its_cell_atom(rng, monkeypatch):
         for cell, med in zip(cells, meds):
             inside = [k for k, p in enumerate(dist.support) if cell.contains(p)]
             assert all(q.support[start[k]] == med for k in inside)
+
+
+def test_distortion_reports_start_shared_and_massless_medians_on_their_atoms(monkeypatch):
+    from coastrank import transport
+
+    e, r = Permutation.identity(3), Permutation.reverse(3)
+    c0, c1 = Cell.root(3).split((0, 1))
+    solved = []
+    solve = transport.wasserstein
+    monkeypatch.setattr(
+        transport, "wasserstein", lambda p, q, *a, **k: solved.append((q, k["start"])) or solve(p, q, *a, **k)
+    )
+    both = DiscreteRankingDistribution.from_pairs([(e, 0.5), (Permutation((1, 0, 2)), 0.5)])
+    distortion_reports(both, [([c0, c1], [r, r]), ([c0, c1], [e, r])])
+    # one shared atom, then atoms in rank order: e before r
+    assert [q.support for q, _ in solved] == [(r,), (e, r)]
+    assert [start.tolist() for _, start in solved] == [[0, 0], [0, 1]]
+    solved.clear()
+    # c1 holds no mass, so its median adds no atom and no point starts on it
+    rep = distortion_report(DiscreteRankingDistribution.from_pairs([(e, 1.0)]), [c0, c1], [r, e])
+    assert [q.support for q, _ in solved] == [(r,)]
+    assert solved[0][1].tolist() == [0] and rep.w == 3.0
+
+
+def test_plan_rows_and_cols_are_the_supports_rank_arrays(rng):
+    p, q = tiny_distribution(rng, 4, 6), tiny_distribution(rng, 4, 5)
+    _, plan = wasserstein(p, q)
+    assert plan.rows is p.ranks and plan.cols is q.ranks
+    assert np.shares_memory(plan.rows, p.ranks) and np.shares_memory(plan.cols, q.ranks)
+    verify_plan(plan, p, q)
 
 
 def test_distortion_reports_check_every_step(rng):

@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from coastrank.cells import Cell, partition_criterion
+from coastrank.cells import Cell
 from coastrank.consensus import AGGREGATOR_KINDS, exact_kemeny, make_aggregator
 from coastrank.errors import (
     InadmissiblePairError,
@@ -40,7 +41,13 @@ from coastrank.tree import (
 )
 
 from conftest import random_sample
-from oracles import brute_v_hat, mask_leaf_counts, route_one, v_hat_of_indices
+from oracles import (
+    brute_v_hat,
+    mask_leaf_counts,
+    partition_criterion,
+    route_one,
+    v_hat_of_indices,
+)
 
 
 def brute_best_split(s, cell=None):
@@ -494,6 +501,30 @@ def test_prune_rejects_collapsing_a_node_without_rows():
     s = RankingSample((Permutation.from_one_based([2, 1, 3]), Permutation.from_one_based([3, 1, 2])))
     with pytest.raises(RejectedInputError):
         prune_sequence(tree, s)
+
+
+def three_node_doc(weight, v_hat):
+    node = {"weight": weight, "v_hat": v_hat, "split": None, "children": None}
+    return {"n": 3, "nodes": [
+        dict(node, id=0, constraints=[], split=[1, 2], children=[1, 2]),
+        dict(node, id=1, constraints=[[1, 2]]),
+        dict(node, id=2, constraints=[[2, 1]]),
+    ]}
+
+
+def test_tree_document_needs_finite_non_negative_weights():
+    doc = three_node_doc(0.5, 0.25)
+    doc["nodes"][0]["weight"] = 1.0
+    assert CoastTree.from_json_obj(doc).criterion == pytest.approx(0.25)
+    # all NaN: every weight-sum check compares NaN, so only this check catches it
+    with pytest.raises(RejectedInputError, match=r"tree node 0: weight must be finite and >= 0, got nan"):
+        CoastTree.from_json_obj(three_node_doc(math.nan, math.nan))
+    for key in ("weight", "v_hat"):
+        for value in (math.nan, math.inf, -0.25):
+            bad = json.loads(json.dumps(doc))
+            bad["nodes"][2][key] = value
+            with pytest.raises(RejectedInputError, match=f"tree node 2: {key} must be finite"):
+                CoastTree.from_json_obj(bad)
 
 
 def test_prune_root_only():
