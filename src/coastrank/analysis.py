@@ -349,7 +349,13 @@ class SmoothedCellDistribution:
             raise RejectedInputError("no enumerated scores to export")
         if not self.z > 0:  # one item: no pairs, so every score and z are 0
             raise RejectedInputError(f"normalizer z = {self.z!r}: no probabilities to export")
-        keys = (",".join(map(str, row)) for row in (self.members + 1).tolist())
+        # each rank from a table of one-based strings, its separator included;
+        # every key is one line of a single join
+        n = self.members.shape[1]
+        ones = range(1, n + 1)
+        fields = np.array([f"{k}," for k in ones] + [f"{k}\n" for k in ones], dtype=object)
+        cells = fields[self.members + np.repeat([0, n], [n - 1, 1])]
+        keys = "".join(cells.ravel().tolist()).split("\n")[:-1]
         return dict(zip(keys, (self.scores / self.z).tolist()))
 
 

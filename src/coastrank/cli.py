@@ -36,7 +36,7 @@ from .fileio import (
     write_rankings,
 )
 from .models import MixtureSpec, sample_mixture
-from .perms import DiscreteRankingDistribution
+from .perms import DiscreteRankingDistribution, RankingSample
 from .transport import distortion_reports
 from .tree import CoastTree, grow, prune_sequence, select_subtree
 
@@ -80,8 +80,9 @@ def _finish(args, inputs: dict, outputs: dict, t0: float, extra_times=None, coun
     return 0
 
 
-def _load_tree(path: str) -> CoastTree:
-    return CoastTree.from_json_obj(read_json(path))
+def _load_tree(path: str, s: RankingSample) -> CoastTree:
+    """The tree document at path, refused unless it is over the sample's items."""
+    return CoastTree.from_json_obj(read_json(path), items=s.n)
 
 
 # --- subcommand handlers -----------------------------------------------------------
@@ -108,7 +109,6 @@ def cmd_fit(args) -> int:
         aggregator=args.aggregator,
         seed=args.seed,
         one_split_per_iter=args.one_split_per_iter,
-        threads=args.threads,
     )
     write_json(tree.to_json_obj(), args.out)
     outputs = {"tree": args.out}
@@ -133,8 +133,8 @@ def cmd_fit(args) -> int:
 
 def cmd_prune(args) -> int:
     t0 = time.perf_counter()
-    tree = _load_tree(args.tree)
     s = load_rankings(args.input, format=args.format)
+    tree = _load_tree(args.tree, s)
     seq = prune_sequence(tree, s)
     chosen = select_subtree(seq, args.lam)
     write_json(chosen.to_json_obj(), args.out)
@@ -146,8 +146,8 @@ def cmd_prune(args) -> int:
 def cmd_eval(args) -> int:
     """Distortion report over the whole weakest-link sequence, one row per step."""
     t0 = time.perf_counter()
-    tree = _load_tree(args.tree)
     s = load_rankings(args.input, format=args.format)
+    tree = _load_tree(args.tree, s)
     dist = DiscreteRankingDistribution.empirical(s)
     seq = prune_sequence(tree, s)
     steps = []
@@ -192,8 +192,8 @@ def cmd_eval(args) -> int:
 
 def _scoring_inputs(args):
     """Tree, fit sample and query sample of ``depth``, ``anomaly`` and ``ddplot``."""
-    fmt, tree = args.format, _load_tree(args.tree)
-    return tree, load_rankings(args.fit, format=fmt), load_rankings(args.query, format=fmt)
+    fit = load_rankings(args.fit, format=args.format)
+    return _load_tree(args.tree, fit), fit, load_rankings(args.query, format=args.format)
 
 
 def _finish_scoring(args, role: str, t0: float) -> int:
@@ -221,8 +221,8 @@ def cmd_ddplot(args) -> int:
 
 def cmd_smooth(args) -> int:
     t0 = time.perf_counter()
-    tree = _load_tree(args.tree)
     s = load_rankings(args.input, format=args.format)
+    tree = _load_tree(args.tree, s)
     if args.cell not in set(tree.frontier):
         raise RejectedInputError(f"cell {args.cell} is not a leaf of the tree")
     cell = tree.node(args.cell).cell
@@ -282,8 +282,8 @@ def cmd_hom_test(args) -> int:
 
 def cmd_comembership(args) -> int:
     t0 = time.perf_counter()
-    tree = _load_tree(args.tree)
     s = load_rankings(args.input, format=args.format)
+    tree = _load_tree(args.tree, s)
     co_membership_to_csv(co_membership(tree, s), args.out)
     return _finish(
         args, {"tree": args.tree, "rankings": args.input}, {"matrix": args.out}, t0
@@ -336,10 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for aggregation tie-breaks")
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="split-search threads (default: RANK_THREADS or 1)",
-    )
     p.add_argument("--trace", default=None, help="growth trace CSV path")
     _add_format(p)
     _add_out(p, help="tree JSON to write")

@@ -271,6 +271,8 @@ def make_aggregator(kind: str = "auto", seed: int = 0):
     """
     if kind not in AGGREGATOR_KINDS:
         raise RejectedInputError(f"unknown aggregator {kind!r}; pick from {AGGREGATOR_KINDS}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise RejectedInputError(f"seed must be a non-negative integer, got {seed!r}")
 
     def aggregate(m: PairwiseMatrix, node_id: int = 0) -> Permutation:
         if kind == "exact" or (kind == "auto" and m.n <= EXACT_N_LIMIT):

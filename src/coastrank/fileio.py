@@ -226,8 +226,13 @@ def write_rankings(sample: RankingSample, path, format="ordering", delimiter=","
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise RejectedInputError(f"{path}: not a text file: {exc}") from exc
+    except RecursionError as exc:
+        raise RejectedInputError(f"{path}: JSON nested too deeply") from exc
 
 
 def write_json(obj, path) -> None:

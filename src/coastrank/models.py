@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RankingError, RejectedInputError
 from .perms import (
     DiscreteRankingDistribution,
     Permutation,
@@ -57,6 +57,8 @@ class PlackettLuceParams:
             raise RejectedInputError("worths must be nonempty")
         if not all(math.isfinite(x) and x > 0 for x in w):
             raise RejectedInputError(f"worths must be positive finite reals, got {w!r}")
+        if not math.isfinite(sum(w)):
+            raise RejectedInputError(f"worths must have a finite sum, got {w!r}")
 
     @property
     def n(self) -> int:
@@ -198,6 +200,8 @@ class MixtureSpec:
     components: tuple[tuple[ComponentParams, float], ...]
 
     def __post_init__(self):
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise RejectedInputError(f"seed must be a non-negative integer, got {self.seed!r}")
         comps = tuple((p, float(m)) for p, m in self.components)
         object.__setattr__(self, "components", comps)
         if len(comps) < 1:
@@ -241,20 +245,29 @@ class MixtureSpec:
             n = int(obj["n"])
             seed = int(obj["seed"])
             raw = obj["components"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RejectedInputError(f"malformed mixture document: {exc}") from exc
+        if not isinstance(raw, list):
+            raise RejectedInputError(f"mixture components must be a list, got {raw!r}")
         comps = []
-        for c in raw:
-            kind = c.get("type")
-            if kind == "mallows":
-                center = Permutation.from_one_based(c["center"])
-                comps.append((MallowsParams(center, float(c["phi"])), float(c["mix"])))
-            elif kind == "plackett_luce":
-                comps.append(
-                    (PlackettLuceParams(tuple(c["weights"])), float(c["mix"]))
-                )
-            else:
-                raise RejectedInputError(f"unknown component type: {kind!r}")
+        for i, c in enumerate(raw):
+            try:
+                kind = c.get("type")
+                if kind == "mallows":
+                    center = Permutation.from_one_based(c["center"])
+                    comps.append((MallowsParams(center, float(c["phi"])), float(c["mix"])))
+                elif kind == "plackett_luce":
+                    comps.append(
+                        (PlackettLuceParams(tuple(c["weights"])), float(c["mix"]))
+                    )
+                else:
+                    raise RejectedInputError(f"unknown component type: {kind!r}")
+            except RankingError:
+                raise
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise RejectedInputError(
+                    f"malformed mixture component {i}: {type(exc).__name__}: {exc}"
+                ) from exc
         return cls(n, seed, tuple(comps))
 
     def with_seed(self, seed: int) -> "MixtureSpec":

@@ -20,9 +20,7 @@ minus it, exactly.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -176,7 +174,7 @@ class CRD:
                 )
                 for a in obj["atoms"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, RejectedInputError):
                 raise
             raise RejectedInputError(f"malformed CRD document: {exc}") from exc
@@ -310,7 +308,9 @@ class CoastTree:
         return {"n": self.n, "nodes": out}
 
     @classmethod
-    def from_json_obj(cls, obj: dict, aggregator=None) -> "CoastTree":
+    def from_json_obj(
+        cls, obj: dict, aggregator=None, items: int | None = None
+    ) -> "CoastTree":
         """Load a tree document, rejecting any node that cannot route.
 
         Every node needs ``id``, ``constraints`` and a finite, non-negative
@@ -319,13 +319,17 @@ class CoastTree:
         node is reachable from the one root, and a child's constraints are
         its parent's plus the split in the child's orientation. Each internal
         node's weight is the sum of its children's, and the frontier weights
-        sum to 1, both within ``_WEIGHT_TOL``. Splits are normalized to i < j.
+        sum to 1, both within ``_WEIGHT_TOL``. Splits are normalized to i < j,
+        and a median must rank all n items. With ``items`` given, a document
+        over another item count is refused before any node is built.
         """
         try:
             n = int(obj["n"])
             raw = list(obj["nodes"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RejectedInputError(f"malformed tree document: {exc}") from exc
+        if items is not None and n != items:
+            raise RejectedInputError(f"tree document is over {n} items, the rankings over {items}")
         if not raw:
             raise RejectedInputError("tree document has no nodes")
         by_id: dict[int, CoastNode] = {}
@@ -393,7 +397,7 @@ def _node_from_json(n: int, r, pos: int) -> CoastNode:
         raise RejectedInputError(f"tree node at position {pos}: missing 'id'")
     try:
         nid = int(r["id"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RejectedInputError(f"tree node at position {pos}: bad id {r['id']!r}") from exc
     for key in ("constraints", "weight", "v_hat"):
         if key not in r:
@@ -414,6 +418,10 @@ def _node_from_json(n: int, r, pos: int) -> CoastNode:
         for key, v in (("weight", weight), ("v_hat", v_hat)):
             if not (math.isfinite(v) and v >= 0.0):  # NaN would pass every later tolerance check
                 raise ValueError(f"{key} must be finite and >= 0, got {v!r}")
+        if median is not None:
+            median = Permutation.from_one_based(median)
+            if median.n != n:
+                raise ValueError(f"median ranks {median.n} items, not {n}")
         return CoastNode(
             node_id=nid,
             cell=cell,
@@ -422,9 +430,9 @@ def _node_from_json(n: int, r, pos: int) -> CoastNode:
             v_hat=v_hat,
             split=split,
             children=children,
-            median=None if median is None else Permutation.from_one_based(median),
+            median=median,
         )
-    except (TypeError, ValueError) as exc:  # RejectedInputError is a ValueError
+    except (TypeError, ValueError, OverflowError) as exc:  # RejectedInputError is a ValueError
         raise RejectedInputError(f"tree node {nid}: {exc}") from exc
 
 
@@ -600,18 +608,6 @@ def choose_split_balanced(cell: Cell, s: RankingSample) -> tuple[int, int]:
 # --- growth -----------------------------------------------------------------
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("RANK_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise RejectedInputError(f"RANK_THREADS must be a positive integer, got {raw!r}")
-    return max(1, int(threads))
-
-
 def grow(
     s: RankingSample,
     epsilon: float = 0.0,
@@ -621,7 +617,6 @@ def grow(
     *,
     seed: int = 0,
     one_split_per_iter: bool = False,
-    threads: int | None = None,
 ) -> tuple[CoastTree, GrowthTrace]:
     """Grow the partition tree and aggregate a median per leaf.
 
@@ -650,7 +645,6 @@ def grow(
         agg = aggregator
     else:
         agg = make_aggregator(str(aggregator), seed=seed)
-    threads = _resolve_threads(threads)
     pairs = pair_list(s.n)
     x = s.comparisons
 
@@ -721,6 +715,7 @@ def grow(
         plans replace the map's contents.
         """
         to_plan = [nid for nid in eligible if nid not in pending]
+        planned = list(pending.values())
         if rule is SplitRule.MIN_DISTORTION:
             keep = set()
             spare = _GRAM_KEEP_BYTES - sum(g.nbytes for _, g in pending.values() if g is not None)
@@ -737,13 +732,11 @@ def grow(
                     derived.update(ids)
             parents.clear()
             work += [([nid], None, None) for nid in to_plan if nid not in derived]
-
-            def run(job):
-                return plan_min_distortion(job, keep)
+            for job in work:
+                planned += plan_min_distortion(job, keep)
         else:
-            work, run = to_plan, plan_balanced
-        results = pool.map(run, work) if pool is not None else map(run, work)
-        planned = [*pending.values(), *(pg for out in results for pg in out)]
+            for nid in to_plan:
+                planned += plan_balanced(nid)
         planned.sort(key=lambda pg: pg[0].node_id)
         pending.clear()
         if one_split_per_iter and planned:
@@ -756,67 +749,62 @@ def grow(
     iteration = 0
     kept: dict[int, np.ndarray] = {}  # Gram matrices of the last round's split nodes
     pending: dict[int, tuple] = {}  # plans of leaves not yet split, one split per round
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while True:
-            iteration += 1
-            t_iter = time.perf_counter()
-            eligible = sorted(
-                nid
-                for nid in frontier
-                if nodes[nid].v_hat > epsilon and nodes[nid].count >= 2
-            )
-            if not eligible:
-                break
-            # every eligible leaf splits (or only the best one), so check the
-            # leaf budget before planning rather than discard a round of plans
-            if len(frontier) + (1 if one_split_per_iter else len(eligible)) > max_leaves:
-                break
+    while True:
+        iteration += 1
+        t_iter = time.perf_counter()
+        eligible = sorted(
+            nid
+            for nid in frontier
+            if nodes[nid].v_hat > epsilon and nodes[nid].count >= 2
+        )
+        if not eligible:
+            break
+        # every eligible leaf splits (or only the best one), so check the
+        # leaf budget before planning rather than discard a round of plans
+        if len(frontier) + (1 if one_split_per_iter else len(eligible)) > max_leaves:
+            break
 
-            plans, kept = plan_round(eligible, kept, pending)
-            if not plans:
-                break
+        plans, kept = plan_round(eligible, kept, pending)
+        if not plans:
+            break
 
-            applied = []
-            for plan in plans:
-                parent = nodes[plan.node_id]
-                cell0, cell1 = parent.cell.split(plan.pair)
-                bits = x[parent.indices, plan.column]
-                idx_children = (parent.indices[bits], parent.indices[~bits])
-                child_ids = []
-                for side in (0, 1):
-                    cm, cc = plan.child_ms[side], plan.child_counts[side]
-                    child = CoastNode(
-                        node_id=len(nodes),
-                        cell=(cell0, cell1)[side],
-                        depth=parent.depth + 1,
-                        weight=cm / n_total,
-                        v_hat=v_hat_of_counts(cc, cm),
-                        count=cm,
-                        counts=cc,
-                        indices=idx_children[side],
-                    )
-                    nodes.append(child)
-                    child_ids.append(child.node_id)
-                parent.split = plan.pair
-                parent.children = (child_ids[0], child_ids[1])
-                frontier.remove(plan.node_id)
-                frontier.update(child_ids)
-                applied.append((plan.node_id, plan.pair))
-            steps.append(
-                GrowthStep(
-                    iteration,
-                    len(frontier),
-                    criterion_now(),
-                    tuple(applied),
-                    time.perf_counter() - t_iter,
+        applied = []
+        for plan in plans:
+            parent = nodes[plan.node_id]
+            cell0, cell1 = parent.cell.split(plan.pair)
+            bits = x[parent.indices, plan.column]
+            idx_children = (parent.indices[bits], parent.indices[~bits])
+            child_ids = []
+            for side in (0, 1):
+                cm, cc = plan.child_ms[side], plan.child_counts[side]
+                child = CoastNode(
+                    node_id=len(nodes),
+                    cell=(cell0, cell1)[side],
+                    depth=parent.depth + 1,
+                    weight=cm / n_total,
+                    v_hat=v_hat_of_counts(cc, cm),
+                    count=cm,
+                    counts=cc,
+                    indices=idx_children[side],
                 )
+                nodes.append(child)
+                child_ids.append(child.node_id)
+            parent.split = plan.pair
+            parent.children = (child_ids[0], child_ids[1])
+            frontier.remove(plan.node_id)
+            frontier.update(child_ids)
+            applied.append((plan.node_id, plan.pair))
+        steps.append(
+            GrowthStep(
+                iteration,
+                len(frontier),
+                criterion_now(),
+                tuple(applied),
+                time.perf_counter() - t_iter,
             )
-    finally:
-        kept.clear()
-        pending.clear()
-        if pool is not None:
-            pool.shutdown(wait=False)
+        )
+    kept.clear()  # free the Gram matrices before aggregating
+    pending.clear()
 
     for nid in sorted(frontier):
         node = nodes[nid]

@@ -49,3 +49,35 @@ def record_permutation_builds(monkeypatch) -> list:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def spec_document() -> dict:
+    """A valid two-component mixture spec document over 5 items."""
+    return {
+        "n": 5,
+        "seed": 3,
+        "components": [
+            {"type": "mallows", "center": [1, 2, 3, 4, 5], "phi": 0.5, "mix": 0.5},
+            {"type": "plackett_luce", "weights": [1, 2, 3, 4, 5], "mix": 0.5},
+        ],
+    }
+
+
+def malformed_spec_documents() -> list:
+    """(name, document, text the error must contain) for specs the loader rejects."""
+    cases = []
+
+    def case(name, needle, edit):
+        doc = spec_document()
+        edit(doc)
+        cases.append((name, doc, needle))
+
+    case("missing-phi", "component 0", lambda d: d["components"][0].pop("phi"))
+    case("component-not-object", "component 0", lambda d: d.update(components=[5]))
+    case("phi-not-number", "component 0", lambda d: d["components"][0].update(phi="x"))
+    case("worth-not-number", "component 1",
+         lambda d: d["components"][1].update(weights=[1, "a", 2]))
+    case("mix-is-list", "component 0", lambda d: d["components"][0].update(mix=[1]))
+    case("components-null", "components", lambda d: d.update(components=None))
+    case("negative-seed", "seed", lambda d: d.update(seed=-2))
+    return cases

@@ -543,6 +543,18 @@ def test_smooth_json_equals_the_dict_writer(rng):
     assert len(cases) == tree.leaf_count + 1 >= 4
 
 
+def test_smooth_json_keys_for_few_items_and_one_member(rng):
+    # two items give one field per key; a fully ordered cell has a single member
+    cases = [(random_sample(rng, n, 30), Cell.root(n)) for n in (2, 3)]
+    ordered = RankingSample((Permutation.identity(4),) * 3 + random_sample(rng, 4, 30).rankings)
+    cases.append((ordered, Cell(4, frozenset({(0, 1), (1, 2), (2, 3)}))))
+    for sample, cell in cases:
+        sm = smooth_cell(sample, cell, "enumeration")
+        want = dict_smooth_json(loop_smooth_scores(sm.marginals, cell), sm.z)
+        assert json.dumps(sm.to_json_obj(), indent=2) == json.dumps(want, indent=2)
+    assert list(sm.to_json_obj()) == ["1,2,3,4"]
+
+
 def test_smooth_one_item_has_no_probabilities_to_export():
     sm = smooth_cell(RankingSample((Permutation.identity(1),) * 3), Cell.root(1))
     assert sm.z == 0.0 and sm.scores.tolist() == [0.0]

@@ -17,7 +17,7 @@ from coastrank.models import random_mallows_mixture_spec
 from coastrank.perms import DiscreteRankingDistribution, RankingSample
 from coastrank.tree import CoastTree
 
-from conftest import random_permutation, record_permutation_builds
+from conftest import malformed_spec_documents, random_permutation, record_permutation_builds
 from oracles import l2_distance
 
 
@@ -205,7 +205,7 @@ def test_rerun_is_byte_identical(tmp_path, spec_path):
         trace = tmp_path / f"g_{tag}.csv"
         assert run("sample", "--spec", spec_path, "--size", 100, "--out", rank) == 0
         assert run(
-            "fit", "--input", rank, "--epsilon", 0.3, "--threads", 2,
+            "fit", "--input", rank, "--epsilon", 0.3,
             "--out", tree, "--trace", trace,
         ) == 0
         outs.append((sha256_of(rank), sha256_of(tree), sha256_of(trace)))
@@ -216,15 +216,49 @@ def test_rerun_is_byte_identical(tmp_path, spec_path):
     assert m1["inputs"] == m2["inputs"]
 
 
-def test_threads_do_not_change_fit(tmp_path, spec_path, monkeypatch):
-    rank = tmp_path / "r.csv"
-    assert run("sample", "--spec", spec_path, "--size", 90, "--out", rank) == 0
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    assert run("fit", "--input", rank, "--epsilon", 0.2, "--threads", 1, "--out", serial) == 0
-    monkeypatch.setenv("RANK_THREADS", "3")
-    assert run("fit", "--input", rank, "--epsilon", 0.2, "--out", threaded) == 0
-    assert sha256_of(serial) == sha256_of(threaded)
+# one process runs every command, so the BLAS pool size is read once at import
+PIPELINE = """
+import sys
+from coastrank.cli import main
+
+rank, out = sys.argv[1:]
+for argv in (
+    ["fit", "--input", rank, "--epsilon", "0", "--max-leaves", "8",
+     "--out", f"{out}/tree.json", "--trace", f"{out}/trace.csv"],
+    ["prune", "--tree", f"{out}/tree.json", "--input", rank, "--lambda", "0.01",
+     "--out", f"{out}/sub.json"],
+    ["eval", "--tree", f"{out}/tree.json", "--input", rank, "--out", f"{out}/report.csv"],
+    ["depth", "--tree", f"{out}/tree.json", "--fit", rank, "--query", rank,
+     "--out", f"{out}/depths.csv"],
+):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # every Gram entry and split score is an exact count, so the BLAS pool
+    # size cannot change a tree, a report or a depth
+    spec = random_mallows_mixture_spec(n=7, k=3, phi=0.6, seed=11, min_separation=6)
+    spec_file, rank = tmp_path / "spec.json", tmp_path / "r.csv"
+    spec_file.write_text(json.dumps(spec.to_json_obj()))
+    assert run("sample", "--spec", spec_file, "--size", 2000, "--out", rank) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", PIPELINE, str(rank), str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = ("tree.json", "trace.csv", "sub.json", "report.csv", "depths.csv")
+        counters = read_json(out / "report.csv.manifest.json")["counters"]
+        digests.append(([sha256_of(out / name) for name in names], counters))
+    assert digests[0] == digests[1]
 
 
 def test_usage_errors_exit_two(capsys):
@@ -262,7 +296,7 @@ def test_one_parser_serves_successive_commands(tmp_path, spec_path, monkeypatch,
     assert seen["fit"] == {
         "command": "fit", "input": str(rank), "epsilon": 0.3, "rule": "min-distortion",
         "max_leaves": None, "one_split_per_iter": False, "aggregator": "auto", "seed": 0,
-        "threads": None, "trace": None, "format": "ordering", "out": str(tree_path),
+        "trace": None, "format": "ordering", "out": str(tree_path),
         "manifest": None,
     }
     assert set(seen["prune"]) == common | {"tree", "lam"}
@@ -300,6 +334,41 @@ def test_operational_errors_exit_one(tmp_path, spec_path, capsys):
     not_json.write_text("{broken")
     assert run("prune", "--tree", not_json, "--input", rank, "--lambda", 0.1,
                "--out", tmp_path / "p.json") == 1
+
+
+@pytest.mark.parametrize(
+    "doc, needle", [c[1:] for c in malformed_spec_documents()],
+    ids=[c[0] for c in malformed_spec_documents()],
+)
+def test_sample_malformed_spec_exits_one(tmp_path, capsys, doc, needle):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert run("sample", "--spec", spec, "--size", 10, "--out", tmp_path / "r.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err, err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_negative_seed_exits_one(tmp_path, spec_path, capsys):
+    rank = tmp_path / "r.csv"
+    assert run("sample", "--spec", spec_path, "--size", 10, "--seed", -1, "--out", rank) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+    assert not rank.exists()
+    assert run("sample", "--spec", spec_path, "--size", 40, "--out", rank) == 0
+    # refused on every input, whether or not some leaf would climb
+    for aggregator in ("depth-climb", "auto", "exact"):
+        assert run("fit", "--input", rank, "--epsilon", 0, "--seed", -1,
+                   "--aggregator", aggregator, "--out", tmp_path / "t.json") == 1
+        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_fit_threads_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run("fit", "--input", tmp_path / "r.csv", "--epsilon", 0, "--threads", 2,
+            "--out", tmp_path / "t.json")
+    assert err.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_hom_test_exact_method(tmp_path, spec_path, capsys):
@@ -396,15 +465,6 @@ def test_smooth_one_item_exits_one(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
-def test_invalid_rank_threads_exits_one(tmp_path, spec_path, monkeypatch, capsys):
-    rank = tmp_path / "r.csv"
-    assert run("sample", "--spec", spec_path, "--size", 30, "--out", rank) == 0
-    monkeypatch.setenv("RANK_THREADS", "abc")
-    assert run("fit", "--input", rank, "--epsilon", 0.2, "--out", tmp_path / "t.json") == 1
-    assert "RANK_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "t.json").exists()
-
-
 # --- malformed tree documents ------------------------------------------------
 
 
@@ -452,6 +512,32 @@ def test_tree_with_bad_split_exits_one(tmp_path, fitted, split):
     doc, rank = fitted
     doc["nodes"][0]["split"] = split
     assert_rejected(depth_on(tmp_path, doc, rank), "tree node 0: split")
+
+
+@pytest.mark.parametrize("n", [5, 7, 5000, 10**9])
+def test_tree_over_other_items_than_the_rankings_exits_one(tmp_path, fitted, n):
+    # refused before any node is built: 5000 items used to run for minutes
+    # building cells, and 10**9 ended in a MemoryError traceback
+    doc, rank = fitted
+    doc["n"] = n
+    needle = f"tree document is over {n} items, the rankings over 6"
+    assert_rejected(depth_on(tmp_path, doc, rank), needle)
+
+
+@pytest.mark.parametrize("value", [float("inf"), 1e300])
+def test_tree_integer_field_out_of_range_exits_one(tmp_path, fitted, value):
+    doc, rank = fitted
+    inner_node(doc)["children"][0] = value
+    assert_rejected(depth_on(tmp_path, doc, rank), f"tree node {inner_node(doc)['id']}: ")
+
+
+@pytest.mark.parametrize("median", [[1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 7]])
+def test_tree_median_over_other_items_exits_one(tmp_path, fitted, median):
+    doc, rank = fitted
+    leaf = next(nd for nd in doc["nodes"] if nd["children"] is None)
+    leaf["median"] = median
+    needle = f"tree node {leaf['id']}: median ranks {len(median)} items, not 6"
+    assert_rejected(depth_on(tmp_path, doc, rank), needle)
 
 
 @pytest.mark.parametrize("key", ["constraints", "id", "weight", "v_hat"])

@@ -417,6 +417,13 @@ def test_aggregator_unknown_kind():
         make_aggregator("magic")
 
 
+@pytest.mark.parametrize("kind", ["auto", "depth-climb"])
+def test_aggregator_rejects_a_negative_seed(kind):
+    # refused before any draw, so the outcome does not depend on whether a leaf climbs
+    with pytest.raises(RejectedInputError, match="seed must be a non-negative integer"):
+        make_aggregator(kind, seed=-1)
+
+
 def test_exact_kemeny_cached_table_matches_streamed_enumeration(rng):
     # the cached S_n table gives the same medians, ties and risk bits as
     # scoring freshly enumerated chunks; n alternates so the cache refills

@@ -32,7 +32,12 @@ from coastrank.perms import (
     symmetric_group,
 )
 
-from conftest import random_permutation, record_permutation_builds
+from conftest import (
+    malformed_spec_documents,
+    random_permutation,
+    record_permutation_builds,
+    spec_document,
+)
 from oracles import loop_mallows_distribution, naive_kendall, pl_pmf
 
 
@@ -299,6 +304,42 @@ def test_mixture_json_roundtrip():
         MixtureSpec.from_json_obj({"n": 3, "seed": 0, "components": [{"type": "magic", "mix": 1.0}]})
     with pytest.raises(RejectedInputError):
         MixtureSpec.from_json_obj({"n": 3})
+
+
+@pytest.mark.parametrize(
+    "doc, needle", [c[1:] for c in malformed_spec_documents()],
+    ids=[c[0] for c in malformed_spec_documents()],
+)
+def test_malformed_spec_document_is_rejected(doc, needle):
+    with pytest.raises(RejectedInputError, match=needle):
+        MixtureSpec.from_json_obj(doc)
+
+
+def test_spec_component_ranking_errors_pass_through_unchanged():
+    doc = spec_document()
+    doc["components"][0]["center"] = [1, 1, 2, 3, 4]
+    with pytest.raises(RejectedInputError) as err:
+        Permutation.from_one_based([1, 1, 2, 3, 4])
+    with pytest.raises(RejectedInputError) as got:
+        MixtureSpec.from_json_obj(doc)
+    assert str(got.value) == str(err.value)
+    assert MixtureSpec.from_json_obj(spec_document()).k == 2
+
+
+def test_negative_seed_is_rejected():
+    spec = two_point_spec()
+    with pytest.raises(RejectedInputError, match="seed"):
+        spec.with_seed(-1)
+    with pytest.raises(RejectedInputError, match="seed"):
+        MixtureSpec(5, -1, spec.components)
+    assert spec.with_seed(0).seed == 0
+
+
+def test_worths_whose_sum_overflows_are_rejected():
+    # each worth is finite, but the sampler's running sums would reach inf
+    with pytest.raises(RejectedInputError, match="finite sum"):
+        PlackettLuceParams((1e308,) * 5)
+    assert PlackettLuceParams((1e307,) * 5).n == 5
 
 
 # --- random mixture presets ---------------------------------------------------

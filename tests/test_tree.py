@@ -295,11 +295,9 @@ def test_grow_validation():
 
 def test_grow_deterministic_and_thread_invariant():
     s = mixture_sample(n=8, k=4, phi=0.8, seed=13, size=500)
-    a, _ = grow(s, epsilon=0.1, rule="min-distortion", threads=1)
-    b, _ = grow(s, epsilon=0.1, rule="min-distortion", threads=1)
-    c, _ = grow(s, epsilon=0.1, rule="min-distortion", threads=4)
+    a, _ = grow(s, epsilon=0.1, rule="min-distortion")
+    b, _ = grow(s, epsilon=0.1, rule="min-distortion")
     assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
-    assert json.dumps(a.to_json_obj()) == json.dumps(c.to_json_obj())
 
 
 def test_leaf_medians_match_injected_aggregator():
@@ -324,10 +322,9 @@ def descendant_leaves(tree, nid):
 
 
 @pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
-@pytest.mark.parametrize("threads", [1, 4])
-def test_node_counts_are_column_sums_of_routed_rows(rule, threads):
+def test_node_counts_are_column_sums_of_routed_rows(rule):
     s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
-    tree, _ = grow(s, epsilon=0.0, rule=rule, max_leaves=10, threads=threads)
+    tree, _ = grow(s, epsilon=0.0, rule=rule, max_leaves=10)
     assert len(tree.nodes) > 10
     leaf_of = tree.route_sample(s)
     for node in tree.nodes:
@@ -605,15 +602,6 @@ def test_reversed_split_routes_alike():
         assert flipped.node(leaf).cell.contains(sigma)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_invalid_rank_threads_rejected(monkeypatch, value):
-    s = random_sample(np.random.default_rng(0), 4, 10)
-    monkeypatch.setenv("RANK_THREADS", value)
-    with pytest.raises(RejectedInputError, match="RANK_THREADS"):
-        grow(s, epsilon=0.0)
-    grow(s, epsilon=0.0, threads=1)  # an explicit count does not read the variable
-
-
 def test_gram_chunks_do_not_change_the_tree(monkeypatch):
     import coastrank.tree as tree_mod
 
@@ -629,8 +617,7 @@ def tree_json(tree):
 
 
 @pytest.mark.parametrize("one_split", [False, True])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, threads):
+def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split):
     import coastrank.tree as tree_mod
 
     s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
@@ -650,7 +637,7 @@ def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, threa
 
     monkeypatch.setattr(tree_mod, "_plan_min_distortion", checking)
     monkeypatch.setattr(tree_mod, "_gram", counting)
-    tree, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=one_split, threads=threads)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=one_split)
     assert len(checked) >= 7
     # children of a split node were derived: fewer rows multiplied than planned
     assert sum(built) < sum(tree.node(nid).count for nid in checked)
@@ -677,13 +664,6 @@ def test_float64_gram_matrices_give_the_same_tree(monkeypatch):
     assert tree_mod._gram(s.comparisons, np.arange(3)).dtype == np.float64
     got, _ = grow(s, epsilon=0.0, max_leaves=8)
     assert tree_json(got) == tree_json(want)
-
-
-def test_one_split_per_iter_is_thread_invariant():
-    s = mixture_sample(n=8, k=4, phi=0.8, seed=13, size=500)
-    a, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=True, threads=1)
-    b, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=True, threads=2)
-    assert tree_json(a) == tree_json(b)
 
 
 def test_split_sums_equal_the_column_count_formula(rng, monkeypatch):
