@@ -322,8 +322,13 @@ def descendant_leaves(tree, nid):
 
 
 @pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
-def test_node_counts_are_column_sums_of_routed_rows(rule):
+@pytest.mark.parametrize("chunks", [1, 4])
+def test_node_counts_are_column_sums_of_routed_rows(monkeypatch, rule, chunks):
+    import coastrank.tree as tree_mod
+
     s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
+    # the root Gram matrix is summed over this many row chunks
+    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", -(-s.size // chunks))
     tree, _ = grow(s, epsilon=0.0, rule=rule, max_leaves=10)
     assert len(tree.nodes) > 10
     leaf_of = tree.route_sample(s)
@@ -617,10 +622,13 @@ def tree_json(tree):
 
 
 @pytest.mark.parametrize("one_split", [False, True])
-def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split):
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, chunks):
     import coastrank.tree as tree_mod
 
     s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
+    # the root Gram matrix is summed over this many row chunks
+    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", -(-s.size // chunks))
     x = s.comparisons
     checked, built = [], []
     plan, gram_of = tree_mod._plan_min_distortion, tree_mod._gram
