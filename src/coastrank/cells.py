@@ -17,6 +17,7 @@ from .errors import (
     InadmissiblePairError,
     PartitionIntegrityError,
     RejectedInputError,
+    json_int,
 )
 from .perms import Permutation, RankingSample, pair_list
 
@@ -118,7 +119,8 @@ class Cell:
 
     @classmethod
     def from_json_obj(cls, n: int, obj) -> "Cell":
-        return cls(n, frozenset((int(a) - 1, int(b) - 1) for a, b in obj))
+        pairs = [[json_int(v, "constraint entry") - 1 for v in pair] for pair in obj]
+        return cls(n, frozenset((a, b) for a, b in pairs))
 
 
 def pair_distance_sum(counts: np.ndarray, m: int) -> int:

@@ -54,3 +54,10 @@ class RankingParseError(RankingError, ValueError):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message if row is None else f"row {row}: {message}")
         self.row = row
+
+
+def json_int(value, field: str) -> int:
+    """A document's integer field as is; a bool, float, str or other value is refused, by name."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise RejectedInputError(f"{field} must be an integer, got {value!r}")

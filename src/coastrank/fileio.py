@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RankingParseError, RejectedInputError
+from .errors import RankingParseError, RejectedInputError, json_int
 from .perms import RankingSample, inverse_rows
 
 
@@ -286,7 +286,7 @@ class RunManifest:
             return cls(
                 command=str(obj["command"]),
                 argv=tuple(str(a) for a in obj["argv"]),
-                seed=None if obj.get("seed") is None else int(obj["seed"]),
+                seed=None if obj.get("seed") is None else json_int(obj["seed"], "manifest seed"),
                 config=dict(obj["config"]),
                 inputs=dict(obj["inputs"]),
                 outputs=dict(obj["outputs"]),

@@ -12,11 +12,12 @@ from typing import Union
 
 import numpy as np
 
-from .errors import RankingError, RejectedInputError
+from .errors import RankingError, RejectedInputError, json_int
 from .perms import (
     DiscreteRankingDistribution,
     Permutation,
     RankingSample,
+    inverse_rows,
     kendall_tau,
     num_pairs,
     symmetric_group,
@@ -108,42 +109,38 @@ def mallows_distribution(params: MallowsParams) -> DiscreteRankingDistribution:
 
 
 def _displacement_counts(n: int, phi: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent slot displacements v[:, r] in 0..n-1-r with P(v) ∝ e^{-phi v}."""
+    """Independent slot displacements v[:, r] in 0..n-1-r with P(v) ∝ e^{-phi v}.
+
+    A slot is drawn as ``rng.choice(p=...)`` draws it, without its checks: one
+    uniform per row, searched in the cumulative probabilities.
+    """
     q = math.exp(-phi)
-    v = np.zeros((size, n), dtype=np.int64)
+    v = np.zeros((size, n), dtype=np.min_scalar_type(n))
     for r in range(n - 1):
-        m = n - 1 - r  # max displacement at this slot
-        probs = q ** np.arange(m + 1)
-        probs /= probs.sum()
-        v[:, r] = rng.choice(m + 1, size=size, p=probs)
+        p = q ** np.arange(n - r)
+        cdf = np.cumsum(p / p.sum())
+        v[:, r] = np.searchsorted(cdf / cdf[-1], rng.random(size), side="right")
     return v
 
 
 def _ranks_from_displacements(v: np.ndarray) -> np.ndarray:
-    """Decode displacement rows into rank vectors around the identity.
+    """Decode displacement rows, in place, into int32 rank vectors around the identity.
 
     At step r the v[:, r]-th smallest still-unplaced item receives rank r;
     each skipped smaller item will land later, contributing exactly one
-    inversion, so total inversions equal v.sum(axis=1).
+    inversion, so total inversions equal v.sum(axis=1). From the last slot
+    back, the slots after r index the items left after step r; those at or
+    past v[:, r] move up one to index the items left before it, so at slot 0
+    each row lists the items in rank order.
     """
-    size, n = v.shape
-    remaining = np.tile(np.arange(n), (size, 1))
-    ranks = np.empty((size, n), dtype=np.int64)
-    rows = np.arange(size)
-    for r in range(n):
-        width = n - r
-        idx = np.minimum(v[:, r], width - 1)
-        picked = remaining[rows, idx]
-        ranks[rows, picked] = r
-        if width > 1:
-            keep = np.arange(width)[None, :] != idx[:, None]
-            remaining = remaining[keep].reshape(size, width - 1)
-    return ranks
+    for r in range(v.shape[1] - 2, -1, -1):
+        tail = v[:, r + 1 :]
+        tail += tail >= v[:, r, None]
+    return inverse_rows(v)
 
 
 def _mallows_ranks(params: MallowsParams, size: int, rng: np.random.Generator) -> np.ndarray:
-    v = _displacement_counts(params.n, params.phi, size, rng)
-    rho = _ranks_from_displacements(v)
+    rho = _ranks_from_displacements(_displacement_counts(params.n, params.phi, size, rng))
     # right-compose with the center: d(rho∘center, center) = d(rho, id)
     return rho[:, np.asarray(params.center.ranks)]
 
@@ -242,10 +239,10 @@ class MixtureSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MixtureSpec":
         try:
-            n = int(obj["n"])
-            seed = int(obj["seed"])
+            n = json_int(obj["n"], "mixture n")
+            seed = json_int(obj["seed"], "mixture seed")
             raw = obj["components"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise RejectedInputError(f"malformed mixture document: {exc}") from exc
         if not isinstance(raw, list):
             raise RejectedInputError(f"mixture components must be a list, got {raw!r}")
@@ -254,7 +251,7 @@ class MixtureSpec:
             try:
                 kind = c.get("type")
                 if kind == "mallows":
-                    center = Permutation.from_one_based(c["center"])
+                    center = Permutation.from_one_based(c["center"], "center")
                     comps.append((MallowsParams(center, float(c["phi"])), float(c["mix"])))
                 elif kind == "plackett_luce":
                     comps.append(
@@ -283,7 +280,7 @@ def sample_mixture(spec: MixtureSpec, size: int) -> RankingSample:
     mix = np.array([m for _, m in spec.components])
     labels = master.choice(spec.k, size=size, p=mix / mix.sum())
     children = master.spawn(spec.k)
-    ranks = np.empty((size, spec.n), dtype=np.int64)
+    ranks = np.empty((size, spec.n), dtype=np.int32)
     for k, (params, _) in enumerate(spec.components):
         idx = np.nonzero(labels == k)[0]
         if idx.size == 0:
@@ -292,7 +289,7 @@ def sample_mixture(spec: MixtureSpec, size: int) -> RankingSample:
             ranks[idx] = _mallows_ranks(params, idx.size, children[k])
         else:
             ranks[idx] = _pl_ranks(params, idx.size, children[k])
-    return RankingSample.from_ranks(ranks, labels=tuple(int(x) for x in labels))
+    return RankingSample._trusted(ranks, tuple(labels.tolist()))
 
 
 def _separated_centers(

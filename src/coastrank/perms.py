@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
     RejectedInputError,
+    json_int,
 )
 
 #: Default cap for exact enumerations of the symmetric group.
@@ -102,12 +103,9 @@ class Permutation:
         return cls(tuple(range(n)))
 
     @classmethod
-    def reverse(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n - 1, -1, -1)))
-
-    @classmethod
-    def from_one_based(cls, seq) -> "Permutation":
-        return cls(tuple(int(x) - 1 for x in seq))
+    def from_one_based(cls, seq, field: str = "rank") -> "Permutation":
+        """The permutation of a document's 1-based ranks; each must be a JSON integer."""
+        return cls(tuple(json_int(x, f"{field} entry") - 1 for x in seq))
 
     def to_one_based(self) -> tuple[int, ...]:
         return tuple(r + 1 for r in self.ranks)
@@ -122,16 +120,6 @@ class Permutation:
         """1 where i is ranked before j, over lexicographic pairs (i, j)."""
         r = self.ranks
         return tuple(1 if r[i] < r[j] else 0 for i, j in itertools.combinations(range(self.n), 2))
-
-
-def enumerate_permutations(n: int, limit: int = ENUMERATION_LIMIT):
-    """Yield all n! permutations once, lexicographically by rank vector."""
-    if n < 1:
-        raise RejectedInputError(f"n must be >= 1, got {n}")
-    if n > limit:
-        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {limit}")
-    for ranks in itertools.permutations(range(n)):
-        yield Permutation._trusted(ranks)
 
 
 def kendall_tau(a: Permutation, b: Permutation) -> int:
@@ -368,11 +356,6 @@ class PairwiseMatrix:
         p[i, j] = upper
         p[j, i] = 1.0 - upper
         return cls(n, p)
-
-
-def pairwise_marginals(s: RankingSample) -> PairwiseMatrix:
-    """Empirical pairwise marginals of a sample."""
-    return PairwiseMatrix.from_comparisons(s.n, s.comparisons)
 
 
 def _rank_rows(perms) -> np.ndarray:

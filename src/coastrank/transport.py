@@ -77,12 +77,6 @@ class TransportPlan:
         if np.any(f < -1e-12):
             raise RejectedInputError("negative transported mass")
 
-    def row_sums(self) -> np.ndarray:
-        return self.flow.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.flow.sum(axis=0)
-
 
 _DENOMINATOR_OVERFLOW_GUARD = 10**12  # keeps flows and costs inside int64
 

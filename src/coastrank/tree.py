@@ -28,11 +28,7 @@ import numpy as np
 
 from .cells import Cell, pair_distance_sum, v_hat_of_counts
 from .consensus import make_aggregator
-from .errors import (
-    InadmissiblePairError,
-    RejectedInputError,
-    TreeStateError,
-)
+from .errors import RejectedInputError, TreeStateError, json_int
 from .perms import PairwiseMatrix, Permutation, RankingSample, pair_list
 
 __all__ = [
@@ -42,8 +38,6 @@ __all__ = [
     "CRD",
     "GrowthStep",
     "GrowthTrace",
-    "choose_split_min_distortion",
-    "choose_split_balanced",
     "grow",
     "prune_sequence",
     "select_subtree",
@@ -109,10 +103,6 @@ class GrowthTrace:
     steps: tuple[GrowthStep, ...]
 
     @property
-    def criteria(self) -> tuple[float, ...]:
-        return tuple(st.criterion for st in self.steps)
-
-    @property
     def total_wall_time(self) -> float:
         return float(sum(st.wall_time for st in self.steps))
 
@@ -141,14 +131,6 @@ class CRD:
     def k(self) -> int:
         return len(self.atoms)
 
-    def to_distribution(self):
-        """Collapse to a distribution over rankings (merges equal medians)."""
-        from .perms import DiscreteRankingDistribution
-
-        return DiscreteRankingDistribution.from_pairs(
-            [(med, w) for w, med, _ in self.atoms]
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -165,11 +147,11 @@ class CRD:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CRD":
         try:
-            n = int(obj["n"])
+            n = json_int(obj["n"], "CRD n")
             atoms = tuple(
                 (
                     float(a["weight"]),
-                    Permutation.from_one_based(a["median"]),
+                    Permutation.from_one_based(a["median"], "median"),
                     Cell.from_json_obj(n, a["cell"]),
                 )
                 for a in obj["atoms"]
@@ -324,9 +306,9 @@ class CoastTree:
         over another item count is refused before any node is built.
         """
         try:
-            n = int(obj["n"])
+            n = json_int(obj["n"], "tree n")
             raw = list(obj["nodes"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise RejectedInputError(f"malformed tree document: {exc}") from exc
         if items is not None and n != items:
             raise RejectedInputError(f"tree document is over {n} items, the rankings over {items}")
@@ -395,10 +377,7 @@ def _node_from_json(n: int, r, pos: int) -> CoastNode:
     """One node of a tree document; errors name the node id."""
     if not isinstance(r, dict) or "id" not in r:
         raise RejectedInputError(f"tree node at position {pos}: missing 'id'")
-    try:
-        nid = int(r["id"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise RejectedInputError(f"tree node at position {pos}: bad id {r['id']!r}") from exc
+    nid = json_int(r["id"], f"tree node at position {pos}: id")
     for key in ("constraints", "weight", "v_hat"):
         if key not in r:
             raise RejectedInputError(f"tree node {nid}: missing {key!r}")
@@ -408,10 +387,10 @@ def _node_from_json(n: int, r, pos: int) -> CoastNode:
         if (split is None) != (children is None):
             raise ValueError("split and children must be given together")
         if split is not None:
-            i, j = (int(v) for v in split)
+            i, j = (json_int(v, "split entry") for v in split)
             if i == j or not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"split {[i, j]} needs two distinct items in 1..{n}")
-            a, b = (int(v) for v in children)
+            a, b = (json_int(v, "children entry") for v in children)
             # child 0 holds "split[0] before split[1]": flip both to keep i < j
             split, children = ((i - 1, j - 1), (a, b)) if i < j else ((j - 1, i - 1), (b, a))
         weight, v_hat = float(r["weight"]), float(r["v_hat"])
@@ -419,7 +398,7 @@ def _node_from_json(n: int, r, pos: int) -> CoastNode:
             if not (math.isfinite(v) and v >= 0.0):  # NaN would pass every later tolerance check
                 raise ValueError(f"{key} must be finite and >= 0, got {v!r}")
         if median is not None:
-            median = Permutation.from_one_based(median)
+            median = Permutation.from_one_based(median, "median")
             if median.n != n:
                 raise ValueError(f"median ranks {median.n} items, not {n}")
         return CoastNode(
@@ -563,48 +542,6 @@ def _plan_balanced(
     )
 
 
-def _choose_split(cell: Cell, s: RankingSample, rule: SplitRule) -> tuple[int, int]:
-    indices = np.nonzero(cell.membership_mask(s))[0]
-    if len(indices) < 2:
-        raise RejectedInputError("splitting needs at least 2 member rankings in the cell")
-    admissible = sorted(cell.admissible_pairs())
-    if not admissible:
-        raise InadmissiblePairError("cell admits no further split")
-    x = s.comparisons
-    m, counts = len(indices), x[indices].sum(axis=0, dtype=np.int64)
-    node = CoastNode(
-        node_id=-1,
-        cell=cell,
-        depth=len(cell.constraints),
-        weight=m / len(s),
-        v_hat=v_hat_of_counts(counts, m),
-        count=m,
-        counts=counts,
-        indices=indices,
-    )
-    # columns where the rows genuinely disagree (both children nonempty); a
-    # pair ordered by the cell's closure is constant on them, so these pairs
-    # are admissible
-    candidates = np.nonzero((counts > 0) & (counts < m))[0]
-    if len(candidates) == 0:
-        # sample is constant on every free pair; any split is criterion-neutral
-        return admissible[0]
-    pairs = pair_list(s.n)
-    if rule is SplitRule.MIN_DISTORTION:
-        return _plan_min_distortion(_gram(x, indices), node, candidates, pairs).pair
-    return _plan_balanced(x, node, candidates, pairs).pair
-
-
-def choose_split_min_distortion(cell: Cell, s: RankingSample) -> tuple[int, int]:
-    """Admissible pair minimizing the two-child weighted variability sum."""
-    return _choose_split(cell, s, SplitRule.MIN_DISTORTION)
-
-
-def choose_split_balanced(cell: Cell, s: RankingSample) -> tuple[int, int]:
-    """Admissible pair whose local marginal is closest to 1/2."""
-    return _choose_split(cell, s, SplitRule.BALANCED)
-
-
 # --- growth -----------------------------------------------------------------
 
 
@@ -668,6 +605,7 @@ def grow(
         return sum(nodes[i].contribution for i in frontier)
 
     def candidates_of(node: CoastNode) -> np.ndarray:
+        """Columns the rows disagree on; the cell orders none of them, so all are admissible."""
         return np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
 
     def plan_balanced(nid: int) -> list[tuple[_SplitPlan, None]]:

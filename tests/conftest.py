@@ -11,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from coastrank.perms import DiscreteRankingDistribution, Permutation, RankingSample
+from coastrank.perms import DiscreteRankingDistribution, PairwiseMatrix, Permutation, RankingSample
 
 
 def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
@@ -20,6 +20,17 @@ def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
 
 def random_sample(rng: np.random.Generator, n: int, size: int) -> RankingSample:
     return RankingSample(tuple(random_permutation(rng, n) for _ in range(size)))
+
+
+def random_marginals(rng: np.random.Generator, n: int, size: int) -> PairwiseMatrix:
+    """Pairwise marginals of a random sample of the given size."""
+    s = random_sample(rng, n, size)
+    return PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+
+
+def reversal(n: int) -> Permutation:
+    """The ranking that reverses the item order: item i gets rank n - 1 - i."""
+    return Permutation(tuple(range(n - 1, -1, -1)))
 
 
 def random_rational_distribution(
@@ -80,4 +91,10 @@ def malformed_spec_documents() -> list:
     case("mix-is-list", "component 0", lambda d: d["components"][0].update(mix=[1]))
     case("components-null", "components", lambda d: d.update(components=None))
     case("negative-seed", "seed", lambda d: d.update(seed=-2))
+    # integer fields take JSON integers only: no truncation, no bool or string
+    case("n-float", "mixture n must be an integer, got 5.0", lambda d: d.update(n=5.0))
+    case("seed-float", "mixture seed must be an integer, got 1.7", lambda d: d.update(seed=1.7))
+    for name, entry in (("float", 1.5), ("bool", True), ("str", "1")):
+        case(f"center-entry-{name}", f"center entry must be an integer, got {entry!r}",
+             lambda d, e=entry: d["components"][0]["center"].__setitem__(0, e))
     return cases

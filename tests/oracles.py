@@ -17,14 +17,19 @@ from pathlib import Path
 import numpy as np
 
 from coastrank.cells import Cell, tile_owners, v_hat_of_counts
-from coastrank.errors import DimensionMismatchError, RankingParseError, RejectedInputError
-from coastrank.models import MallowsParams, mallows_normalizer
+from coastrank.errors import (
+    DimensionMismatchError,
+    EnumerationLimitError,
+    RankingParseError,
+    RejectedInputError,
+)
+from coastrank.models import MallowsParams, MixtureSpec, mallows_normalizer
 from coastrank.perms import (
     DiscreteRankingDistribution,
+    ENUMERATION_LIMIT,
     PairwiseMatrix,
     Permutation,
     RankingSample,
-    enumerate_permutations,
     hamming_cross,
     num_pairs,
     pair_list,
@@ -32,6 +37,16 @@ from coastrank.perms import (
     symmetric_group,
 )
 from coastrank.transport import _DEGENERATE_RUN
+
+
+def enumerate_permutations(n: int, limit: int = ENUMERATION_LIMIT):
+    """Yield all n! permutations once, lexicographically by rank vector."""
+    if n < 1:
+        raise RejectedInputError(f"n must be >= 1, got {n}")
+    if n > limit:
+        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {limit}")
+    for ranks in itertools.permutations(range(n)):
+        yield Permutation._trusted(ranks)
 
 
 def gathered_comparison_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -142,9 +157,9 @@ def verify_plan(
     """Check a transport plan's coupling invariants against its two endpoints."""
     if not (np.array_equal(plan.rows, source.ranks) and np.array_equal(plan.cols, target.ranks)):
         raise RejectedInputError("plan supports do not match the distributions")
-    if np.abs(plan.row_sums() - source.weights).max() > tol:
+    if np.abs(plan.flow.sum(axis=1) - source.weights).max() > tol:
         raise RejectedInputError("row sums do not reproduce source weights")
-    if np.abs(plan.col_sums() - target.weights).max() > tol:
+    if np.abs(plan.flow.sum(axis=0) - target.weights).max() > tol:
         raise RejectedInputError("column sums do not reproduce target weights")
     d = hamming_cross(source.support_comparisons, target.support_comparisons)
     if abs(float((plan.flow * d).sum()) - plan.cost) > tol:
@@ -262,6 +277,57 @@ def loop_mallows_distribution(params: MallowsParams) -> DiscreteRankingDistribut
         [math.exp(-params.phi * merge_sort_kendall(p, params.center)) / z for p in perms]
     )
     return DiscreteRankingDistribution(params.n, tuple(perms), weights)
+
+
+def choice_displacement_counts(n: int, phi: float, size: int, rng: np.random.Generator):
+    """Mallows slot displacements drawn with Generator.choice, slot by slot."""
+    q = math.exp(-phi)
+    v = np.zeros((size, n), dtype=np.int64)
+    for r in range(n - 1):
+        m = n - 1 - r  # max displacement at this slot
+        probs = q ** np.arange(m + 1)
+        probs /= probs.sum()
+        v[:, r] = rng.choice(m + 1, size=size, p=probs)
+    return v
+
+
+def compaction_ranks_from_displacements(v: np.ndarray) -> np.ndarray:
+    """Decode displacement rows forward: at step r, the v[:, r]-th smallest
+    unplaced item gets rank r and is compacted out of the remaining items."""
+    size, n = v.shape
+    remaining = np.tile(np.arange(n), (size, 1))
+    ranks = np.empty((size, n), dtype=np.int64)
+    rows = np.arange(size)
+    for r in range(n):
+        width = n - r
+        idx = np.minimum(v[:, r], width - 1)
+        picked = remaining[rows, idx]
+        ranks[rows, picked] = r
+        if width > 1:
+            keep = np.arange(width)[None, :] != idx[:, None]
+            remaining = remaining[keep].reshape(size, width - 1)
+    return ranks
+
+
+def choice_sample_mixture(spec: MixtureSpec, size: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """sample_mixture's ranks and labels for a Mallows-only spec, drawn by choice and compaction."""
+    master = np.random.default_rng(spec.seed)
+    mix = np.array([m for _, m in spec.components])
+    labels = master.choice(spec.k, size=size, p=mix / mix.sum())
+    children = master.spawn(spec.k)
+    ranks = np.empty((size, spec.n), dtype=np.int64)
+    for k, (params, _) in enumerate(spec.components):
+        idx = np.nonzero(labels == k)[0]
+        if idx.size:
+            v = choice_displacement_counts(params.n, params.phi, idx.size, children[k])
+            rho = compaction_ranks_from_displacements(v)
+            ranks[idx] = rho[:, np.asarray(params.center.ranks)]
+    return ranks, tuple(int(x) for x in labels)
+
+
+def crd_distribution(crd) -> DiscreteRankingDistribution:
+    """A consensus ranking distribution as a distribution over rankings (equal medians merged)."""
+    return DiscreteRankingDistribution.from_pairs((med, w) for w, med, _ in crd.atoms)
 
 
 def brute_risk(dist: DiscreteRankingDistribution, sigma: Permutation) -> float:

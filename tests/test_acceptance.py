@@ -31,19 +31,18 @@ from coastrank.models import (
 )
 from coastrank.perms import (
     DiscreteRankingDistribution,
+    PairwiseMatrix,
     Permutation,
     RankingSample,
-    enumerate_permutations,
     kendall_tau,
     num_pairs,
-    pairwise_marginals,
     ranking_risk,
 )
 from coastrank.transport import distortion_report, wasserstein
 from coastrank.tree import grow, prune_sequence
 
 from conftest import random_permutation, random_rational_distribution, random_sample
-from oracles import condition, l2_distance, members_of
+from oracles import condition, crd_distribution, enumerate_permutations, l2_distance, members_of
 from test_analysis import random_strict_sst_distribution
 
 
@@ -139,7 +138,7 @@ def test_c02_pairwise_winner_equals_exact_median():
             center=random_permutation(rng, n), phi=float(rng.uniform(0.4, 1.4))
         )
         s = sample_mallows(params, size, rng)
-        m = pairwise_marginals(s)
+        m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
         if sst_status(m).kind is not SstKind.STRICT:
             continue
         dist = DiscreteRankingDistribution.empirical(s)
@@ -169,7 +168,7 @@ def test_c03_growth_endpoints():
     at_median = crd.atoms[0][1] in exact_kemeny(dist).medians
 
     fine, _ = grow(s, epsilon=0.0)
-    zero_l2 = l2_distance(fine.crd().to_distribution(), dist) == 0.0
+    zero_l2 = l2_distance(crd_distribution(fine.crd()), dist) == 0.0
 
     _report(
         "C03", "growth endpoints (coarsest = one global median, finest = data)",

@@ -38,12 +38,11 @@ from coastrank.models import (
 )
 from coastrank.perms import (
     DiscreteRankingDistribution,
+    PairwiseMatrix,
     Permutation,
     RankingSample,
-    enumerate_permutations,
     kendall_tau,
     num_pairs,
-    pairwise_marginals,
     ranking_risk,
 )
 from coastrank.tree import CoastTree, grow
@@ -55,6 +54,7 @@ from oracles import (
     dict_smooth_json,
     discrepancy_to_csv,
     enumerate_members,
+    enumerate_permutations,
     hamming_depths,
     loop_smooth_scores,
     loop_uniform_marginals,
@@ -570,7 +570,8 @@ def test_smooth_marginals_equal_sub_sample_marginals(rng):
         mask = cell.membership_mask(s)
         if not mask.any():
             continue
-        want = pairwise_marginals(s.subset(np.flatnonzero(mask)))
+        sub = s.subset(np.flatnonzero(mask))
+        want = PairwiseMatrix.from_comparisons(sub.n, sub.comparisons)
         got = smooth_cell(s, cell, "enumeration").marginals
         assert (got.p == want.p).all()
 

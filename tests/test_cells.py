@@ -11,18 +11,13 @@ from coastrank.errors import (
     PartitionIntegrityError,
     RejectedInputError,
 )
-from coastrank.perms import (
-    Permutation,
-    RankingSample,
-    enumerate_permutations,
-    num_pairs,
-    pairwise_marginals,
-)
+from coastrank.perms import PairwiseMatrix, Permutation, RankingSample, num_pairs
 
-from conftest import random_permutation, random_sample
+from conftest import random_permutation, random_sample, reversal
 from oracles import (
     brute_v_hat,
     enumerate_members,
+    enumerate_permutations,
     local_stats,
     members_by_contains,
     partition_criterion,
@@ -162,7 +157,7 @@ def test_membership_mask_matches_contains(rng):
 
 def test_local_stats_two_point_example():
     # {identity, reverse} at n=3: v_hat = 3/2 per the pinned formula
-    s = RankingSample((Permutation.identity(3), Permutation.reverse(3)))
+    s = RankingSample((Permutation.identity(3), reversal(3)))
     st = local_stats(s, Cell.root(3))
     assert st.count == 2
     assert st.v_hat == pytest.approx(1.5)
@@ -179,7 +174,7 @@ def test_local_stats_degenerate_cells(rng):
     assert st2.v_hat == 0.0
     assert np.all(st2.marginals.p == 0.5)
     # singleton cell
-    s3 = RankingSample((Permutation.identity(3), Permutation.reverse(3)))
+    s3 = RankingSample((Permutation.identity(3), reversal(3)))
     st3 = local_stats(s3, Cell(3, frozenset({(0, 1)})))
     assert st3.count == 1 and st3.v_hat == 0.0
 
@@ -210,7 +205,7 @@ def test_marginal_mixture_identity(rng):
     st0, st1 = local_stats(s, c0), local_stats(s, c1)
     w0, w1 = st0.count / s.size, st1.count / s.size
     mixed = w0 * st0.marginals.p + w1 * st1.marginals.p
-    assert np.max(np.abs(mixed - pairwise_marginals(s).p)) < 1e-12
+    assert np.max(np.abs(mixed - PairwiseMatrix.from_comparisons(s.n, s.comparisons).p)) < 1e-12
 
 
 def test_partition_criterion_integrity(rng):

@@ -18,7 +18,7 @@ from coastrank.perms import DiscreteRankingDistribution, RankingSample
 from coastrank.tree import CoastTree
 
 from conftest import malformed_spec_documents, random_permutation, record_permutation_builds
-from oracles import l2_distance
+from oracles import crd_distribution, l2_distance
 
 
 @pytest.fixture
@@ -181,7 +181,7 @@ def test_fit_epsilon_zero_reproduces_empirical(tmp_path, rng):
     tree = CoastTree.from_json_obj(read_json(tree_path))
     crd = tree.crd()
     assert crd.k <= 50
-    got = crd.to_distribution()
+    got = crd_distribution(crd)
     want = DiscreteRankingDistribution.empirical(sample)
     assert l2_distance(got, want) == pytest.approx(0.0, abs=1e-12)
 
@@ -529,6 +529,52 @@ def test_tree_integer_field_out_of_range_exits_one(tmp_path, fitted, value):
     doc, rank = fitted
     inner_node(doc)["children"][0] = value
     assert_rejected(depth_on(tmp_path, doc, rank), f"tree node {inner_node(doc)['id']}: ")
+
+
+def leaf_node(doc):
+    return next(nd for nd in doc["nodes"] if nd["children"] is None)
+
+
+def shift_median(doc):
+    leaf_node(doc)["median"] = [r + 0.3 for r in leaf_node(doc)["median"]]
+
+
+def shift_constraint(doc):
+    leaf_node(doc)["constraints"][0][0] += 0.5
+
+
+NON_INTEGER_TREE_FIELDS = [
+    ("split-float", lambda d: d["nodes"][0].update(split=[3, 4.5]),
+     "tree node 0: split entry must be an integer, got 4.5"),
+    ("split-str", lambda d: d["nodes"][0].update(split=["3", 4]),
+     "tree node 0: split entry must be an integer, got '3'"),
+    ("id-float", lambda d: d["nodes"][0].update(id=0.0),
+     "tree node at position 0: id must be an integer, got 0.0"),
+    ("children-float", lambda d: d["nodes"][0].update(children=[1.4, 2.4]),
+     "tree node 0: children entry must be an integer, got 1.4"),
+    ("median-float", shift_median, ": median entry must be an integer, got "),
+    ("constraint-float", shift_constraint, ": constraint entry must be an integer, got "),
+    ("n-float", lambda d: d.update(n=6.0), "tree n must be an integer, got 6.0"),
+    ("n-bool", lambda d: d.update(n=True), "tree n must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, needle", [c[1:] for c in NON_INTEGER_TREE_FIELDS],
+    ids=[c[0] for c in NON_INTEGER_TREE_FIELDS],
+)
+def test_tree_non_integer_field_exits_one(tmp_path, fitted, capsys, edit, needle):
+    # these used to load by truncation: a split [3, 4.5] as [3, 4], a median
+    # with 0.3 added to every rank as the median itself
+    doc, rank = fitted
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "d.csv"
+    assert run("depth", "--tree", bad, "--fit", rank, "--query", rank, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("median", [[1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 7]])

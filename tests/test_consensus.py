@@ -27,21 +27,26 @@ from coastrank.perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
-    enumerate_permutations,
     num_pairs,
     pair_list,
-    pairwise_marginals,
     ranking_risk,
 )
 
-from conftest import random_permutation, random_rational_distribution, random_sample
+from conftest import (
+    random_marginals,
+    random_permutation,
+    random_rational_distribution,
+    random_sample,
+    reversal,
+)
 from oracles import (
     brute_kemeny,
     brute_risk,
-    loop_dispersion_v,
-    loop_dispersion_v_prime,
+    enumerate_permutations,
     loop_climb,
     loop_depth_climb_median,
+    loop_dispersion_v,
+    loop_dispersion_v_prime,
     naive_kendall,
     streamed_kemeny,
 )
@@ -69,7 +74,7 @@ def strict_sst_sample(rng, n, tries=500):
                 order[r], order[r + 1] = order[r + 1], order[r]
             perms.append(Permutation.from_ordering(order))
         s = RankingSample(tuple(perms))
-        if sst_status(pairwise_marginals(s)).kind is SstKind.STRICT:
+        if sst_status(PairwiseMatrix.from_comparisons(s.n, s.comparisons)).kind is SstKind.STRICT:
             return s
     raise AssertionError("could not generate a strictly SST sample")
 
@@ -109,7 +114,7 @@ def test_copeland_identity_and_reverse():
     m = matrix_from_upper({(0, 1): 0.9, (0, 2): 0.8, (1, 2): 0.7}, 3)
     assert copeland_median(m) == Permutation.identity(3)
     m2 = matrix_from_upper({(0, 1): 0.2, (0, 2): 0.2, (1, 2): 0.2}, 3)
-    assert copeland_median(m2) == Permutation.reverse(3)
+    assert copeland_median(m2) == reversal(3)
 
 
 def test_copeland_rejects_nonstrict():
@@ -135,7 +140,7 @@ def test_exact_kemeny_uniform():
 
 def test_exact_kemeny_two_point():
     d = DiscreteRankingDistribution.from_pairs(
-        [(Permutation.identity(3), 0.5), (Permutation.reverse(3), 0.5)]
+        [(Permutation.identity(3), 0.5), (reversal(3), 0.5)]
     )
     res = exact_kemeny(d)
     assert len(res.medians) == 6  # every ranking is median at risk 3/2
@@ -171,7 +176,7 @@ def test_copeland_equals_kemeny_on_strict_sst(rng):
         n = int(rng.integers(3, 6))
         s = strict_sst_sample(rng, n)
         d = DiscreteRankingDistribution.empirical(s)
-        m = pairwise_marginals(s)
+        m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
         cope = copeland_median(m)
         res = exact_kemeny(d)
         assert cope in res.medians
@@ -187,16 +192,15 @@ def test_depth_climb_reaches_exact_median_on_sst(rng):
         s = strict_sst_sample(rng, n)
         med = exact_kemeny(DiscreteRankingDistribution.empirical(s)).median
         for seed in range(4):
-            got = depth_climb_median(
-                pairwise_marginals(s), restarts=1, rng=np.random.default_rng(seed)
-            )
+            m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+            got = depth_climb_median(m, restarts=1, rng=np.random.default_rng(seed))
             assert got.median == med
 
 
 def test_depth_climb_improves_over_start(rng):
     s = random_sample(rng, 6, 40)
     d = DiscreteRankingDistribution.empirical(s)
-    m = pairwise_marginals(s)
+    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
     res = depth_climb_median(m, restarts=8, rng=np.random.default_rng(1))
     assert res.risk == pytest.approx(ranking_risk(d, res.median), abs=1e-9)
     # local optimality: no adjacent swap improves
@@ -212,7 +216,7 @@ def test_climb_matches_loop_reference(rng):
     # same swaps as a plain loop, ties in the risk change included
     for _ in range(300):
         n = int(rng.integers(1, 25))
-        m = pairwise_marginals(random_sample(rng, n, int(rng.integers(1, 12))))
+        m = random_marginals(rng, n, int(rng.integers(1, 12)))
         start = random_permutation(rng, n)
         assert _climb(_climb_rows(m), start) == loop_climb(m, start)
 
@@ -221,7 +225,7 @@ def test_climb_matches_loop_reference(rng):
 @pytest.mark.parametrize("size", [1, 4, 200])
 def test_climb_matches_loop_reference_on_quantized_marginals(rng, n, size):
     # few rows give marginals on a coarse grid, so many swaps tie
-    m = pairwise_marginals(random_sample(rng, n, size))
+    m = random_marginals(rng, n, size)
     for _ in range(5):
         start = random_permutation(rng, n)
         assert _climb(_climb_rows(m), start) == loop_climb(m, start)
@@ -249,9 +253,10 @@ def climb_cases(rng, n):
     cases = [linear_order_marginals(rng, n) for _ in range(3)]
     if n > 1:  # a margin just outside the climb's tolerance still forces the order
         cases.append(linear_order_marginals(rng, n, tie=1e-15))
-    cases += [pairwise_marginals(random_sample(rng, n, size)) for size in (1, 3, 4, 200)]
+    cases += [random_marginals(rng, n, size) for size in (1, 3, 4, 200)]
     if 2 < n <= 20:
-        cases.append(pairwise_marginals(strict_sst_sample(rng, n)))
+        s = strict_sst_sample(rng, n)
+        cases.append(PairwiseMatrix.from_comparisons(s.n, s.comparisons))
     return cases
 
 
@@ -295,7 +300,7 @@ def test_forced_endpoint_refuses_cycles():
 
 @pytest.mark.parametrize("n", [1, 8, 50])
 def test_depth_climb_draws_every_start_from_the_generator(rng, n):
-    cases = [linear_order_marginals(rng, n), pairwise_marginals(random_sample(rng, n, 3))]
+    cases = [linear_order_marginals(rng, n), random_marginals(rng, n, 3)]
     for m in cases:
         used, drawn = np.random.default_rng(11), np.random.default_rng(11)
         depth_climb_median(m, restarts=5, rng=used)
@@ -306,7 +311,7 @@ def test_depth_climb_draws_every_start_from_the_generator(rng, n):
 
 def test_depth_climb_deterministic(rng):
     s = random_sample(rng, 5, 30)
-    m = pairwise_marginals(s)
+    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
     a = depth_climb_median(m, restarts=8, rng=np.random.default_rng(3)).median
     b = depth_climb_median(m, restarts=8, rng=np.random.default_rng(3)).median
     assert a == b
@@ -348,7 +353,7 @@ def test_dispersions_equal_the_pair_loops_bit_for_bit(rng):
             # ties at 1/2, exact 0 and 1, and sample marginals
             tied = dict(zip(pairs, rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=len(pairs))))
             for m in (matrix_from_upper(random, n), matrix_from_upper(tied, n),
-                      pairwise_marginals(random_sample(rng, n, int(rng.integers(1, 30))))):
+                      random_marginals(rng, n, int(rng.integers(1, 30)))):
                 for fast, loop in ((dispersion_v, loop_dispersion_v),
                                    (dispersion_v_prime, loop_dispersion_v_prime)):
                     got, want = fast(m), loop(m)
@@ -395,7 +400,7 @@ def test_low_noise_bound(rng):
 def test_aggregator_auto_exact_small_n(rng):
     s = random_sample(rng, 5, 21)
     agg = make_aggregator("auto", seed=1)
-    med = agg(pairwise_marginals(s), node_id=0)
+    med = agg(PairwiseMatrix.from_comparisons(s.n, s.comparisons), node_id=0)
     assert med == exact_kemeny(DiscreteRankingDistribution.empirical(s)).median
 
 
@@ -408,7 +413,7 @@ def test_aggregator_copeland_fallback(rng):
     ]
     s = RankingSample(tuple(perms))
     agg = make_aggregator("copeland", seed=0)
-    med = agg(pairwise_marginals(s), node_id=3)
+    med = agg(PairwiseMatrix.from_comparisons(s.n, s.comparisons), node_id=3)
     assert isinstance(med, Permutation)
 
 
@@ -432,7 +437,7 @@ def test_exact_kemeny_cached_table_matches_streamed_enumeration(rng):
         if n >= 2:
             # a two-point distribution has many tied medians
             dists.append(DiscreteRankingDistribution.from_pairs(
-                [(Permutation.identity(n), 0.5), (Permutation.reverse(n), 0.5)]
+                [(Permutation.identity(n), 0.5), (reversal(n), 0.5)]
             ))
         for d in dists:
             medians, risk = streamed_kemeny(d)

@@ -192,6 +192,14 @@ def test_manifest_counters_round_trip_and_default_to_empty(tmp_path):
         RunManifest.from_json_obj(dict(bare, counters=7))
 
 
+@pytest.mark.parametrize("seed", [7.5, True, "7"])
+def test_manifest_seed_must_be_an_integer(seed):
+    doc = RunManifest(command="fit", argv=("fit",), seed=7, config={}, inputs={}, outputs={},
+                      wall_times={}).to_json_obj()
+    with pytest.raises(RejectedInputError, match="manifest seed must be an integer"):
+        RunManifest.from_json_obj(dict(doc, seed=seed))
+
+
 def _mixed_rows(rng, n, count, labeled):
     """Ordering rows alternating comma and whitespace fields, with their ranks."""
     lines, ranks = [], []

@@ -4,7 +4,9 @@ Valid ranking files, tree documents and mixture specs over 5 items are
 mutated at random: JSON values are deleted, replaced or duplicated, ranking
 fields are replaced, dropped or added, and the text of either kind gets byte
 edits. A command reading a mutated document must succeed or exit 1 with an
-``error:`` line, never with a traceback. Most cases run in-process through
+``error:`` line, never with a traceback, and a spec or tree it accepts must
+round-trip: loaded, written with ``to_json_obj`` and loaded again, it writes
+the same document. Most cases run in-process through
 ``cli.main``, each under a 5 s alarm (which cannot cut a single long numpy
 call); eight run in a fresh interpreter under the address-space limit the
 other CLI tests use, with a 30 s timeout. The whole module takes about 5 s
@@ -17,6 +19,7 @@ import os
 import signal
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,8 @@ import pytest
 
 from coastrank.cli import main
 from coastrank.fileio import read_json
-from coastrank.models import random_mallows_mixture_spec
+from coastrank.models import MixtureSpec, random_mallows_mixture_spec
+from coastrank.tree import CoastTree
 
 from conftest import malformed_spec_documents, spec_document
 from test_cli import cap_memory
@@ -209,8 +213,17 @@ def run_in_subprocess(argv):
     return proc.returncode, proc.stderr
 
 
+def round_trip_failure(kind: str, path) -> str | None:
+    """How an accepted spec or tree fails to write the document it reloads from, if it does."""
+    load = MixtureSpec.from_json_obj if kind == "spec" else partial(CoastTree.from_json_obj, items=5)
+    written = json.dumps(load(read_json(path)).to_json_obj())
+    again = json.dumps(load(json.loads(written)).to_json_obj())
+    return None if again == written else f"wrote {written}, then {again}"
+
+
 def test_mutated_documents_succeed_or_exit_one(tmp_path, base, capsys):
     failures, isolated, seen = [], 0, {"spec": 0, "tree": 0, "rankings": 0}
+    accepted = {"spec": 0, "tree": 0}
     for kind, name, text, isolate in fuzz_cases(base, seed=20261019):
         path, out = tmp_path / f"doc_{kind}", str(tmp_path / f"out_{kind}")
         path.write_bytes(text)
@@ -223,5 +236,10 @@ def test_mutated_documents_succeed_or_exit_one(tmp_path, base, capsys):
             code, err = run_in_process(argv, capsys)
         if not (code == 0 or (code == 1 and err.startswith("error: ") and "Traceback" not in err)):
             failures.append(f"{name} ({argv[0]}): exit {code}: {err.strip()[-300:]}")
+        elif code == 0 and kind != "rankings":
+            accepted[kind] += 1
+            if (why := round_trip_failure(kind, path)) is not None:
+                failures.append(f"{name}: does not round-trip: {why[-300:]}")
     assert isolated == 2 + 3 * len(SUBPROCESS_CASES)
+    assert min(accepted.values()) > 0, accepted  # the round trip was checked
     assert not failures, f"{len(failures)} failing cases:\n" + "\n".join(failures[:20])

@@ -13,6 +13,8 @@ from coastrank.models import (
     MallowsParams,
     MixtureSpec,
     PlackettLuceParams,
+    _displacement_counts,
+    _ranks_from_displacements,
     exponential_worths,
     mallows_distribution,
     mallows_normalizer,
@@ -24,11 +26,10 @@ from coastrank.models import (
     sample_plackett_luce,
 )
 from coastrank.perms import (
+    PairwiseMatrix,
     Permutation,
     comparison_matrix,
-    enumerate_permutations,
     kendall_tau,
-    pairwise_marginals,
     symmetric_group,
 )
 
@@ -36,9 +37,18 @@ from conftest import (
     malformed_spec_documents,
     random_permutation,
     record_permutation_builds,
+    reversal,
     spec_document,
 )
-from oracles import loop_mallows_distribution, naive_kendall, pl_pmf
+from oracles import (
+    choice_displacement_counts,
+    choice_sample_mixture,
+    compaction_ranks_from_displacements,
+    enumerate_permutations,
+    loop_mallows_distribution,
+    naive_kendall,
+    pl_pmf,
+)
 
 
 # --- parameter validation -----------------------------------------------------
@@ -87,7 +97,7 @@ def test_pmf_center_and_two_items():
     # two items, phi = ln 2: masses 2/3 and 1/3
     p2 = MallowsParams(Permutation.identity(2), math.log(2))
     assert mallows_pmf(p2, Permutation.identity(2)) == pytest.approx(2 / 3, rel=1e-12)
-    assert mallows_pmf(p2, Permutation.reverse(2)) == pytest.approx(1 / 3, rel=1e-12)
+    assert mallows_pmf(p2, reversal(2)) == pytest.approx(1 / 3, rel=1e-12)
 
 
 def test_pmf_sums_to_one():
@@ -164,13 +174,13 @@ def test_mallows_point_mass_at_large_phi(rng):
 def test_mallows_uniform_limit(rng):
     params = MallowsParams(Permutation.identity(3), 1e-9)
     s = sample_mallows(params, 6000, rng)
-    m = pairwise_marginals(s)
+    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
     off = m.p[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off - 0.5) < 0.05)
 
 
 def test_mallows_mode_frequency(rng):
-    center = Permutation.reverse(4)
+    center = reversal(4)
     params = MallowsParams(center, 2.0)
     mode_mass = mallows_distribution(params).prob_of(center)
     assert mode_mass > 0.5
@@ -184,7 +194,7 @@ def test_mallows_mode_frequency(rng):
 def test_mallows_sample_sst_ordered_with_center(rng):
     center = random_permutation(rng, 8)
     s = sample_mallows(MallowsParams(center, 0.7), 6000, rng)
-    m = pairwise_marginals(s)
+    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
     assert sst_status(m).kind is SstKind.STRICT
     assert copeland_median(m) == center
 
@@ -194,6 +204,29 @@ def test_sampler_determinism():
     a = sample_mallows(params, 200, np.random.default_rng(11))
     b = sample_mallows(params, 200, np.random.default_rng(11))
     assert a.ranks_matrix.tobytes() == b.ranks_matrix.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 50])
+@pytest.mark.parametrize("phi", [0.0, 0.3, 5.0])
+def test_mallows_draws_equal_choice_and_compaction_oracle(n, phi):
+    # the in-place sampler draws and decodes as Generator.choice and the
+    # forward compaction decoder did, row for row
+    for seed in range(4):
+        size = 1 + 97 * seed
+        v = _displacement_counts(n, phi, size, np.random.default_rng(seed))
+        want = choice_displacement_counts(n, phi, size, np.random.default_rng(seed))
+        assert np.array_equal(v, want)
+        ranks = _ranks_from_displacements(v)
+        assert ranks.dtype == np.int32
+        assert np.array_equal(ranks, compaction_ranks_from_displacements(want))
+        if phi > 0:
+            center = random_permutation(np.random.default_rng(seed), n)
+            spec = MixtureSpec(n, seed, ((MallowsParams(center, phi), 0.6),
+                                         (MallowsParams(Permutation.identity(n), 2 * phi), 0.4)))
+            s = sample_mixture(spec, size)
+            want_ranks, want_labels = choice_sample_mixture(spec, size)
+            assert np.array_equal(s.ranks_matrix, want_ranks)
+            assert s.labels == want_labels
 
 
 # --- plackett-luce ------------------------------------------------------------
@@ -212,7 +245,7 @@ def test_pl_first_choice_law(rng):
 
 def test_pl_uniform_worths_symmetric(rng):
     s = sample_plackett_luce(PlackettLuceParams((1.0, 1.0, 1.0)), 6000, rng)
-    m = pairwise_marginals(s)
+    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
     off = m.p[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off - 0.5) < 0.05)
 
@@ -237,7 +270,7 @@ def test_pl_sampler_matches_sequential_pmf_chi2(rng):
 
 def two_point_spec(seed=7):
     a = MallowsParams(Permutation.identity(5), 50.0)
-    b = MallowsParams(Permutation.reverse(5), 50.0)
+    b = MallowsParams(reversal(5), 50.0)
     return MixtureSpec(5, seed, ((a, 0.5), (b, 0.5)))
 
 
@@ -258,7 +291,7 @@ def test_mixture_labels_match_rows():
     s = sample_mixture(spec, 1000)
     assert s.labels is not None and len(s.labels) == 1000
     # phi = 50 makes each component a point mass, so the label is checkable
-    centers = {0: Permutation.identity(5), 1: Permutation.reverse(5)}
+    centers = {0: Permutation.identity(5), 1: reversal(5)}
     for perm, lab in zip(s.rankings, s.labels):
         assert perm == centers[lab]
     freq = sum(s.labels) / 1000

@@ -16,21 +16,21 @@ from coastrank.perms import (
     Permutation,
     RankingSample,
     comparison_matrix,
-    enumerate_permutations,
     inverse_rows,
     kendall_tau,
     num_pairs,
     pair_indices,
-    pairwise_marginals,
     ranking_risk,
     risk_from_marginals,
+    symmetric_group,
 )
 
-from conftest import random_permutation, random_sample
+from conftest import random_marginals, random_permutation, random_sample, reversal
 from oracles import (
     brute_risk,
     condition,
     dict_from_pairs,
+    enumerate_permutations,
     gathered_comparison_matrix,
     kendall_tau_pairs,
     loop_check_support,
@@ -58,11 +58,11 @@ def test_permutation_round_trips(rng):
         assert Permutation.from_ordering(p.ordering()) == p
         assert Permutation.from_one_based(p.to_one_based()) == p
     assert Permutation.identity(4).ordering() == (0, 1, 2, 3)
-    assert Permutation.reverse(3).ordering() == (2, 1, 0)
+    assert reversal(3).ordering() == (2, 1, 0)
 
 
 def test_kendall_identity_reverse():
-    assert kendall_tau(Permutation.identity(4), Permutation.reverse(4)) == 6
+    assert kendall_tau(Permutation.identity(4), reversal(4)) == 6
     assert kendall_tau(Permutation.identity(9), Permutation.identity(9)) == 0
     assert kendall_tau(Permutation((0,)), Permutation((0,))) == 0
 
@@ -118,7 +118,8 @@ def test_enumerate_permutations():
     ranks = [p.ranks for p in perms]
     assert ranks == sorted(ranks)  # deterministic lexicographic order
     assert perms[0] == Permutation.identity(4)
-    assert perms[-1] == Permutation.reverse(4)
+    assert perms[-1] == reversal(4)
+    assert np.array_equal(ranks, symmetric_group(4)[0])  # the table the package computes with
     with pytest.raises(EnumerationLimitError):
         list(enumerate_permutations(10))
     assert next(enumerate_permutations(10, limit=10)) == Permutation.identity(10)  # override allowed
@@ -128,7 +129,7 @@ def test_marginals_complement_exact(rng):
     for trial in range(20):
         n = int(rng.integers(2, 8))
         s = random_sample(rng, n, int(rng.integers(1, 120)))
-        m = pairwise_marginals(s)
+        m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
         # complement holds exactly for empirical counts, not just within tolerance
         assert np.all(m.p + m.p.T == 1.0)
         assert np.all(np.diag(m.p) == 0.5)
@@ -136,13 +137,13 @@ def test_marginals_complement_exact(rng):
 
 def test_marginals_uniform_sample():
     s = RankingSample(tuple(enumerate_permutations(3)))
-    m = pairwise_marginals(s)
+    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
     assert np.all(m.p == 0.5)
 
 
 def test_marginals_against_counts(rng):
     s = random_sample(rng, 5, 37)
-    m = pairwise_marginals(s)
+    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
     for i, j in itertools.combinations(range(5), 2):
         cnt = sum(1 for p in s.rankings if p.ranks[i] < p.ranks[j])
         assert m.p[i, j] == cnt / 37
@@ -214,12 +215,12 @@ def test_depth_of_point_mass():
 
 def test_empirical_distribution(rng):
     s = RankingSample(
-        (Permutation.identity(3), Permutation.identity(3), Permutation.reverse(3))
+        (Permutation.identity(3), Permutation.identity(3), reversal(3))
     )
     d = DiscreteRankingDistribution.empirical(s)
     assert d.size == 2
     assert d.prob_of(Permutation.identity(3)) == pytest.approx(2 / 3)
-    assert d.prob_of(Permutation.reverse(3)) == pytest.approx(1 / 3)
+    assert d.prob_of(reversal(3)) == pytest.approx(1 / 3)
     mass, cond = condition(d, np.array([True, False]))
     assert mass == pytest.approx(2 / 3)
     assert cond.size == 1 and cond.weights[0] == 1.0
@@ -237,7 +238,7 @@ def test_empirical_distribution_keeps_its_row_counts(rng):
 
 
 def test_from_pairs_merges_counts_with_weights():
-    e, r = Permutation.identity(3), Permutation.reverse(3)
+    e, r = Permutation.identity(3), reversal(3)
     d = DiscreteRankingDistribution.from_pairs([(r, 0.25), (e, 0.5), (r, 0.25)], [1, 2, 1])
     assert d.support == (e, r)
     assert d.weights.tolist() == [0.5, 0.5] and d.counts.tolist() == [2, 2]
@@ -248,7 +249,7 @@ def test_from_pairs_merges_counts_with_weights():
 
 @pytest.mark.parametrize("counts", [[1, 1], [3, -1], [0, 0], [1.0, 3.0], [1, 3, 0]])
 def test_distribution_rejects_counts_that_do_not_give_its_weights(counts):
-    e, r = Permutation.identity(3), Permutation.reverse(3)
+    e, r = Permutation.identity(3), reversal(3)
     with pytest.raises(RejectedInputError, match="counts"):
         DiscreteRankingDistribution(3, (e, r), np.array([0.25, 0.75]), np.array(counts))
 
@@ -263,7 +264,7 @@ def test_distribution_validation():
 
 
 def test_distribution_rejections_fire_in_both_public_constructors():
-    e, r = Permutation.identity(3), Permutation.reverse(3)
+    e, r = Permutation.identity(3), reversal(3)
     with pytest.raises(DimensionMismatchError, match="wrong size"):
         DiscreteRankingDistribution(3, (e, Permutation.identity(4)), np.array([0.5, 0.5]))
     with pytest.raises(DimensionMismatchError, match="wrong size"):
@@ -317,7 +318,7 @@ def test_from_pairs_rejects_empty_and_mixed_sizes():
 
 
 def test_support_checks_match_the_point_loop():
-    e, r, f = Permutation.identity(3), Permutation.reverse(3), Permutation.identity(4)
+    e, r, f = Permutation.identity(3), reversal(3), Permutation.identity(4)
     for support in [(), (e,), (f,), (e, r), (e, f), (f, e), (e, r, e), (r, r)]:
         weights = np.full(len(support), 1 / max(len(support), 1))
         try:
@@ -369,7 +370,7 @@ def test_inverse_rows_in_range_rows_keep_their_gaps():
 @pytest.mark.parametrize("n", [1, 2, 7, 20, 50])
 def test_risk_from_marginals_equals_the_pair_loop(rng, n):
     # bit for bit: the same additions in the same order as the loop
-    cases = [pairwise_marginals(random_sample(rng, n, size)) for size in (1, 3, 7)]
+    cases = [random_marginals(rng, n, size) for size in (1, 3, 7)]
     for _ in range(3):
         upper = rng.random(num_pairs(n))
         p = np.full((n, n), 0.5)

@@ -23,26 +23,18 @@ from coastrank.models import (
 )
 from coastrank.perms import (
     DiscreteRankingDistribution,
+    PairwiseMatrix,
     Permutation,
     RankingSample,
     num_pairs,
     pair_list,
-    pairwise_marginals,
 )
-from coastrank.tree import (
-    CRD,
-    CoastTree,
-    GrowthTrace,
-    choose_split_balanced,
-    choose_split_min_distortion,
-    grow,
-    prune_sequence,
-    select_subtree,
-)
+from coastrank.tree import CRD, CoastTree, GrowthTrace, grow, prune_sequence, select_subtree
 
-from conftest import random_sample
+from conftest import random_sample, reversal
 from oracles import (
     brute_v_hat,
+    crd_distribution,
     mask_leaf_counts,
     partition_criterion,
     route_one,
@@ -76,13 +68,18 @@ def mixture_sample(n=8, k=4, phi=1.0, seed=5, size=600):
 # --- split choice -------------------------------------------------------------
 
 
+def root_split(s, rule):
+    """The pair a two-leaf grow splits the root on; None if it leaves the root whole."""
+    tree, _ = grow(s, max_leaves=2, rule=rule)
+    return tree.root.split
+
+
 def test_split_separates_point_masses():
-    a, b = Permutation.identity(4), Permutation.reverse(4)
+    a, b = Permutation.identity(4), reversal(4)
     s = RankingSample((a,) * 10 + (b,) * 10)
-    for chooser in (choose_split_min_distortion, choose_split_balanced):
-        pair = chooser(Cell.root(4), s)
+    for rule in ("min-distortion", "balanced"):
+        pair = root_split(s, rule)
         # any pair separates these two rankings and zeroes the criterion
-        i, j = pair
         c0, c1 = Cell.root(4).split(pair)
         idx0 = np.nonzero(c0.membership_mask(s))[0]
         idx1 = np.nonzero(c1.membership_mask(s))[0]
@@ -94,7 +91,7 @@ def test_split_separates_point_masses():
 def test_min_distortion_matches_exhaustive(rng):
     for _ in range(20):
         s = random_sample(rng, 4, int(rng.integers(6, 25)))
-        got = choose_split_min_distortion(Cell.root(4), s)
+        got = root_split(s, "min-distortion")
         crit, pair = brute_best_split(s)
         # equal-criterion ties resolve lexicographically; accept any pair
         # achieving the brute minimum, and require the lexicographic least
@@ -109,16 +106,22 @@ def test_min_distortion_matches_exhaustive(rng):
 
 
 def test_split_identical_rankings_lexicographic():
+    # identical rankings leave nothing to split
     s = RankingSample((Permutation.from_ordering((2, 0, 1)),) * 8)
-    assert choose_split_min_distortion(Cell.root(3), s) == (0, 1)
-    assert choose_split_balanced(Cell.root(3), s) == (0, 1)
+    assert root_split(s, "min-distortion") is None
+    assert root_split(s, "balanced") is None
+    # every pair separates these two alike, so both rules tie and take the first
+    a, b = Permutation.from_ordering((2, 0, 1)), Permutation.from_ordering((1, 0, 2))
+    tied = RankingSample((a, b) * 4)
+    assert root_split(tied, "min-distortion") == (0, 1)
+    assert root_split(tied, "balanced") == (0, 1)
 
 
 def test_min_distortion_never_above_parent(rng):
     # chosen split's criterion never exceeds the parent's own contribution
     for _ in range(50):
         s = random_sample(rng, 5, int(rng.integers(4, 40)))
-        pair = choose_split_min_distortion(Cell.root(5), s)
+        pair = root_split(s, "min-distortion")
         c0, c1 = Cell.root(5).split(pair)
         i0 = np.nonzero(c0.membership_mask(s))[0]
         i1 = np.nonzero(c1.membership_mask(s))[0]
@@ -131,22 +134,23 @@ def test_balanced_picks_closest_to_half():
     a = Permutation.from_ordering((0, 1, 2))  # contributes to p01, p02, p12
     b = Permutation.from_ordering((1, 0, 2))  # flips only the (0,1) pair
     s = RankingSample((a,) * 11 + (b,) * 9)  # p01 = 0.55, p02 = p12 = 1.0
-    assert choose_split_balanced(Cell.root(3), s) == (0, 1)
+    assert root_split(s, "balanced") == (0, 1)
 
 
 def test_balanced_all_half_tiebreak():
-    s = RankingSample((Permutation.identity(3), Permutation.reverse(3)) * 4)
-    assert choose_split_balanced(Cell.root(3), s) == (0, 1)
+    s = RankingSample((Permutation.identity(3), reversal(3)) * 4)
+    assert root_split(s, "balanced") == (0, 1)
 
 
 def test_split_preconditions():
-    s1 = RankingSample((Permutation.identity(3),))
-    with pytest.raises(RejectedInputError):
-        choose_split_min_distortion(Cell.root(3), s1)
+    # one ranking is a single leaf, and a cell that orders every pair admits no split
+    for rule in ("min-distortion", "balanced"):
+        tree, _ = grow(RankingSample((Permutation.identity(3),)), rule=rule)
+        assert tree.leaf_count == 1 and tree.root.split is None
     chain = Cell(3, frozenset({(0, 1), (1, 2)}))  # single-permutation cell
-    s = RankingSample((Permutation.identity(3),) * 4)
+    assert chain.admissible_pairs() == []
     with pytest.raises(InadmissiblePairError):
-        choose_split_min_distortion(chain, s)
+        chain.split((0, 2))
 
 
 # --- growth endpoints ---------------------------------------------------------
@@ -175,7 +179,7 @@ def test_epsilon_zero_reproduces_empirical(rng):
     s = RankingSample(perms + perms[:5])  # include duplicates
     tree, _ = grow(s, epsilon=0.0, rule="min-distortion", aggregator="exact")
     crd = tree.crd()
-    got = crd.to_distribution()
+    got = crd_distribution(crd)
     want = DiscreteRankingDistribution.empirical(s)
     assert got.support == want.support
     assert np.allclose(got.weights, want.weights, atol=1e-12)
@@ -194,7 +198,7 @@ def test_point_mass_mixture_recovery_both_rules():
         assert {m for _, m, _ in crd.atoms} == centers
         for w, _, _ in crd.atoms:
             assert abs(w - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / 400)
-        assert trace.criteria[-1] == 0.0
+        assert trace.steps[-1].criterion == 0.0
 
 
 # --- growth structure ----------------------------------------------------------
@@ -205,7 +209,7 @@ def test_trace_monotone_on_mixture_data():
     root_v = v_hat_of_indices(s, np.arange(len(s)))
     for rule in ("min-distortion", "balanced"):
         _, trace = grow(s, epsilon=0.1 * root_v, rule=rule)
-        crits = trace.criteria
+        crits = [st.criterion for st in trace.steps]
         assert len(crits) >= 2
         for a, b in zip(crits, crits[1:]):
             assert b <= a + 1e-9, f"{rule}: criterion rose {a} -> {b}"
@@ -352,7 +356,8 @@ def rebuilt_median(kind, seed, sub, node_id):
     for the exact route, its own marginals otherwise."""
     if kind == "exact" or (kind == "auto" and sub.n <= 7):
         return exact_kemeny(DiscreteRankingDistribution.empirical(sub)).median
-    return make_aggregator(kind, seed)(pairwise_marginals(sub), node_id)
+    marginals = PairwiseMatrix.from_comparisons(sub.n, sub.comparisons)
+    return make_aggregator(kind, seed)(marginals, node_id)
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
@@ -397,7 +402,7 @@ def test_crd_merging_and_json():
     cell1 = Cell(3, frozenset({(1, 0)}))
     med = Permutation.identity(3)
     crd = CRD(3, ((0.6, med, cell0), (0.4, med, cell1)))
-    d = crd.to_distribution()
+    d = crd_distribution(crd)
     assert d.support == (med,)
     assert d.weights[0] == pytest.approx(1.0)
     blob = json.dumps(crd.to_json_obj())
@@ -407,6 +412,20 @@ def test_crd_merging_and_json():
     assert back.atoms[0][1] == med
     with pytest.raises(RejectedInputError):
         CRD(3, ((0.5, med, cell0),))  # weights must sum to 1
+
+
+def test_crd_document_integer_fields_must_be_integers():
+    med, cell = Permutation.identity(3), Cell(3, frozenset({(0, 1)}))
+    doc = CRD(3, ((1.0, med, cell),)).to_json_obj()
+    for edit, field in (({"n": 3.0}, "CRD n"), ({"n": True}, "CRD n")):
+        with pytest.raises(RejectedInputError, match=f"{field} must be an integer"):
+            CRD.from_json_obj(dict(doc, **edit))
+    for key, value, field in (("median", [1.0, 2, 3], "median entry"),
+                              ("cell", [[1, 2.5]], "constraint entry")):
+        bad = json.loads(json.dumps(doc))
+        bad["atoms"][0][key] = value
+        with pytest.raises(RejectedInputError, match=f"{field} must be an integer"):
+            CRD.from_json_obj(bad)
 
 
 # --- serialization --------------------------------------------------------------
