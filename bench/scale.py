@@ -1,0 +1,105 @@
+"""Scaling in N of coastrank's stages, written to ``BENCH_scale.json``.
+
+    python3 bench/scale.py                      # every n and N below
+    python3 bench/scale.py --sizes 10000 100000 --out /tmp/scale.json
+
+Run it from anywhere; it imports coastrank from the ``src`` directory next
+to this file and needs numpy only. For each n in ``ITEMS`` and each N, one
+child process draws a ranking file with ``coastrank sample`` from a fixed
+Mallows mixture. Then ``REPEATS`` fresh child processes each import
+coastrank and time one ``load_rankings`` of that file. A row of the output
+is
+
+    {"workload": "n20-N1000000", "stage": "load", "wall_s": ..., "peak_mb": ...,
+     "counters": {"rows": ...}}
+
+``wall_s`` is the median of the children's load times. ``peak_mb`` is the
+largest ``ru_maxrss`` among them, so it counts the interpreter and numpy
+(about 30 MB) as well as the load. Only the load stage is measured so far.
+The files go to a temporary directory that is removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+ITEMS = (8, 20, 50)
+SIZES = (10**4, 10**5, 10**6)
+REPEATS = 3
+#: Seed of the mixture centers and of the draws.
+SEED = 20260307
+
+LOAD = """
+import json, resource, sys, time
+from coastrank.fileio import load_rankings
+start = time.perf_counter()
+sample = load_rankings(sys.argv[1])
+wall = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "peak_mb": peak, "rows": len(sample)}))
+"""
+
+SAMPLE = "import sys; from coastrank.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def spec(n: int) -> dict:
+    """Four equal Mallows components with seeded centers, as 1-based rank vectors."""
+    rng = np.random.default_rng([SEED, n])
+    centers = [[int(r) + 1 for r in rng.permutation(n)] for _ in range(4)]
+    return {"n": n, "seed": SEED,
+            "components": [{"type": "mallows", "center": c, "phi": 0.5, "mix": 0.25}
+                           for c in centers]}
+
+
+def child(args: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"child {args[:2]} failed:\n{done.stderr}")
+    return done.stdout
+
+
+def load_rows(n: int, sizes, tmp: Path) -> list[dict]:
+    spec_path = tmp / f"spec-n{n}.json"
+    spec_path.write_text(json.dumps(spec(n)))
+    rows = []
+    for size in sizes:
+        path = tmp / f"n{n}-N{size}.rnk"
+        child(["-c", SAMPLE, "sample", "--spec", str(spec_path), "--size", str(size),
+               "--out", str(path)])
+        runs = [json.loads(child(["-c", LOAD, str(path)])) for _ in range(REPEATS)]
+        path.unlink()
+        Path(f"{path}.manifest.json").unlink(missing_ok=True)
+        row = {"workload": f"n{n}-N{size}", "stage": "load",
+               "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
+               "peak_mb": round(max(r["peak_mb"] for r in runs), 1),
+               "counters": {"rows": runs[0]["rows"]}}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--sizes", type=int, nargs="+", default=SIZES, help="values of N")
+    p.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="coastrank-scale-") as tmp:
+        rows = [row for n in ITEMS for row in load_rows(n, args.sizes, Path(tmp))]
+    Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

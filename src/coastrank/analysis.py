@@ -526,8 +526,8 @@ def chain_pmf(source, sigma: Permutation) -> float:
         num = float(dist.weights[active & agree].sum())
         den = float(dist.weights[active].sum())
         if num <= 0.0:
-            # a zero factor can only appear for a zero-mass target
-            assert dist.prob_of(sigma) == 0.0
+            # no support point agrees with sigma on every pair seen so far,
+            # so sigma itself has no mass
             return 0.0
         prob *= num / den
         active &= agree

@@ -17,6 +17,7 @@ from __future__ import annotations
 import codecs
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -30,8 +31,20 @@ from .perms import RankingSample, inverse_rows
 #: Rows formatted together by ``write_rankings``.
 _BLOCK_ROWS = 65536
 
-#: Bytes a ranking body may hold for ``load_rankings``' one-call parse.
+#: Bytes of one block of ``_fields``, which ends each block at a line end.
+_BLOCK_BYTES = 65536
+
+#: Bytes a ranking body may hold for ``load_rankings``' byte parse.
 _PLAIN_BYTES = b"0123456789, \t\n"
+
+#: Every digit as ``0`` and a tab as a blank, so one search finds a digit-blank-digit run.
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789\t", b"000000000 ")
+
+#: Neither a blank nor a line end: the first one is on the header line.
+_NOT_BLANK = re.compile(rb"[^ \t\n]")
+
+#: A field, as the byte parse reads one.
+_DIGIT_RUN = re.compile(rb"[0-9]+")
 
 
 class RankingFileFormat(str, Enum):
@@ -105,55 +118,149 @@ def _labels(raw: list[str]) -> tuple:
         return tuple(raw)
 
 
-def _plain(lines: list[str]) -> bool:
-    body = "\n".join(lines)
-    return body.isascii() and not body.encode("ascii").translate(None, _PLAIN_BYTES)
+def _header(line: str, delimiter) -> tuple[bool, bool]:
+    """Whether a file's first non-blank line is a header, and whether it ends in ``label``."""
+    head = _split_row(line.strip(), delimiter)
+    has_header = not all(_is_int(t) for t in head)
+    return has_header, has_header and head[-1].strip().lower() == "label"
 
 
-def _parse_plain(
-    lines: list[str], delimiter, labeled: bool
-) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """0-based field values, their row inverses and the labels of the data lines.
+def _block_fields(block: np.ndarray, lines: int, width: int, comma: bool) -> np.ndarray:
+    """The rows of ``width`` values in a block of digits and separators.
 
-    The values are parsed by one np.loadtxt call. Takes a body whose ranking
-    fields are ASCII digits under one delimiter: a comma if any row has one,
-    else whitespace. Labels that are not plain digits are split off each
-    row's last field first. Raises ValueError on any other body, valid or
-    not; the caller then scans it row by row.
+    The block starts with a line end and holds ``lines`` more. A separator
+    right after a digit closes a field, and each field is read from its
+    last digits back, one gather per digit.
     """
-    lines = [ln for ln in lines if ln.strip()]
+    seps = np.flatnonzero(block < 48)[1:]
+    last = block[seps - 1]
+    closes = last >= 48
+    if closes.all():
+        # rows·width fields, a line end closing every width-th one, leave no
+        # line end to close any other
+        if len(seps) != lines * width or (block[seps[width - 1 :: width]] != 10).any():
+            raise ValueError("rows hold different numbers of fields")
+    else:
+        # a blank line, or blanks around whitespace-separated fields
+        idle = ~closes
+        if comma and ((block[seps[idle]] != 10) | (last[idle] != 10)).any():
+            raise ValueError("an empty comma-separated field")
+        ends = block[seps] == 10
+        line = (np.cumsum(ends) - ends)[closes]
+        seps, last = seps[closes], last[closes]
+        if len(seps) % width:
+            raise ValueError("rows hold different numbers of fields")
+        line = line.reshape(-1, width)
+        if (line[:, 0] != line[:, -1]).any() or (line[1:, 0] <= line[:-1, -1]).any():
+            raise ValueError("rows hold different numbers of fields")
+    vals = last.astype(np.int32) - 48
+    more = np.ones(len(seps), dtype=bool)
+    at = seps - 1
+    for scale in (10**k for k in range(1, 10)):
+        at -= 1
+        # at < 0 clips to the block's first byte, a line end
+        digit = block.take(at, mode="clip")
+        more &= digit >= 48
+        if not more.any():
+            break
+        if scale == 10**9:  # beyond int32; the scanner reads it
+            raise ValueError("a field of more than 9 digits")
+        vals += (digit.astype(np.int32) - 48) * more * scale
+    return vals.reshape(-1, width)
+
+
+def _fields(body: bytes, comma: bool) -> np.ndarray:
+    """The (rows, fields) int32 values of a body of ``_PLAIN_BYTES``.
+
+    The body starts with a line end. A comma delimiter allows blanks around
+    each field, and whitespace takes digit runs as fields; lines without
+    fields are skipped. Raises ValueError unless every other line holds the
+    same number of fields of at most 9 digits.
+    """
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if not comma and b"," in body:
+        raise ValueError("a comma in a whitespace-separated body")
+    if comma and (b" " in body or b"\t" in body):
+        runs = body.translate(_DIGITS_AS_ZERO)
+        while b"  " in runs:
+            runs = runs.replace(b"  ", b" ")
+        if b"0 0" in runs:
+            raise ValueError("a comma-separated field holds a blank")
+        body = body.translate(None, b" \t")
+    first = _DIGIT_RUN.search(body)
+    if first is None:
+        raise ValueError("no ranking rows")
+    width = len(_DIGIT_RUN.findall(body, first.start(), body.find(b"\n", first.start())))
+    # a row holds width digits and width separators
+    out = np.empty((min(body.count(b"\n") - 1, len(body) // (2 * width)), width), dtype=np.int32)
+    data = np.frombuffer(body, dtype=np.uint8)
+    done, start = 0, 1
+    while start < len(body):
+        end = body.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+        if end <= start:
+            end = body.index(b"\n", start) + 1
+        block = _block_fields(data[start - 1 : end], body.count(b"\n", start, end), width, comma)
+        out[done : done + len(block)] = block
+        done, start = done + len(block), end
+    return out[:done]
+
+
+def _parse_bytes(raw: bytes, delimiter) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """0-based field values, their row inverses and the labels of a ranking file.
+
+    Decodes only the first non-blank line, which decides the header as the
+    scanner does. Takes a body whose ranking fields are ASCII digits under
+    one delimiter: a comma if any row has one, else whitespace. Labels that
+    are not plain digits are split off each row's last field first. Raises
+    ValueError on any other file, valid or not; the caller then scans it row
+    by row.
+    """
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    first = _NOT_BLANK.search(raw)
+    if first is None:
+        raise ValueError("no ranking rows")
+    start = raw.rfind(b"\n", 0, first.start()) + 1
+    end = raw.find(b"\n", start)
+    end = len(raw) if end < 0 else end
+    line = raw[start:end].decode("utf-8")
+    if line.splitlines() != [line] or not line.strip():
+        raise ValueError("str.splitlines reads the first line otherwise")
+    has_header, labeled = _header(line, delimiter)
+    body = b"\n" + memoryview(raw)[end + 1 if has_header else start :]
     if delimiter is None:
-        delimiter = "," if any("," in ln for ln in lines) else "whitespace"
-    if not lines or delimiter not in (",", "whitespace"):
-        raise ValueError("no plain rows")
-    sep = None if delimiter == "whitespace" else ","
-    labels, plain = None, _plain(lines)
+        delimiter = "," if b"," in body else "whitespace"
+    if delimiter not in (",", "whitespace"):
+        raise ValueError("not a plain delimiter")
+    labels, plain = None, not body.translate(None, _PLAIN_BYTES)
     if labeled and not plain:
-        split = [ln.rsplit(sep, 1) for ln in lines]
+        sep = None if delimiter == "whitespace" else ","
+        split = [ln.rsplit(sep, 1) for ln in body.decode("utf-8").splitlines() if ln.strip()]
         if any(len(parts) != 2 for parts in split):
             raise ValueError("a labeled row has one field")
-        lines = [rest for rest, _ in split]
         labels = _labels([label.strip() for _, label in split])
-        plain = _plain(lines)
+        body = "\n".join(["", *(rest for rest, _ in split)]).encode("utf-8")
+        plain = not body.translate(None, _PLAIN_BYTES)
     if not plain:
         raise ValueError("ranking fields are not plain digits")
-    # int32 halves the array; a field beyond its range raises, it does not wrap
-    vals = np.loadtxt(lines, dtype=np.int32, delimiter=sep, comments=None, ndmin=2)
-    if len(vals) != len(lines):  # loadtxt skipped a row left blank by its label
+    vals = _fields(body, delimiter == ",")
+    del body  # before the copies below, which peak memory
+    if labels is not None and len(vals) != len(labels):
         raise ValueError("a labeled row has no ranking fields")
     if labeled and labels is None:
         labels = tuple(vals[:, -1].tolist())
-        vals = vals[:, :-1]
-    vals -= 1
+        vals = vals[:, :-1] - 1  # a contiguous copy
+    else:
+        vals -= 1
     inv = inverse_rows(vals)
     if vals.shape[1] == 0 or (inv < 0).any():
         raise ValueError("rows are not all permutations of 1..n")
-    return np.ascontiguousarray(vals), inv, labels
+    return vals, inv, labels
 
 
 def _decode(raw: bytes) -> str:
-    """A ranking file's bytes as UTF-8 text, without a leading byte-order mark."""
-    raw = raw.removeprefix(codecs.BOM_UTF8)
+    """A ranking file's bytes as UTF-8 text."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -171,18 +278,16 @@ def load_rankings(path, format="ordering", delimiter: str | None = None) -> Rank
     The file is UTF-8, and a leading byte-order mark is skipped.
     """
     fmt = _as_format(format)
-    lines = _decode(Path(path).read_bytes()).splitlines()
-    first = next((k for k, ln in enumerate(lines) if ln.strip()), None)
-    if first is None:
-        raise RankingParseError(f"{path}: no ranking rows found")
-    head = _split_row(lines[first].strip(), delimiter)
-    has_header = not all(_is_int(t) for t in head)
-    labeled = has_header and head[-1].strip().lower() == "label"
-    start = first + 1 if has_header else first
-
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        vals, inv, labels = _parse_plain(lines[start:], delimiter, labeled)
+        vals, inv, labels = _parse_bytes(raw, delimiter)
     except ValueError:
+        lines = _decode(raw).splitlines()
+        first = next((k for k, ln in enumerate(lines) if ln.strip()), None)
+        if first is None:
+            raise RankingParseError(f"{path}: no ranking rows found")
+        has_header, labeled = _header(lines[first], delimiter)
+        start = first + 1 if has_header else first
         data = [(no + 1, ln.strip()) for no, ln in enumerate(lines[start:], start) if ln.strip()]
         if not data:
             raise RankingParseError(f"{path}: no ranking rows after the header")

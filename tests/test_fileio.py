@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ def test_labeled_row_without_ranking_fields_reported(tmp_path):
     assert err.value.row == 4 and "at least 2 fields" in str(err.value)
 
 
-# --- the one-call parse against a row-by-row oracle ------------------------------
+# --- the byte parse against a row-by-row oracle ---------------------------------
 
 _FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 
@@ -272,9 +273,12 @@ _FIELD_EDITS = {
 }
 
 
-def _random_ranking_file(rng) -> tuple[bytes, str, bool]:
-    """A seeded ranking file, its format, and whether it keeps to the documented conventions."""
-    n = int(rng.choice([1, 2, 3, 5, 12]))
+def _random_ranking_file(rng, items=(1, 2, 3, 5, 12), label_bound=4) -> tuple[bytes, str, bool]:
+    """A seeded ranking file, its format, and whether it keeps to the documented conventions.
+
+    ``n`` is drawn from ``items`` and integer labels from ``range(label_bound)``.
+    """
+    n = int(rng.choice(list(items)))
     size = int(rng.choice([0, 1, 2, 7, 30])) if rng.random() < 0.1 else int(rng.integers(1, 30))
     fmt = str(rng.choice(["ordering", "ranks"]))
     sep = str(rng.choice([",", ", ", " ,", " , ", " ", "\t", "  ", " \t"]))
@@ -285,7 +289,7 @@ def _random_ranking_file(rng) -> tuple[bytes, str, bool]:
     for _ in range(size):
         fields = [str(int(v) + 1) for v in rng.permutation(n)]
         if kind in ("int", "decimal"):
-            fields.append(str(int(rng.integers(0, 4))))
+            fields.append(str(int(rng.integers(0, label_bound))))
         elif kind == "str":
             fields.append(str(rng.choice(["a", "b c" if comma else "bc", "ü", "x.y"])))
         rows.append(fields)
@@ -358,6 +362,129 @@ def test_loader_matches_row_oracle(tmp_path, monkeypatch, seed):
         assert got == _outcome(lambda: load_rankings_by_rows(path, format=fmt)), data
         if conventional:  # a documented convention takes the one-call parse
             assert got[0] == "ok" and not scans, data
+
+
+def _like_oracle(tmp_path, monkeypatch, cases):
+    """Each case's load against the row oracle; returns whether each one reached ``_scan_rows``."""
+    import coastrank.fileio as fileio
+
+    scans = []
+    scan = fileio._scan_rows
+
+    def counting(*args):
+        scans.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(fileio, "_scan_rows", counting)
+    scanned = []
+    for k, (data, fmt) in enumerate(cases):
+        path = tmp_path / f"edge{k}.rnk"
+        path.write_bytes(data)
+        scans.clear()
+        got = _outcome(lambda: load_rankings(path, format=fmt))
+        assert got == _outcome(lambda: load_rankings_by_rows(path, format=fmt)), data
+        scanned.append(bool(scans))
+    return scanned
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_fields_and_large_labels_match_row_oracle(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng([20260419, seed])
+    files = [_random_ranking_file(rng, items=(20, 120), label_bound=10**6 + 1) for _ in range(40)]
+    scanned = _like_oracle(tmp_path, monkeypatch, [(data, fmt) for data, fmt, _ in files])
+    for (data, _, conventional), scan in zip(files, scanned):
+        if conventional:
+            assert not scan, data
+
+
+@pytest.mark.parametrize(
+    "text, scanned, error",
+    [
+        (b"3,000000001,2\n", False, None),  # 9 digits, the most the byte parse reads
+        (b"item_1,item_2,label\n2,1,999999999\n1,2,7\n", False, None),
+        (b"3 1 0000000002\n", True, None),  # 10 digits: the scanner reads them
+        (b"item_1,item_2,label\n2,1,1000000000\n", True, None),
+        (b"3,1,1000000002\n", True, "row 1: fields [3, 1, 1000000002] are not a permutation"),
+    ],
+)
+def test_int32_edge_fields_match_row_oracle(tmp_path, monkeypatch, text, scanned, error):
+    assert _like_oracle(tmp_path, monkeypatch, [(text, "ordering")]) == [scanned]
+    if error is not None:
+        with pytest.raises(RankingParseError, match=re.escape(error)):
+            load_rankings(tmp_path / "edge0.rnk")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"2,3,1\n1,2,3",  # no final line end
+        b"item_1,item_2,item_3,label\n2,3,1,x",
+        b"3 1 2",  # one row
+        b"item_1 item_2 label\n2 1 5\n",
+        b"2,3,1\r1,2,3\r\r3,1,2\r",  # \r line ends only
+        b"item_1\titem_2\tlabel\r2\t1\tb\r\r1\t2\ta",
+    ],
+)
+def test_short_bodies_and_bare_carriage_returns_take_the_byte_parse(tmp_path, monkeypatch, text):
+    assert _like_oracle(tmp_path, monkeypatch, [(text, "ordering"), (text, "ranks")]) == [False] * 2
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        (b"12,1,2,3,4,5,6,7,8,9,10,11\n1 2,1,2,3,4,5,6,7,8,9,10,11\n", 2),  # 1 2 is no 12
+        (b"1,2\n1\n2\n2,1\n", 2),  # ragged rows whose fields regroup into permutations
+        (b"1,2\n\n1\n2,2,1\n", 3),  # the same after a blank line
+        (b"1 2 \n1\n2 2 1\n", 2),  # and after a trailing blank
+    ],
+)
+def test_rows_that_would_regroup_are_refused_like_the_row_oracle(tmp_path, monkeypatch, text, row):
+    assert _like_oracle(tmp_path, monkeypatch, [(text, "ordering")]) == [True]
+    with pytest.raises(RankingParseError) as err:
+        load_rankings(tmp_path / "edge0.rnk")
+    assert err.value.row == row
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x1c", "\x85", "\u2028"])
+def test_header_line_that_splitlines_breaks_is_scanned(tmp_path, monkeypatch, brk):
+    text = f"item_1,item_2{brk}2,1\n1,2\n".encode()  # str.splitlines makes 2,1 a data row
+    assert _like_oracle(tmp_path, monkeypatch, [(text, "ordering")]) == [True]
+    assert len(load_rankings(tmp_path / "edge0.rnk")) == 2
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3, 7, 20])
+@pytest.mark.parametrize("sep", [",", ", ", " ", "\t ", "  "])
+def test_rows_straddling_parse_blocks_match_row_oracle(tmp_path, monkeypatch, block_bytes, sep):
+    import coastrank.fileio as fileio
+
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", block_bytes)  # blocks end mid-row
+    rng = np.random.default_rng(block_bytes)
+    rows = [sep.join(str(int(v) + 1) for v in rng.permutation(12)) for _ in range(30)]
+    labels = [str(int(v)) for v in rng.integers(0, 1000, 30)]
+    header = sep.join([f"item_{k + 1}" for k in range(12)] + ["label"])
+    labeled = [header] + [row + sep + label for row, label in zip(rows, labels)]
+    bad = list(rows)
+    bad[17] = sep.join(bad[17].split(sep.strip() or None)[1:])  # a short row deep in the file
+    cases = [
+        ("\n".join(rows) + "\n", False),
+        ("\n".join(rows[:9] + ["", " \t"] + rows[9:]), False),  # blank lines, no final line end
+        ("\r\n".join(labeled) + "\r\n", False),
+        ("\n".join(bad) + "\n", True),
+    ]
+    scanned = _like_oracle(tmp_path, monkeypatch, [(text.encode(), "ordering") for text, _ in cases])
+    assert scanned == [scan for _, scan in cases]
+
+
+def test_odd_integer_spellings_load_through_the_scanner(tmp_path, monkeypatch):
+    rng = np.random.default_rng(10)
+    rows = [[str(int(v) + 1) for v in rng.permutation(10)] for _ in range(3)]
+    odd = [list(row) for row in rows]
+    for row, value, spelling in zip(odd, ["10", "3", "3"], ["1_0", "+3", "３"]):
+        row[row.index(value)] = spelling
+    texts = ["".join(",".join(row) + "\n" for row in table).encode() for table in (rows, odd)]
+    assert _like_oracle(tmp_path, monkeypatch, [(text, "ordering") for text in texts]) == [False, True]
+    plain, spelled = (load_rankings(tmp_path / f"edge{k}.rnk").ranks_matrix for k in (0, 1))
+    assert spelled.tolist() == plain.tolist()
 
 
 @pytest.mark.parametrize(
