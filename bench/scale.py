@@ -6,17 +6,20 @@
 Run it from anywhere; it imports coastrank from the ``src`` directory next
 to this file and needs numpy only. For each n in ``ITEMS`` and each N, one
 child process draws a ranking file with ``coastrank sample`` from a fixed
-Mallows mixture. Then ``REPEATS`` fresh child processes each import
-coastrank and time one ``load_rankings`` of that file. A row of the output
-is
+Mallows mixture; that is the ``sample`` stage. Then ``REPEATS`` fresh child
+processes each import coastrank and time one ``load_rankings`` of that
+file; that is the ``load`` stage. A row of the output is
 
     {"workload": "n20-N1000000", "stage": "load", "wall_s": ..., "peak_mb": ...,
      "counters": {"rows": ...}}
 
-``wall_s`` is the median of the children's load times. ``peak_mb`` is the
-largest ``ru_maxrss`` among them, so it counts the interpreter and numpy
-(about 30 MB) as well as the load. Only the load stage is measured so far.
-The files go to a temporary directory that is removed at the end.
+A ``sample`` row's ``wall_s`` is the time of the one ``coastrank sample``
+command, from the call of its ``main`` to its return: drawing, writing the
+file and its manifest. A ``load`` row's ``wall_s`` is the median of the
+children's load times. ``peak_mb`` is the child's ``ru_maxrss``, the largest
+among them for ``load``, so it counts the interpreter and numpy (about 30
+MB) as well as the stage. Every child runs with one BLAS thread. The files
+go to a temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -49,7 +52,16 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"wall_s": wall, "peak_mb": peak, "rows": len(sample)}))
 """
 
-SAMPLE = "import sys; from coastrank.cli import main; sys.exit(main(sys.argv[1:]))"
+SAMPLE = """
+import json, resource, sys, time
+from coastrank.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+wall = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "peak_mb": peak}))
+sys.exit(code)
+"""
 
 
 def spec(n: int) -> dict:
@@ -70,23 +82,29 @@ def child(args: list[str]) -> str:
     return done.stdout
 
 
-def load_rows(n: int, sizes, tmp: Path) -> list[dict]:
+def stage_rows(n: int, sizes, tmp: Path) -> list[dict]:
+    """The ``sample`` and ``load`` rows of n items at each N."""
     spec_path = tmp / f"spec-n{n}.json"
     spec_path.write_text(json.dumps(spec(n)))
     rows = []
     for size in sizes:
         path = tmp / f"n{n}-N{size}.rnk"
-        child(["-c", SAMPLE, "sample", "--spec", str(spec_path), "--size", str(size),
-               "--out", str(path)])
+        drawn = json.loads(child(["-c", SAMPLE, "sample", "--spec", str(spec_path),
+                                  "--size", str(size), "--out", str(path)]))
         runs = [json.loads(child(["-c", LOAD, str(path)])) for _ in range(REPEATS)]
         path.unlink()
         Path(f"{path}.manifest.json").unlink(missing_ok=True)
-        row = {"workload": f"n{n}-N{size}", "stage": "load",
-               "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
-               "peak_mb": round(max(r["peak_mb"] for r in runs), 1),
-               "counters": {"rows": runs[0]["rows"]}}
-        print(json.dumps(row), flush=True)
-        rows.append(row)
+        workload = f"n{n}-N{size}"
+        for row in (
+            {"workload": workload, "stage": "sample", "wall_s": round(drawn["wall_s"], 4),
+             "peak_mb": round(drawn["peak_mb"], 1), "counters": {"rows": size}},
+            {"workload": workload, "stage": "load",
+             "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
+             "peak_mb": round(max(r["peak_mb"] for r in runs), 1),
+             "counters": {"rows": runs[0]["rows"]}},
+        ):
+            print(json.dumps(row), flush=True)
+            rows.append(row)
     return rows
 
 
@@ -96,7 +114,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="coastrank-scale-") as tmp:
-        rows = [row for n in ITEMS for row in load_rows(n, args.sizes, Path(tmp))]
+        rows = [row for n in ITEMS for row in stage_rows(n, args.sizes, Path(tmp))]
     Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
     return 0
 

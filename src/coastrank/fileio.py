@@ -29,16 +29,13 @@ from .perms import RankingSample, inverse_rows
 
 
 #: Rows formatted together by ``write_rankings``.
-_BLOCK_ROWS = 65536
+_BLOCK_ROWS = 4096
 
-#: Bytes of one block of ``_fields``, which ends each block at a line end.
+#: Bytes of one parse block of ``load_rankings``, which ends each block at a line end.
 _BLOCK_BYTES = 65536
 
 #: Bytes a ranking body may hold for ``load_rankings``' byte parse.
 _PLAIN_BYTES = b"0123456789, \t\n"
-
-#: Every digit as ``0`` and a tab as a blank, so one search finds a digit-blank-digit run.
-_DIGITS_AS_ZERO = bytes.maketrans(b"123456789\t", b"000000000 ")
 
 #: Neither a blank nor a line end: the first one is on the header line.
 _NOT_BLANK = re.compile(rb"[^ \t\n]")
@@ -153,6 +150,11 @@ def _block_fields(block: np.ndarray, lines: int, width: int, comma: bool) -> np.
         line = line.reshape(-1, width)
         if (line[:, 0] != line[:, -1]).any() or (line[1:, 0] <= line[:-1, -1]).any():
             raise ValueError("rows hold different numbers of fields")
+    return _field_values(block, seps, last, width)
+
+
+def _field_values(block: np.ndarray, seps: np.ndarray, last: np.ndarray, width: int) -> np.ndarray:
+    """The values of the fields that end before ``seps``, whose last digits are ``last``."""
     vals = last.astype(np.int32) - 48
     more = np.ones(len(seps), dtype=bool)
     at = seps - 1
@@ -169,52 +171,73 @@ def _block_fields(block: np.ndarray, lines: int, width: int, comma: bool) -> np.
     return vals.reshape(-1, width)
 
 
-def _fields(body: bytes, comma: bool) -> np.ndarray:
-    """The (rows, fields) int32 values of a body of ``_PLAIN_BYTES``.
+def _digit_runs(block: np.ndarray) -> int:
+    """The digit runs in a block that ends with a line end."""
+    digit = block >= 48
+    return int(np.count_nonzero(digit[:-1] > digit[1:]))
 
-    The body starts with a line end. A comma delimiter allows blanks around
-    each field, and whitespace takes digit runs as fields; lines without
-    fields are skipped. Raises ValueError unless every other line holds the
-    same number of fields of at most 9 digits.
+
+def _comma_fields_after_blanks(block: np.ndarray, lines: int, width: int) -> np.ndarray | None:
+    """The rows of a comma-separated block with blanks, or None unless no blank ends a field.
+
+    Then every digit run ends right at a comma or line end, so blanks only
+    stand before fields, and the fields are read as if the blanks were gone.
     """
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    if not comma and b"," in body:
-        raise ValueError("a comma in a whitespace-separated body")
-    if comma and (b" " in body or b"\t" in body):
-        runs = body.translate(_DIGITS_AS_ZERO)
-        while b"  " in runs:
-            runs = runs.replace(b"  ", b" ")
-        if b"0 0" in runs:
-            raise ValueError("a comma-separated field holds a blank")
-        body = body.translate(None, b" \t")
-    first = _DIGIT_RUN.search(body)
-    if first is None:
-        raise ValueError("no ranking rows")
-    width = len(_DIGIT_RUN.findall(body, first.start(), body.find(b"\n", first.start())))
-    # a row holds width digits and width separators
-    out = np.empty((min(body.count(b"\n") - 1, len(body) // (2 * width)), width), dtype=np.int32)
-    data = np.frombuffer(body, dtype=np.uint8)
-    done, start = 0, 1
-    while start < len(body):
-        end = body.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+    seps = np.flatnonzero((block == 44) | (block == 10))[1:]
+    last = block[seps - 1]
+    if (
+        len(seps) != lines * width
+        or (last < 48).any()
+        or _digit_runs(block) != len(seps)
+        or (block[seps[width - 1 :: width]] != 10).any()
+    ):
+        return None
+    return _field_values(block, seps, last, width)
+
+
+def _without_blanks(block: np.ndarray) -> np.ndarray:
+    """A block's bytes without blanks; ValueError if blanks stand between two digits.
+
+    Deleting such blanks would join two digit runs, so the check counts
+    the runs before and after.
+    """
+    runs = _digit_runs(block)
+    block = block[np.flatnonzero((block != 32) & (block != 9))]
+    if _digit_runs(block) != runs:
+        raise ValueError("a comma-separated field holds a blank")
+    return block
+
+
+def _body_blocks(raw: bytes, start: int):
+    """The lines of ``raw[start:]`` in blocks of about ``_BLOCK_BYTES``, cut at line ends.
+
+    Each block is a copy that starts with a line end and ends with one.
+    """
+    while start < len(raw):
+        end = raw.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
         if end <= start:
-            end = body.index(b"\n", start) + 1
-        block = _block_fields(data[start - 1 : end], body.count(b"\n", start, end), width, comma)
-        out[done : done + len(block)] = block
-        done, start = done + len(block), end
-    return out[:done]
+            end = raw.find(b"\n", start) + 1 or len(raw)
+        tail = b"" if raw[end - 1] == 10 else b"\n"
+        yield b"".join((b"\n", memoryview(raw)[start:end], tail))
+        start = end
 
 
-def _parse_bytes(raw: bytes, delimiter) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """0-based field values, their row inverses and the labels of a ranking file.
+def _parse_bytes(raw: bytes, delimiter, ordering: bool) -> tuple[np.ndarray, tuple | None]:
+    """The int32 0-based ranks and the labels of a ranking file.
 
     Decodes only the first non-blank line, which decides the header as the
     scanner does. Takes a body whose ranking fields are ASCII digits under
-    one delimiter: a comma if any row has one, else whitespace. Labels that
-    are not plain digits are split off each row's last field first. Raises
-    ValueError on any other file, valid or not; the caller then scans it row
-    by row.
+    one delimiter: a comma if any row has one, else whitespace. A comma
+    delimiter allows blanks around each field, and whitespace takes digit
+    runs as fields; lines without fields are skipped. Labels that are not
+    plain digits are split off each row's last field first. Raises
+    ValueError on any other file, valid or not, and unless every other
+    line holds the same number of fields of at most 9 digits; the caller
+    then scans it row by row.
+
+    The body is read in blocks, and each block's rows are checked and
+    written into the result, inverted for the ``ordering`` format, so no
+    other array of the whole file is made.
     """
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -228,35 +251,70 @@ def _parse_bytes(raw: bytes, delimiter) -> tuple[np.ndarray, np.ndarray, tuple |
     if line.splitlines() != [line] or not line.strip():
         raise ValueError("str.splitlines reads the first line otherwise")
     has_header, labeled = _header(line, delimiter)
-    body = b"\n" + memoryview(raw)[end + 1 if has_header else start :]
+    if has_header:
+        start = end + 1
     if delimiter is None:
-        delimiter = "," if b"," in body else "whitespace"
+        delimiter = "," if raw.find(b",", start) >= 0 else "whitespace"
     if delimiter not in (",", "whitespace"):
         raise ValueError("not a plain delimiter")
-    labels, plain = None, not body.translate(None, _PLAIN_BYTES)
-    if labeled and not plain:
-        sep = None if delimiter == "whitespace" else ","
-        split = [ln.rsplit(sep, 1) for ln in body.decode("utf-8").splitlines() if ln.strip()]
-        if any(len(parts) != 2 for parts in split):
-            raise ValueError("a labeled row has one field")
-        labels = _labels([label.strip() for _, label in split])
-        body = "\n".join(["", *(rest for rest, _ in split)]).encode("utf-8")
-        plain = not body.translate(None, _PLAIN_BYTES)
-    if not plain:
+    comma = delimiter == ","
+    # bytes outside _PLAIN_BYTES, all of them on the header line
+    plain = len(raw.translate(None, _PLAIN_BYTES)) == len(raw[:start].translate(None, _PLAIN_BYTES))
+    if not (plain or labeled):
         raise ValueError("ranking fields are not plain digits")
-    vals = _fields(body, delimiter == ",")
-    del body  # before the copies below, which peak memory
-    if labels is not None and len(vals) != len(labels):
-        raise ValueError("a labeled row has no ranking fields")
-    if labeled and labels is None:
-        labels = tuple(vals[:, -1].tolist())
-        vals = vals[:, :-1] - 1  # a contiguous copy
-    else:
+    split = not plain  # labels that are not digits come off each line as text
+    sep = "," if comma else None
+    labels: list = []
+    out, done, width = None, 0, None
+    for block in _body_blocks(raw, start):
+        if split:
+            rows = [ln.rsplit(sep, 1) for ln in block.decode("utf-8").splitlines() if ln.strip()]
+            if any(len(parts) != 2 for parts in rows):
+                raise ValueError("a labeled row has one field")
+            labels += [label.strip() for _, label in rows]
+            block = "\n".join(["", *(rest for rest, _ in rows), ""]).encode("utf-8")
+            if block.translate(None, _PLAIN_BYTES):
+                raise ValueError("ranking fields are not plain digits")
+        if not comma and b"," in block:
+            raise ValueError("a comma in a whitespace-separated body")
+        if width is None:
+            # a line whose blanks join digit runs is refused below, so the
+            # first line's digit runs are its fields
+            digit = _DIGIT_RUN.search(block)
+            if digit is None:
+                if comma and b"," in block:
+                    raise ValueError("an empty comma-separated field")
+                continue
+            width = len(_DIGIT_RUN.findall(block, digit.start(), block.find(b"\n", digit.start())))
+            # a row is a line, and holds width digits and width separators
+            size = raw.count(b"\n", start) + (not raw.endswith(b"\n"))
+            size = min(size, (len(raw) - start + 2) // (2 * width))
+            out = np.empty((size, width - (labeled and not split)), dtype=np.int32)
+        data, lines, vals = np.frombuffer(block, dtype=np.uint8), block.count(b"\n") - 1, None
+        if comma and (b" " in block or b"\t" in block):
+            vals = _comma_fields_after_blanks(data, lines, width)
+            if vals is None:
+                data = _without_blanks(data)
+        if vals is None:
+            vals = _block_fields(data, lines, width, comma)
+        if split and len(vals) != len(rows):
+            raise ValueError("a labeled row has no ranking fields")
+        if labeled and not split:
+            labels += vals[:, -1].tolist()
+            vals = vals[:, :-1]
         vals -= 1
-    inv = inverse_rows(vals)
-    if vals.shape[1] == 0 or (inv < 0).any():
-        raise ValueError("rows are not all permutations of 1..n")
-    return vals, inv, labels
+        inv = inverse_rows(vals)
+        if vals.shape[1] == 0 or (inv < 0).any():
+            raise ValueError("rows are not all permutations of 1..n")
+        out[done : done + len(vals)] = inv if ordering else vals
+        done += len(vals)
+    if out is None:
+        raise ValueError("no ranking rows")
+    if done < len(out):
+        out.resize((done, out.shape[1]), refcheck=False)  # in place; no view of out exists
+    if not labeled:
+        return out, None
+    return out, _labels(labels) if split else tuple(labels)
 
 
 def _decode(raw: bytes) -> str:
@@ -280,7 +338,7 @@ def load_rankings(path, format="ordering", delimiter: str | None = None) -> Rank
     fmt = _as_format(format)
     raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        vals, inv, labels = _parse_bytes(raw, delimiter)
+        ranks, labels = _parse_bytes(raw, delimiter, fmt is RankingFileFormat.ORDERING)
     except ValueError:
         lines = _decode(raw).splitlines()
         first = next((k for k, ln in enumerate(lines) if ln.strip()), None)
@@ -293,38 +351,57 @@ def load_rankings(path, format="ordering", delimiter: str | None = None) -> Rank
             raise RankingParseError(f"{path}: no ranking rows after the header")
         rows_vals, raw_labels = _scan_rows(data, delimiter, labeled)
         vals = np.array(rows_vals, dtype=np.int32) - 1
-        inv = inverse_rows(vals)
+        # an ordering row lists items by rank, so its inverse permutation is the ranks
+        ranks = inverse_rows(vals) if fmt is RankingFileFormat.ORDERING else vals
         labels = _labels(raw_labels) if labeled else None
-    # an ordering row lists items by rank, so its inverse permutation is the ranks;
     # both parsers checked every row, so the sample is not checked again
-    ranks = inv if fmt is RankingFileFormat.ORDERING else vals
     return RankingSample._trusted(ranks, labels)
 
 
+def _byte_table(texts) -> np.ndarray:
+    """Each text's UTF-8 bytes as one item of a 1-d array, padded to one width with 0xFF.
+
+    UTF-8 never holds the byte 0xFF, so deleting it from gathered items
+    leaves their texts.
+    """
+    encoded = [t.encode("utf-8") for t in texts]
+    width = max(map(len, encoded))
+    width = next((w for w in (1, 2, 4, 8) if w >= width), width)
+    flat = np.frombuffer(b"".join(e.ljust(width, b"\xff") for e in encoded), dtype=np.uint8)
+    return flat.view(f"u{width}" if width <= 8 else f"V{width}")
+
+
 def write_rankings(sample: RankingSample, path, format="ordering", delimiter=",") -> None:
+    """Write a sample as UTF-8 text, one ``_BLOCK_ROWS`` block of rows at a time.
+
+    A block's rows are gathered from byte tables of the fields, each with
+    its separator or line end, and of the block's distinct labels.
+    """
     fmt = _as_format(format)
     sep = " " if delimiter == "whitespace" else str(delimiter)
     n, labels = sample.n, sample.labels
     labeled = labels is not None
     ranks = sample.ranks_matrix
-    vals = inverse_rows(ranks) if fmt is RankingFileFormat.ORDERING else ranks
-    # every field is a string from a table, its separator or line end
-    # included, and each block of rows is one join
+    # value k (0-based) with its separator at k, and with its line end at n + k
     end = sep if labeled else "\n"
-    with_sep = np.array([f"{k}{sep}" for k in range(1, n + 1)], dtype=object)
-    with_end = np.array([f"{k}{end}" for k in range(1, n + 1)], dtype=object)
-    with open(path, "w") as fh:
+    fields = _byte_table([f"{k}{sep}" for k in range(1, n + 1)] + [f"{k}{end}" for k in range(1, n + 1)])
+    last = np.zeros(n, dtype=np.int32)
+    last[-1] = n
+    with open(path, "wb") as fh:
         if labeled:
             stem = "item" if fmt is RankingFileFormat.ORDERING else "rank"
-            fh.write(sep.join([f"{stem}_{k + 1}" for k in range(n)] + ["label"]) + "\n")
-        for start in range(0, len(vals), _BLOCK_ROWS):
-            block = vals[start : start + _BLOCK_ROWS]
-            cells = np.empty((len(block), n + labeled), dtype=object)
-            cells[:, : n - 1] = with_sep[block[:, :-1]]
-            cells[:, n - 1] = with_end[block[:, -1]]
+            fh.write((sep.join([f"{stem}_{k + 1}" for k in range(n)] + ["label"]) + "\n").encode("utf-8"))
+        for start in range(0, len(ranks), _BLOCK_ROWS):
+            block = ranks[start : start + _BLOCK_ROWS]
+            if fmt is RankingFileFormat.ORDERING:
+                block = inverse_rows(block)
+            cells = fields.take(block + last).view(np.uint8).reshape(len(block), -1)
             if labeled:
-                cells[:, n] = [str(v) + "\n" for v in labels[start : start + _BLOCK_ROWS]]
-            fh.write("".join(cells.ravel().tolist()))
+                distinct: dict[str, int] = {}
+                codes = [distinct.setdefault(str(v), len(distinct)) for v in labels[start : start + _BLOCK_ROWS]]
+                tags = _byte_table([f"{v}\n" for v in distinct]).take(codes)
+                cells = np.hstack([cells, tags.view(np.uint8).reshape(len(block), -1)])
+            fh.write(cells.tobytes().translate(None, b"\xff"))
 
 
 # --- JSON + digests -------------------------------------------------------------

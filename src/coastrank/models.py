@@ -17,6 +17,7 @@ from .perms import (
     DiscreteRankingDistribution,
     Permutation,
     RankingSample,
+    block_rows,
     inverse_rows,
     kendall_tau,
     num_pairs,
@@ -139,10 +140,21 @@ def _ranks_from_displacements(v: np.ndarray) -> np.ndarray:
     return inverse_rows(v)
 
 
-def _mallows_ranks(params: MallowsParams, size: int, rng: np.random.Generator) -> np.ndarray:
-    rho = _ranks_from_displacements(_displacement_counts(params.n, params.phi, size, rng))
-    # right-compose with the center: d(rho∘center, center) = d(rho, id)
-    return rho[:, np.asarray(params.center.ranks)]
+def _mallows_ranks(
+    params: MallowsParams, rng: np.random.Generator, out: np.ndarray, rows: np.ndarray
+) -> None:
+    """Draw len(rows) rankings into out[rows], decoded a row block at a time.
+
+    Every slot is drawn for all rows first, so the draws, and the sample,
+    do not depend on the block size.
+    """
+    v = _displacement_counts(params.n, params.phi, len(rows), rng)
+    center = np.asarray(params.center.ranks)
+    step = block_rows(params.n)
+    for start in range(0, len(rows), step):
+        rho = _ranks_from_displacements(v[start : start + step])
+        # right-compose with the center: d(rho∘center, center) = d(rho, id)
+        out[rows[start : start + step]] = rho[:, center]
 
 
 def _pl_ranks(params: PlackettLuceParams, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,7 +182,9 @@ def _check_draw_args(size: int, rng) -> None:
 def sample_mallows(params: MallowsParams, size: int, rng: np.random.Generator) -> RankingSample:
     """Draw ``size`` i.i.d. rankings; exact via the repeated-insertion code."""
     _check_draw_args(size, rng)
-    return RankingSample.from_ranks(_mallows_ranks(params, int(size), rng))
+    ranks = np.empty((int(size), params.n), dtype=np.int32)
+    _mallows_ranks(params, rng, ranks, np.arange(int(size)))
+    return RankingSample._trusted(ranks)
 
 
 def sample_plackett_luce(
@@ -286,7 +300,7 @@ def sample_mixture(spec: MixtureSpec, size: int) -> RankingSample:
         if idx.size == 0:
             continue
         if isinstance(params, MallowsParams):
-            ranks[idx] = _mallows_ranks(params, idx.size, children[k])
+            _mallows_ranks(params, children[k], ranks, idx)
         else:
             ranks[idx] = _pl_ranks(params, idx.size, children[k])
     return RankingSample._trusted(ranks, tuple(labels.tolist()))

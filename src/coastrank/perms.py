@@ -171,22 +171,39 @@ def symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ranks, cmp
 
 
+#: Entries per row block of ``inverse_rows`` and of other row-by-row passes
+#: over an (N, n) array, so their temporaries stay a fixed size.
+BLOCK_ENTRIES = 1 << 16
+
+
+def block_rows(n: int) -> int:
+    """Rows in one block of an array with n columns: BLOCK_ENTRIES entries, at least one row."""
+    return max(1, BLOCK_ENTRIES // max(n, 1))
+
+
 def inverse_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise int32 inverse of an (N, n) integer array.
 
     A row that is not a permutation of 0..n-1 keeps a -1 somewhere, so the
-    same scatter checks the rows and inverts them.
+    same scatter checks the rows and inverts them. The scatter runs a row
+    block at a time, so its int64 slots never exceed one block.
     """
-    n = a.shape[1]
+    size, n = a.shape
     inv = np.full(a.shape, -1, dtype=np.int32)
-    if a.size and a.min() >= 0 and a.max() < n:
-        slots = a + (np.arange(a.shape[0]) * n)[:, None]
-    else:
-        # rows holding out-of-range values are left out, or a value could land
-        # in another row's slots and fill a gap there
-        ok = ((a >= 0) & (a < n)).all(axis=1)
-        slots = a[ok] + (np.flatnonzero(ok) * n)[:, None]
-    inv.ravel()[slots] = np.arange(n, dtype=np.int32)
+    if inv.size == 0:
+        return inv
+    step = block_rows(n)
+    offsets = np.arange(min(size, step))[:, None] * n
+    values = np.arange(n, dtype=np.int32)
+    for start in range(0, size, step):
+        block, out = a[start : start + step], inv[start : start + step].ravel()
+        if block.min() >= 0 and block.max() < n:
+            out[block + offsets[: len(block)]] = values
+        else:
+            # rows holding out-of-range values are left out, or a value could land
+            # in another row's slots and fill a gap there
+            ok = ((block >= 0) & (block < n)).all(axis=1)
+            out[block[ok] + offsets[: len(block)][ok]] = values
     return inv
 
 

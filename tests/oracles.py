@@ -57,6 +57,18 @@ def gathered_comparison_matrix(ranks: np.ndarray) -> np.ndarray:
     return ranks[:, ii] < ranks[:, jj]
 
 
+def loop_inverse_rows(a: np.ndarray) -> np.ndarray:
+    """inverse_rows one row at a time: a row with a value outside 0..n-1 stays all -1,
+    and a repeated value keeps its last position."""
+    n = a.shape[1]
+    inv = np.full(a.shape, -1, dtype=np.int32)
+    for k, row in enumerate(a.tolist()):
+        if all(0 <= v < n for v in row):
+            for j, v in enumerate(row):
+                inv[k, v] = j
+    return inv
+
+
 def naive_kendall(a: Permutation, b: Permutation) -> int:
     d = 0
     for i in range(a.n):

@@ -436,6 +436,8 @@ def test_short_bodies_and_bare_carriage_returns_take_the_byte_parse(tmp_path, mo
         (b"1,2\n1\n2\n2,1\n", 2),  # ragged rows whose fields regroup into permutations
         (b"1,2\n\n1\n2,2,1\n", 3),  # the same after a blank line
         (b"1 2 \n1\n2 2 1\n", 2),  # and after a trailing blank
+        (b"2,1\n1 2,1\n", 2),  # 1 2 read from its last digit would pass as 2
+        (b"1, 2\n1, 2, 1\n2\n", 2),  # ragged rows, with blanks, that regroup
     ],
 )
 def test_rows_that_would_regroup_are_refused_like_the_row_oracle(tmp_path, monkeypatch, text, row):
@@ -512,17 +514,19 @@ def test_byte_order_mark_is_skipped(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["ordering", "ranks"])
-@pytest.mark.parametrize("labels", [None, "int", "str"])
+@pytest.mark.parametrize("labels", [None, "int", "str", "non-ascii"])
 def test_written_bytes_match_a_per_value_writer(tmp_path, monkeypatch, fmt, labels):
     import coastrank.fileio as fileio
 
     monkeypatch.setattr(fileio, "_BLOCK_ROWS", 7)  # several blocks and a partial one
     rng = np.random.default_rng(len(fmt))
     path = tmp_path / "s.txt"
-    for n, delim in [(1, ","), (2, "whitespace"), (12, ","), (12, "\t")]:
+    # three-digit fields at n = 120, and a delimiter of several characters
+    for n, delim in [(1, ","), (2, "whitespace"), (12, ","), (12, "\t"), (120, ","), (12, " ¦ ")]:
         base = random_sample(rng, n, 30)
         values = rng.integers(0, 3, 30)
-        tags = None if labels is None else [int(v) if labels == "int" else f"c{v}" for v in values]
+        spell = {"str": "c{}", "non-ascii": "ç{}-é"}.get(labels, "{}").format
+        tags = None if labels is None else [int(v) if labels == "int" else spell(v) for v in values]
         sample = RankingSample(base.rankings, tags)
         write_rankings(sample, path, format=fmt, delimiter=delim)
         sep = " " if delim == "whitespace" else delim
@@ -533,4 +537,67 @@ def test_written_bytes_match_a_per_value_writer(tmp_path, monkeypatch, fmt, labe
             lines = [[f"{stem}_{k + 1}" for k in range(n)] + ["label"]] + [
                 fields + [str(label)] for fields, label in zip(lines, sample.labels)
             ]
-        assert path.read_text() == "".join(sep.join(fields) + "\n" for fields in lines)
+        text = "".join(sep.join(fields) + "\n" for fields in lines)
+        assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["ordering", "ranks"])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_bad_row_in_a_later_parse_block_reports_the_row_oracle_error(tmp_path, monkeypatch, fmt, labeled):
+    import coastrank.fileio as fileio
+
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", 64)
+    rng = np.random.default_rng(19)
+    rows = [",".join(str(int(v) + 1) for v in rng.permutation(6)) for _ in range(60)]
+    rows[47] = "1,1,3,4,5,6"  # a duplicate in a row many blocks in
+    if labeled:
+        header = ",".join([f"item_{k + 1}" for k in range(6)] + ["label"])
+        rows = [header] + [f"{r},{k % 3}" for k, r in enumerate(rows)]
+    path = tmp_path / "bad.rnk"
+    text = "\n".join(rows) + "\n"
+    path.write_text(text)
+    assert text.index("1,1,3") > 5 * fileio._BLOCK_BYTES
+    with pytest.raises(RankingParseError) as err:
+        load_rankings(path, format=fmt)
+    with pytest.raises(RankingParseError) as want:
+        load_rankings_by_rows(path, format=fmt)
+    assert (str(err.value), err.value.row) == (str(want.value), want.value.row)
+    assert err.value.row == 48 + labeled
+
+
+def test_ranking_file_path_peaks_within_its_result_the_file_and_a_block(tmp_path):
+    # each step holds its result, the file's bytes (load only) and temporaries
+    # of a fixed size, whatever N is; an inverse that scattered all rows at
+    # once would take twice the result in int64 slots
+    import sys
+    import tracemalloc
+
+    from coastrank.models import MallowsParams, MixtureSpec, sample_mixture
+    from coastrank.perms import inverse_rows
+
+    n, size, budget = 20, 200_000, 4 << 20
+    rng = np.random.default_rng(5)
+    centers = [Permutation(tuple(rng.permutation(n).tolist())) for _ in range(4)]
+    spec = MixtureSpec(n, 5, tuple((MallowsParams(c, 0.5), 0.25) for c in centers))
+    path = tmp_path / "s.rnk"
+
+    def traced(step):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            result = step()
+            return result, tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    sample, peak = traced(lambda: sample_mixture(spec, size))
+    labels = sys.getsizeof(sample.labels)
+    # the displacement draws take one byte per entry until they are decoded
+    assert peak < sample.ranks_matrix.nbytes + size * n + 2 * labels + budget
+    inv, peak = traced(lambda: inverse_rows(sample.ranks_matrix))
+    assert peak < inv.nbytes + budget
+    _, peak = traced(lambda: write_rankings(sample, path))
+    assert peak < budget
+    back, peak = traced(lambda: load_rankings(path))
+    assert peak < back.ranks_matrix.nbytes + 2 * labels + path.stat().st_size + budget
+    assert np.array_equal(back.ranks_matrix, sample.ranks_matrix) and back.labels == sample.labels

@@ -229,6 +229,24 @@ def test_mallows_draws_equal_choice_and_compaction_oracle(n, phi):
             assert s.labels == want_labels
 
 
+@pytest.mark.parametrize("entries", [1, 50, 333])
+def test_mallows_draws_decoded_in_row_blocks_are_unchanged(monkeypatch, entries):
+    import coastrank.perms as perms
+
+    monkeypatch.setattr(perms, "BLOCK_ENTRIES", entries)  # blocks of 1 to 47 rows
+    for n in (7, 20):
+        rng = np.random.default_rng(n)
+        centers = [random_permutation(rng, n) for _ in range(3)]
+        spec = MixtureSpec(n, 3, tuple((MallowsParams(c, 0.4), 1 / 3) for c in centers))
+        s = sample_mixture(spec, 500)
+        want_ranks, want_labels = choice_sample_mixture(spec, 500)
+        assert np.array_equal(s.ranks_matrix, want_ranks) and s.labels == want_labels
+        s = sample_mallows(MallowsParams(centers[0], 0.4), 300, np.random.default_rng(1))
+        v = choice_displacement_counts(n, 0.4, 300, np.random.default_rng(1))
+        want = compaction_ranks_from_displacements(v)[:, np.asarray(centers[0].ranks)]
+        assert np.array_equal(s.ranks_matrix, want)
+
+
 # --- plackett-luce ------------------------------------------------------------
 
 

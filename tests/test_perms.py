@@ -34,6 +34,7 @@ from oracles import (
     gathered_comparison_matrix,
     kendall_tau_pairs,
     loop_check_support,
+    loop_inverse_rows,
     loop_risk_from_marginals,
     merge_sort_kendall,
     naive_kendall,
@@ -365,6 +366,23 @@ def test_inverse_rows_in_range_rows_keep_their_gaps():
     assert (inv < 0).any(axis=1).tolist() == [True, False, True]
     assert inv[1].tolist() == [1, 2, 0]
     assert inverse_rows(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64, 1 << 16])
+def test_inverse_rows_by_row_blocks_equals_the_row_loop(monkeypatch, entries):
+    import coastrank.perms as perms
+
+    monkeypatch.setattr(perms, "BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(entries)
+    a = np.argsort(rng.random((300, 6)), axis=1)
+    a[[3, 250]] = a[[3, 250], ::-1]
+    a[200, 2] = 6  # out of range in a later block; its slot would be the next row's first
+    a[201, 0] = a[201, 1]  # a repeat in the row after it
+    a[297, 5] = -1
+    assert np.array_equal(inverse_rows(a), loop_inverse_rows(a))
+    assert (inverse_rows(a) < 0).any(axis=1).nonzero()[0].tolist() == [200, 201, 297]
+    small = a.astype(np.uint8)[:40]
+    assert np.array_equal(inverse_rows(small), loop_inverse_rows(small))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 20, 50])
