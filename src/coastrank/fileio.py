@@ -282,8 +282,8 @@ def _parse_bytes(raw: bytes, delimiter, ordering: bool) -> tuple[np.ndarray, tup
             # first line's digit runs are its fields
             digit = _DIGIT_RUN.search(block)
             if digit is None:
-                if comma and b"," in block:
-                    raise ValueError("an empty comma-separated field")
+                if (split and rows) or (comma and b"," in block):
+                    raise ValueError("a row without ranking fields")
                 continue
             width = len(_DIGIT_RUN.findall(block, digit.start(), block.find(b"\n", digit.start())))
             # a row is a line, and holds width digits and width separators

@@ -565,6 +565,22 @@ def test_bad_row_in_a_later_parse_block_reports_the_row_oracle_error(tmp_path, m
     assert err.value.row == 48 + labeled
 
 
+@pytest.mark.parametrize("block_bytes", [1, 8])
+@pytest.mark.parametrize("rows", [",x\n", ",x\n,y\n", " ,x\n"])
+def test_first_parse_block_of_label_only_rows_reports_the_row_oracle_error(tmp_path, monkeypatch, block_bytes, rows):
+    # once the labels are split off, the first block holds rows but no field
+    import coastrank.fileio as fileio
+
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "bad.rnk"
+    path.write_text("item_1,item_2,label\n" + rows + "1,2,a\n")
+    with pytest.raises(RankingParseError) as err:
+        load_rankings(path)
+    with pytest.raises(RankingParseError) as want:
+        load_rankings_by_rows(path)
+    assert (str(err.value), err.value.row) == (str(want.value), want.value.row) == ("row 2: non-integer field ''", 2)
+
+
 def test_ranking_file_path_peaks_within_its_result_the_file_and_a_block(tmp_path):
     # each step holds its result, the file's bytes (load only) and temporaries
     # of a fixed size, whatever N is; an inverse that scattered all rows at
