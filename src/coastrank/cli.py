@@ -128,6 +128,11 @@ def cmd_fit(args) -> int:
         outputs,
         t0,
         extra_times={"grow": trace.total_wall_time},
+        counters={
+            "rounds": [
+                {"splits": len(st.splits), "gram_rows": st.gram_rows} for st in trace.steps[1:]
+            ]
+        },
     )
 
 

@@ -31,7 +31,8 @@ from .perms import RankingSample, inverse_rows
 #: Rows formatted together by ``write_rankings``.
 _BLOCK_ROWS = 4096
 
-#: Bytes of one parse block of ``load_rankings``, which ends each block at a line end.
+#: Bytes of one parse block of ``load_rankings``, which ends each block at a line
+#: end, and of one read of ``sha256_of``.
 _BLOCK_BYTES = 65536
 
 #: Bytes a ranking body may hold for ``load_rankings``' byte parse.
@@ -422,7 +423,12 @@ def write_json(obj, path) -> None:
 
 
 def sha256_of(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex SHA-256 of a file, read _BLOCK_BYTES at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # --- run manifests ----------------------------------------------------------------

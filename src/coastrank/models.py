@@ -157,19 +157,28 @@ def _mallows_ranks(
         out[rows[start : start + step]] = rho[:, center]
 
 
-def _pl_ranks(params: PlackettLuceParams, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Sequential sampling without replacement, proportional to remaining worths."""
-    n = params.n
-    live = np.tile(np.asarray(params.worths, dtype=np.float64), (size, 1))
-    ranks = np.empty((size, n), dtype=np.int64)
-    rows = np.arange(size)
+def _pl_ranks(
+    params: PlackettLuceParams, rng: np.random.Generator, out: np.ndarray, rows: np.ndarray
+) -> None:
+    """Draw len(rows) rankings into out[rows] by sequential worth-proportional choice.
+
+    Position t draws one uniform per row, then picks each row's item a row
+    block at a time from the cumulative worths of the items not yet taken,
+    so no N×n float array is made.
+    """
+    n, size = params.n, len(rows)
+    worths = np.asarray(params.worths, dtype=np.float64)
+    taken = np.zeros((size, n), dtype=bool)
+    step = block_rows(n)
     for t in range(n):
-        cum = np.cumsum(live, axis=1)
-        thresh = rng.random(size) * cum[:, -1]
-        picked = (cum > thresh[:, None]).argmax(axis=1)
-        ranks[rows, picked] = t
-        live[rows, picked] = 0.0
-    return ranks
+        u = rng.random(size)
+        for start in range(0, size, step):
+            block = slice(start, start + step)
+            done = taken[block]
+            cum = np.cumsum(np.where(done, 0.0, worths), axis=1)
+            picked = (cum > (u[block] * cum[:, -1])[:, None]).argmax(axis=1)
+            out[rows[block], picked] = t
+            done[np.arange(len(picked)), picked] = True
 
 
 def _check_draw_args(size: int, rng) -> None:
@@ -192,7 +201,9 @@ def sample_plackett_luce(
 ) -> RankingSample:
     """Draw ``size`` i.i.d. rankings by repeated worth-proportional choice."""
     _check_draw_args(size, rng)
-    return RankingSample.from_ranks(_pl_ranks(params, int(size), rng))
+    ranks = np.empty((int(size), params.n), dtype=np.int32)
+    _pl_ranks(params, rng, ranks, np.arange(int(size)))
+    return RankingSample._trusted(ranks)
 
 
 @dataclass(frozen=True)
@@ -302,7 +313,7 @@ def sample_mixture(spec: MixtureSpec, size: int) -> RankingSample:
         if isinstance(params, MallowsParams):
             _mallows_ranks(params, children[k], ranks, idx)
         else:
-            ranks[idx] = _pl_ranks(params, idx.size, children[k])
+            _pl_ranks(params, children[k], ranks, idx)
     return RankingSample._trusted(ranks, tuple(labels.tolist()))
 
 

@@ -96,6 +96,7 @@ class GrowthStep:
     criterion: float
     splits: tuple[tuple[int, tuple[int, int]], ...]
     wall_time: float
+    gram_rows: int = 0  # sample rows multiplied into Gram matrices this round
 
 
 @dataclass(frozen=True)
@@ -229,20 +230,21 @@ class CoastTree:
         """Leaf node id per row; per frontier leaf, its row count and column counts.
 
         The counts are one leaf-indicator × comparison-matrix product, run in
-        _GRAM_ROWS-row chunks in _gram_dtype, so they are exact integers for
-        the reason the split search's Gram entries are.
+        _GRAM_ROWS-row float32 chunks and summed into int64, so they are
+        exact integers for the reason the split search's Gram entries are.
         """
         leaf_of = self.route_sample(s)
         pos = np.searchsorted(self.frontier, leaf_of)
-        x, dtype, leaves = s.comparisons, _gram_dtype(len(s)), np.arange(self.leaf_count)
+        x, leaves = s.comparisons, np.arange(self.leaf_count)
         # columns × leaves: a transposed chunk of the column-major comparison
         # matrix is row-major, which BLAS reads fastest
-        counts = np.zeros((x.shape[1], self.leaf_count), dtype=dtype)
+        counts = np.zeros((x.shape[1], self.leaf_count), dtype=np.int64)
         for start in range(0, len(s), _GRAM_ROWS):
-            onehot = (pos[start : start + _GRAM_ROWS, None] == leaves).astype(dtype)
-            counts += x[start : start + _GRAM_ROWS].T.astype(dtype) @ onehot
+            onehot = (pos[start : start + _GRAM_ROWS, None] == leaves).astype(np.float32)
+            chunk = x[start : start + _GRAM_ROWS].T.astype(np.float32) @ onehot
+            np.add(counts, chunk, out=counts, casting="unsafe", dtype=np.int64)
         rows = np.bincount(pos, minlength=self.leaf_count)
-        return leaf_of, rows, counts.T.astype(np.int64)
+        return leaf_of, rows, counts.T
 
     # -- readout -------------------------------------------------------------
 
@@ -432,34 +434,43 @@ def _score(m: int, counts: np.ndarray) -> float:
 #: Rows per chunk of the split search's Gram matrix.
 _GRAM_ROWS = 1024
 
+#: Columns per panel of a Gram chunk's products.
+_GRAM_PANEL = 256
+
 #: Candidate rows per int64 block when scoring splits from a Gram matrix.
 _SCORE_ROWS = 64
-
-#: Nodes with fewer rows than this get float32 Gram matrices: every entry is
-#: an integer count of at most the node's rows, which float32 holds exactly
-#: below 2**24.
-_FLOAT32_ROWS = 1 << 24
 
 #: Bytes of Gram matrices that grow keeps from one round to the next, so that
 #: a child's matrix comes from its parent's minus its sibling's.
 _GRAM_KEEP_BYTES = 1 << 30
 
 
-def _gram_dtype(m: int) -> type:
-    return np.float32 if m < _FLOAT32_ROWS else np.float64
-
-
 def _gram(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """X'X over the given rows of x, summed over _GRAM_ROWS chunks.
+    """X'X over the given rows of x, as unsigned counts in the smallest type that holds len(rows).
 
-    Every entry is an exact integer: a chunk's products count at most
-    _GRAM_ROWS rows and the sums at most len(rows), below 2**24 in float32.
+    Each _GRAM_ROWS chunk is cast into one float32 buffer and multiplied one
+    _GRAM_PANEL-column panel at a time: the panel's diagonal block is a
+    symmetric product, the block right of it a general one. A product counts
+    at most _GRAM_ROWS rows, and no more than len(rows), so its entries are
+    exact integers that the counts' type holds; np.add casts them to that
+    type and adds them in it. The lower triangle is copied from the upper
+    one at the end.
     """
-    dtype = _gram_dtype(len(rows))
-    gram = np.zeros((x.shape[1], x.shape[1]), dtype=dtype)
+    c = x.shape[1]
+    gram = np.zeros((c, c), dtype=np.min_scalar_type(len(rows)))
+    buf = np.empty((min(len(rows), _GRAM_ROWS), c), dtype=np.float32)
     for start in range(0, len(rows), _GRAM_ROWS):
-        xc = x[rows[start : start + _GRAM_ROWS]].astype(dtype)
-        gram += xc.T @ xc
+        chunk = rows[start : start + _GRAM_ROWS]
+        xc = buf[: len(chunk)]
+        xc[...] = x[chunk]
+        for p in range(0, c, _GRAM_PANEL):
+            q = p + _GRAM_PANEL
+            a, diag, right = xc[:, p:q], gram[p:q, p:q], gram[p:q, q:]
+            np.add(diag, a.T @ a, out=diag, casting="unsafe", dtype=gram.dtype)
+            if q < c:
+                np.add(right, a.T @ xc[:, q:], out=right, casting="unsafe", dtype=gram.dtype)
+    for p in range(_GRAM_PANEL, c, _GRAM_PANEL):
+        gram[p:, p - _GRAM_PANEL : p] = gram[p - _GRAM_PANEL : p, p:].T
     return gram
 
 
@@ -504,7 +515,7 @@ class _SplitPlan:
 def _plan_min_distortion(
     gram: np.ndarray, node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
 ) -> _SplitPlan:
-    """Best split of a node from its Gram matrix X'X (any float dtype, integer entries)."""
+    """Best split of a node from its Gram matrix X'X of unsigned counts."""
     m = node.count
     t = node.counts  # the diagonal of gram
     m0, m1, s0, s1 = _split_sums(gram, t, m, candidates)
@@ -615,21 +626,27 @@ def grow(
             return []
         return [(_plan_balanced(x, node, cand, pairs), None)]
 
+    def gram_of(nid: int) -> np.ndarray:
+        nonlocal gram_rows
+        gram_rows += nodes[nid].count
+        return _gram(x, nodes[nid].indices)
+
     def plan_min_distortion(job, keep: set[int]) -> list[tuple[_SplitPlan, np.ndarray | None]]:
         """Plans for one node, or for the eligible children of one kept parent.
 
         A kept parent's children get the smaller child's Gram matrix from its
         rows (ties go to child 0) and the other's by subtracting it from the
-        parent's in place. Each plan comes with its Gram matrix if its node
-        is in ``keep``.
+        parent's in place; the small child's rows are some of the parent's,
+        so its counts fit the parent's type and none underflows. Each plan
+        comes with its Gram matrix if its node is in ``keep``.
         """
         ids, parent, parent_gram = job
         if parent_gram is None:
-            grams = {ids[0]: _gram(x, nodes[ids[0]].indices)}
+            grams = {ids[0]: gram_of(ids[0])}
         else:
             c0, c1 = nodes[parent].children
             small, large = (c0, c1) if nodes[c0].count <= nodes[c1].count else (c1, c0)
-            grams = {small: _gram(x, nodes[small].indices)}
+            grams = {small: gram_of(small)}
             if large in ids:
                 parent_gram -= grams[small]
                 grams[large] = parent_gram
@@ -658,7 +675,7 @@ def grow(
             keep = set()
             spare = _GRAM_KEEP_BYTES - sum(g.nbytes for _, g in pending.values() if g is not None)
             for nid in to_plan:
-                size = gram_size * np.dtype(_gram_dtype(nodes[nid].count)).itemsize
+                size = gram_size * np.min_scalar_type(nodes[nid].count).itemsize
                 if size <= spare:
                     keep.add(nid)
                     spare -= size
@@ -690,6 +707,7 @@ def grow(
     while True:
         iteration += 1
         t_iter = time.perf_counter()
+        gram_rows = 0
         eligible = sorted(
             nid
             for nid in frontier
@@ -739,6 +757,7 @@ def grow(
                 criterion_now(),
                 tuple(applied),
                 time.perf_counter() - t_iter,
+                gram_rows,
             )
         )
     kept.clear()  # free the Gram matrices before aggregating

@@ -23,7 +23,7 @@ from coastrank.errors import (
     RankingParseError,
     RejectedInputError,
 )
-from coastrank.models import MallowsParams, MixtureSpec, mallows_normalizer
+from coastrank.models import MallowsParams, MixtureSpec, PlackettLuceParams, mallows_normalizer
 from coastrank.perms import (
     DiscreteRankingDistribution,
     ENUMERATION_LIMIT,
@@ -335,6 +335,21 @@ def choice_sample_mixture(spec: MixtureSpec, size: int) -> tuple[np.ndarray, tup
             rho = compaction_ranks_from_displacements(v)
             ranks[idx] = rho[:, np.asarray(params.center.ranks)]
     return ranks, tuple(int(x) for x in labels)
+
+
+def tiled_pl_ranks(params: PlackettLuceParams, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Plackett-Luce draws over whole N×n float arrays: zero each picked worth, cumsum all rows."""
+    n = params.n
+    live = np.tile(np.asarray(params.worths, dtype=np.float64), (size, 1))
+    ranks = np.empty((size, n), dtype=np.int64)
+    rows = np.arange(size)
+    for t in range(n):
+        cum = np.cumsum(live, axis=1)
+        thresh = rng.random(size) * cum[:, -1]
+        picked = (cum > thresh[:, None]).argmax(axis=1)
+        ranks[rows, picked] = t
+        live[rows, picked] = 0.0
+    return ranks
 
 
 def crd_distribution(crd) -> DiscreteRankingDistribution:

@@ -419,7 +419,32 @@ def test_eval_manifest_counts_cells_and_pivots(tmp_path, spec_path):
     assert len(counters["steps"]) == len(read_csv(report_path)) == leaves
     for st in counters["steps"]:
         assert st["w_exact"] is True and st["pivots"] >= st["bland_pivots"] >= 0
-    assert "counters" not in read_json(str(tree_path) + ".manifest.json")
+    assert "counters" not in read_json(str(rank) + ".manifest.json")
+
+
+@pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
+def test_fit_manifest_counts_splits_and_gram_rows_per_round(tmp_path, spec_path, rule):
+    rank, tree_path, trace_path = (tmp_path / f for f in ("r.csv", "t.json", "trace.csv"))
+    assert run("sample", "--spec", spec_path, "--size", 300, "--out", rank) == 0
+    assert run(
+        "fit", "--input", rank, "--epsilon", 0, "--max-leaves", 8, "--rule", rule,
+        "--out", tree_path, "--trace", trace_path,
+    ) == 0
+    rounds = read_json(str(tree_path) + ".manifest.json")["counters"]["rounds"]
+    trace = read_csv(trace_path)
+    # the trace's first row is the root before any round
+    assert len(rounds) == len(trace) - 1 >= 2
+    for rnd, row in zip(rounds, trace[1:]):
+        assert rnd["splits"] == len(row["splits"].split(";"))
+    assert sum(r["splits"] for r in rounds) == CoastTree.from_json_obj(
+        read_json(tree_path)).leaf_count - 1
+    gram_rows = [r["gram_rows"] for r in rounds]
+    if rule == "balanced":
+        assert gram_rows == [0] * len(rounds)
+    else:
+        # the root's matrix takes every row; a split node's children take
+        # only the smaller child's rows, at most half the parent's
+        assert gram_rows[0] == 300 and all(0 < g <= 150 for g in gram_rows[1:])
 
 
 def test_eval_blank_fields_beyond_enumeration_limit(tmp_path):

@@ -155,6 +155,24 @@ def test_sha256_of(tmp_path):
     assert sha256_of(path) == hashlib.sha256(b"hello\n").hexdigest()
 
 
+def test_sha256_of_reads_a_large_file_in_blocks(tmp_path):
+    import tracemalloc
+
+    from coastrank import fileio
+
+    data = np.random.default_rng(3).bytes(20 * fileio._BLOCK_BYTES + 123)
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        got = sha256_of(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == hashlib.sha256(data).hexdigest()
+    assert peak < 3 * fileio._BLOCK_BYTES  # the whole file is 20 blocks
+
+
 def test_manifest_round_trip(tmp_path):
     manifest = RunManifest(
         command="fit",

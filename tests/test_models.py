@@ -48,6 +48,7 @@ from oracles import (
     loop_mallows_distribution,
     naive_kendall,
     pl_pmf,
+    tiled_pl_ranks,
 )
 
 
@@ -281,6 +282,59 @@ def test_pl_sampler_matches_sequential_pmf_chi2(rng):
     observed = np.array([counts[p.ranks] for p in perms])
     _, pval = stats.chisquare(observed, probs * size)
     assert pval > 1e-3
+
+
+PL_WORTHS = {
+    "uniform": lambda n: (1.0,) * n,
+    "skewed": lambda n: tuple(float(w) for w in 3.0 ** -np.arange(n)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+@pytest.mark.parametrize("worths", sorted(PL_WORTHS))
+@pytest.mark.parametrize("block", [None, 7])
+def test_pl_block_draws_equal_whole_array_draws(monkeypatch, n, worths, block):
+    import coastrank.models as models_mod
+
+    if block is not None:
+        monkeypatch.setattr(models_mod, "block_rows", lambda n: block)
+    params = PlackettLuceParams(PL_WORTHS[worths](n))
+    want = tiled_pl_ranks(params, 500, np.random.default_rng(n))
+    s = sample_plackett_luce(params, 500, np.random.default_rng(n))
+    assert np.array_equal(s.ranks_matrix, want)
+    spec = MixtureSpec(n, 11, (
+        (params, 0.25),
+        (PlackettLuceParams(PL_WORTHS["skewed"](n)[::-1]), 0.5),
+        (MallowsParams(Permutation.identity(n), 0.5), 0.25),
+    ))
+    got = sample_mixture(spec, 700)
+
+    def tiled_into(params, rng, out, rows):
+        out[rows] = tiled_pl_ranks(params, len(rows), rng)
+
+    monkeypatch.setattr(models_mod, "_pl_ranks", tiled_into)
+    want = sample_mixture(spec, 700)
+    assert got.labels == want.labels and len(set(got.labels)) == 3
+    assert np.array_equal(got.ranks_matrix, want.ranks_matrix)
+
+
+@pytest.mark.parametrize("mixture", [False, True])
+def test_pl_draws_hold_no_float_sample_array(mixture):
+    import tracemalloc
+
+    params = PlackettLuceParams((1.0,) * 20)
+    tracemalloc.start()
+    try:
+        if mixture:
+            s = sample_mixture(MixtureSpec(20, 0, ((params, 1.0),)), 50_000)
+        else:
+            s = sample_plackett_luce(params, 50_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int32 ranks, the bool taken-mask, one uniform per row, the mixture's
+    # int64 labels and their tuple, and block temporaries
+    assert peak < s.ranks_matrix.nbytes + 50_000 * (20 + 8 + 8 + 8) + (2 << 20)
 
 
 # --- mixtures -----------------------------------------------------------------

@@ -36,13 +36,14 @@ from oracles import (
     brute_v_hat,
     crd_distribution,
     mask_leaf_counts,
+    naive_kendall,
     partition_criterion,
     route_one,
     v_hat_of_indices,
 )
 
 
-def brute_best_split(s, cell=None):
+def brute_best_split(s, cell=None, v_hat=brute_v_hat):
     """Exhaustive criterion evaluation over sample-separating admissible pairs."""
     cell = cell or Cell.root(s.n)
     idx = np.nonzero(cell.membership_mask(s))[0]
@@ -54,7 +55,7 @@ def brute_best_split(s, cell=None):
         if len(i0) == 0 or len(i1) == 0:
             continue
         crit = (
-            len(i0) * brute_v_hat(s, i0) + len(i1) * brute_v_hat(s, i1)
+            len(i0) * v_hat(s, i0) + len(i1) * v_hat(s, i1)
         ) / len(s)
         if best is None or crit < best[0] - 1e-12:
             best = (crit, (i, j))
@@ -476,16 +477,13 @@ def test_prune_sequence_nested_and_monotone():
 
 
 @pytest.mark.parametrize("gram_rows", [1024, 7])
-@pytest.mark.parametrize("float64", [False, True])
-def test_leaf_counts_equal_per_leaf_mask_sums(monkeypatch, gram_rows, float64):
+def test_leaf_counts_equal_per_leaf_mask_sums(monkeypatch, gram_rows):
     import coastrank.tree as tree_mod
 
     s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
     tree, _ = grow(s, epsilon=0.0, max_leaves=10)
     subtrees = prune_sequence(tree, s)[::3]
     monkeypatch.setattr(tree_mod, "_GRAM_ROWS", gram_rows)
-    if float64:
-        monkeypatch.setattr(tree_mod, "_FLOAT32_ROWS", 1)
     # the 5-row sample leaves most leaves without rows
     for sample in (s, s.subset(np.arange(5))):
         for sub in subtrees:
@@ -682,15 +680,107 @@ def test_trees_do_not_depend_on_kept_gram_matrices(monkeypatch):
         assert tree_json(direct) == tree_json(kept)
 
 
-def test_float64_gram_matrices_give_the_same_tree(monkeypatch):
+@pytest.mark.parametrize("chunks", [1, 2, 4])
+def test_gram_panels_need_not_divide_the_columns(monkeypatch, chunks):
+    """The Gram chunk cases above, rerun in 5-column panels of their 21 and 28 columns."""
     import coastrank.tree as tree_mod
 
-    s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
-    want, _ = grow(s, epsilon=0.0, max_leaves=8)
-    monkeypatch.setattr(tree_mod, "_FLOAT32_ROWS", 1)
-    assert tree_mod._gram(s.comparisons, np.arange(3)).dtype == np.float64
-    got, _ = grow(s, epsilon=0.0, max_leaves=8)
-    assert tree_json(got) == tree_json(want)
+    monkeypatch.setattr(tree_mod, "_GRAM_PANEL", 5)
+    for rule in ("min-distortion", "balanced"):
+        with monkeypatch.context() as mp:
+            test_node_counts_are_column_sums_of_routed_rows(mp, rule, chunks)
+    for one_split in (False, True):
+        with monkeypatch.context() as mp:
+            test_sibling_gram_matrices_equal_direct_builds(mp, one_split, chunks)
+    test_gram_chunks_do_not_change_the_tree(monkeypatch)
+
+
+def large_n4_sample():
+    """70,000 rows over 4 items: enough for uint32 Gram counts, at most 24 distinct rankings."""
+    return mixture_sample(n=4, k=3, phi=0.5, seed=21, size=70_000)
+
+
+def distinct_v_hat(s, indices):
+    """brute_v_hat summed over distinct rankings weighted by their counts."""
+    rows, counts = np.unique(s.ranks_matrix[indices], axis=0, return_counts=True)
+    perms = [Permutation(tuple(int(v) for v in r)) for r in rows]
+    m = len(indices)
+    if m <= 1:
+        return 0.0
+    total = sum(
+        int(counts[a]) * int(counts[b]) * naive_kendall(perms[a], perms[b])
+        for a in range(len(perms))
+        for b in range(a + 1, len(perms))
+    )
+    return total / (m * (m - 1))
+
+
+def test_gram_counts_take_the_smallest_unsigned_type():
+    import coastrank.tree as tree_mod
+
+    s = large_n4_sample()
+    x = s.comparisons
+    for size, dtype in ((6, np.uint8), (300, np.uint16), (70_000, np.uint32)):
+        rows = np.arange(0, 70_000, 70_000 // size)[:size]
+        gram = tree_mod._gram(x, rows)
+        xi = x[rows].astype(np.int64)
+        assert gram.dtype == dtype
+        assert np.array_equal(gram.astype(np.int64), xi.T @ xi)
+
+
+def test_uint32_root_split_matches_exhaustive():
+    s = large_n4_sample()
+    got = root_split(s, "min-distortion")
+    crit, pair = brute_best_split(s, v_hat=distinct_v_hat)
+    mask = s.ranks_matrix[:, got[0]] < s.ranks_matrix[:, got[1]]
+    idx0, idx1 = np.nonzero(mask)[0], np.nonzero(~mask)[0]
+    got_crit = (
+        len(idx0) * distinct_v_hat(s, idx0) + len(idx1) * distinct_v_hat(s, idx1)
+    ) / len(s)
+    assert got_crit == pytest.approx(crit, abs=1e-12)
+    assert got <= pair
+
+
+def test_uint8_child_of_uint16_parent_gives_exact_sibling_grams(monkeypatch):
+    import coastrank.tree as tree_mod
+
+    s = mixture_sample(n=6, k=2, phi=1.0, seed=3, size=300)
+    x = s.comparisons
+    seen = {}
+    plan = tree_mod._plan_min_distortion
+
+    def checking(gram, node, candidates, pairs):
+        xi = x[node.indices].astype(np.int64)
+        assert np.array_equal(gram.astype(np.int64), xi.T @ xi)
+        seen[node.node_id] = gram.dtype
+        return plan(gram, node, candidates, pairs)
+
+    monkeypatch.setattr(tree_mod, "_plan_min_distortion", checking)
+    tree, _ = grow(s, epsilon=0.0, max_leaves=4)
+    small, large = sorted(tree.root.children, key=lambda c: tree.node(c).count)
+    assert tree.node(small).count < 256 <= tree.root.count
+    # the small child's matrix is built in uint8; the large one is the root's minus it
+    assert (seen[0], seen[small], seen[large]) == (np.uint16, np.uint8, np.uint16)
+
+
+def test_gram_holds_one_float32_chunk_and_one_panel_product():
+    import tracemalloc
+
+    import coastrank.tree as tree_mod
+
+    rng = np.random.default_rng(8)
+    x = RankingSample.from_ranks(np.argsort(rng.random((5000, 50)), axis=1)).comparisons
+    rows, c = np.arange(5000), x.shape[1]
+    tracemalloc.start()
+    try:
+        gram = tree_mod._gram(x, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = tree_mod._GRAM_ROWS * c * 4
+    panel = tree_mod._GRAM_PANEL * (c - tree_mod._GRAM_PANEL) * 4
+    assert gram.dtype == np.uint16
+    assert peak <= gram.nbytes + chunk + panel + (1 << 20)
 
 
 def test_split_sums_equal_the_column_count_formula(rng, monkeypatch):
