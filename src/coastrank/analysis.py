@@ -31,6 +31,9 @@ from .perms import (
     Permutation,
     RankingSample,
     _sequential_sum,
+    comparison_block,
+    comparison_counts,
+    comparison_rows,
     inverse_rows,
     num_pairs,
     pair_list,
@@ -57,10 +60,6 @@ class DepthTable:
         return len(self.index)
 
 
-#: Query rows per float64 block: the bytes of a 1024-row float32 Gram chunk.
-_QUERY_ROWS = 512
-
-
 def _check_same_n(tree: CoastTree, *samples: RankingSample) -> None:
     for s in samples:
         if s.n != tree.n:
@@ -75,8 +74,9 @@ def _depth_table(
     The summed Kendall distance from q to the m rows of a leaf with column
     counts cnt is sum(cnt) + q @ (m - 2 cnt): per pair, the rows that disagree
     with q. The weight table's last row is the whole fit sample, so one float64
-    product per query block gives every local and global sum, exactly: every
-    term is an integer below 2**53. A leaf with no fit rows gives depth 0.
+    product per block of comparison_rows(n) query rows gives every local and
+    global sum, exactly: every term is an integer below 2**53. A leaf with no
+    fit rows gives depth 0.
     """
     _check_same_n(tree, s_fit, s_query)
     if reference is not None and reference not in tree.frontier:
@@ -88,13 +88,14 @@ def _depth_table(
     base = cnt.sum(axis=1).astype(np.float64)
     cell = tree.route_sample(s_query) if reference is None else np.full(s_query.size, reference)
     col = np.searchsorted(tree.frontier, cell)
-    qx = s_query.comparisons
-    local, global_ = np.empty(len(qx)), np.empty(len(qx))
-    for start in range(0, len(qx), _QUERY_ROWS):
-        stop = min(start + _QUERY_ROWS, len(qx))
-        dist = qx[start:stop].astype(np.float64) @ weights + base
-        local[start:stop] = dist[np.arange(stop - start), col[start:stop]]
-        global_[start:stop] = dist[:, -1]
+    q, step = s_query.ranks_matrix, comparison_rows(tree.n)
+    local, global_ = np.empty(len(q)), np.empty(len(q))
+    block = np.empty((len(weights), min(len(q), step)))
+    for start in range(0, len(q), step):
+        rows = np.arange(start, min(start + step, len(q)))
+        dist = comparison_block(q, rows, block[:, : len(rows)]) @ weights + base
+        local[rows] = dist[np.arange(len(rows)), col[rows]]
+        global_[rows] = dist[:, -1]
     top = float(num_pairs(tree.n))
 
     def depth(total, m):
@@ -375,9 +376,8 @@ def smooth_cell(
     mask = cell.membership_mask(s)
     if not mask.any():
         raise RejectedInputError("cell contains no sample points to smooth")
-    marg = PairwiseMatrix.from_counts(
-        s.n, s.comparisons[mask].sum(axis=0, dtype=np.int64), int(mask.sum())
-    )
+    rows = np.flatnonzero(mask)
+    marg = PairwiseMatrix.from_counts(s.n, comparison_counts(s.ranks_matrix, rows), len(rows))
 
     z_factorized = None
     if _item_disjoint(cell.constraints):

@@ -68,10 +68,14 @@ class Cell:
         return all(r[a] < r[b] for a, b in self.constraints)
 
     def membership_mask(self, s: RankingSample) -> np.ndarray:
-        """Boolean mask of sample rows lying in this cell (vectorized)."""
+        """Boolean mask of sample rows lying in this cell, from two rank columns per constraint."""
         if s.n != self.n:
             raise DimensionMismatchError("membership: size mismatch")
-        return self.comparison_mask(s.comparisons)
+        r = s.ranks_matrix
+        mask = np.ones(len(s), dtype=bool)
+        for a, b in self.constraints:
+            mask &= r[:, a] < r[:, b]
+        return mask
 
     def comparison_mask(self, x: np.ndarray) -> np.ndarray:
         """Boolean mask of the rows of a comparison matrix lying in this cell."""
@@ -82,15 +86,6 @@ class Cell:
         for a, b in self.constraints:
             mask &= x[:, col[(a, b)]] if a < b else ~x[:, col[(b, a)]]
         return mask
-
-    def admissible_pairs(self) -> list[tuple[int, int]]:
-        """Pairs (i, j), i < j, with neither order implied by the closure."""
-        c = self.closure
-        return [
-            (i, j)
-            for i, j in pair_list(self.n)
-            if not c[i, j] and not c[j, i]
-        ]
 
     def is_admissible(self, i: int, j: int) -> bool:
         return not self.closure[i, j] and not self.closure[j, i]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RankingParseError, RejectedInputError, json_int
+from .errors import RankingParseError, RejectedInputError
 from .perms import RankingSample, inverse_rows
 
 
@@ -467,22 +467,6 @@ class RunManifest:
         if self.counters:
             obj["counters"] = dict(self.counters)
         return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RunManifest":
-        try:
-            return cls(
-                command=str(obj["command"]),
-                argv=tuple(str(a) for a in obj["argv"]),
-                seed=None if obj.get("seed") is None else json_int(obj["seed"], "manifest seed"),
-                config=dict(obj["config"]),
-                inputs=dict(obj["inputs"]),
-                outputs=dict(obj["outputs"]),
-                wall_times=dict(obj["wall_times"]),
-                counters=dict(obj.get("counters", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RejectedInputError(f"malformed run manifest: {exc}") from exc
 
 
 def write_manifest(manifest: RunManifest, path) -> None:

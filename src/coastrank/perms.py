@@ -7,7 +7,9 @@ CLI) is 1-based. Conversions happen only at those boundaries.
 Pairwise structure is central: a ranking is equivalently its comparison
 vector over the ``C(n,2)`` item pairs in lexicographic order, and the
 Kendall tau distance is the Hamming distance between comparison vectors.
-Bulk operations exploit that representation.
+Bulk operations exploit that representation. A sample keeps only its rank
+matrix; ``comparison_block`` builds the comparison rows of one row block
+from it at a time, so no N×C(n,2) matrix is ever held for a sample.
 
 ``symmetric_group(n)`` is the one enumeration of S_n that the package
 computes with: a cached table of all n! rank vectors and their comparison
@@ -110,12 +112,6 @@ class Permutation:
     def to_one_based(self) -> tuple[int, ...]:
         return tuple(r + 1 for r in self.ranks)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Function composition: (self . other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise DimensionMismatchError("compose: size mismatch")
-        return Permutation(tuple(self.ranks[r] for r in other.ranks))
-
     def comparison_bits(self) -> tuple[int, ...]:
         """1 where i is ranked before j, over lexicographic pairs (i, j)."""
         r = self.ranks
@@ -132,18 +128,61 @@ def kendall_tau(a: Permutation, b: Permutation) -> int:
 def comparison_matrix(ranks: np.ndarray) -> np.ndarray:
     """Boolean (N, C(n,2)) matrix of 'i before j' bits over lexicographic pairs.
 
-    The result is Fortran-ordered: its transpose is filled one item at a
-    time, block i holding item i against items i+1..n-1, so no (N, C(n,2))
-    gather of ranks is made.
+    The result is Fortran-ordered, as comparison_block lays it out. It is for
+    small rank tables (the S_n table, distribution supports); an N-row sample
+    is read a row block at a time instead.
     """
-    n = ranks.shape[1]
-    by_item = np.ascontiguousarray(ranks.T)
-    out_t = np.empty((n * (n - 1) // 2, ranks.shape[0]), dtype=bool)
-    col = 0
+    out = np.empty((num_pairs(ranks.shape[1]), ranks.shape[0]), dtype=bool)
+    return comparison_block(ranks, slice(None), out)
+
+
+def comparison_block(ranks: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """The comparison rows of ``ranks[rows]``, written into ``out`` and returned as ``out.T``.
+
+    ``out`` is a caller-owned (C(n,2), len(rows)) array, bool or float: the
+    block's transpose, filled one item at a time, part i holding item i
+    against items i+1..n-1, so no (rows, C(n,2)) gather of ranks is made.
+    The rows are ranks 0..n-1, compared in the smallest unsigned type that
+    holds them.
+    """
+    n, col = ranks.shape[1], 0
+    by_item = np.ascontiguousarray(ranks[rows].T, dtype=np.min_scalar_type(max(n - 1, 0)))
     for i in range(n - 1):
-        np.less(by_item[i], by_item[i + 1 :], out=out_t[col : col + n - 1 - i])
+        np.less(by_item[i], by_item[i + 1 :], out=out[col : col + n - 1 - i])
         col += n - 1 - i
-    return out_t.T
+    return out.T
+
+
+#: Comparison entries (rows × C(n,2)) per row block of a pass over a
+#: sample's comparison rows: about 1 MB of bools, 4 MB as float32, and at
+#: most 2**20 rows, so a float32 product over one block counts exactly.
+COMPARISON_ENTRIES = 1 << 20
+
+
+def comparison_rows(n: int) -> int:
+    """Rows in one block of comparison rows over n items: COMPARISON_ENTRIES entries, at least one row."""
+    return max(1, COMPARISON_ENTRIES // max(num_pairs(n), 1))
+
+
+def comparison_counts(ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-pair int64 'i before j' counts over ``ranks[rows]``, summed one bool block at a time.
+
+    A block's bools are added as bytes, eight rows to a uint64 word: a byte
+    of a sum of at most 255 words is at most 255, so no byte carries into
+    the next, and the bytes of those sums add up to the counts.
+    """
+    c, step = num_pairs(ranks.shape[1]), comparison_rows(ranks.shape[1])
+    counts = np.zeros(c, dtype=np.int64)
+    buf = np.empty((c, -(-min(len(rows), step) // 8) * 8), dtype=bool)
+    words = buf.view(np.uint64)
+    starts = np.arange(0, words.shape[1], 255)
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        comparison_block(ranks, chunk, buf[:, : len(chunk)])
+        buf[:, len(chunk) :] = False  # the padding, or the last block's stale tail
+        sums = np.add.reduceat(words, starts, axis=1).view(np.uint8)
+        counts += sums.reshape(c, len(starts) * 8).sum(axis=1, dtype=np.int64)
+    return counts
 
 
 def hamming_cross(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -210,9 +249,10 @@ def inverse_rows(a: np.ndarray) -> np.ndarray:
 class RankingSample:
     """An immutable batch of N full rankings over the same n items.
 
-    The (N, n) matrix of 0-based ranks is the primary state, and the
-    pairwise comparison matrix is cached from it. ``Permutation`` objects are
-    built only when ``rankings`` or indexing asks for them.
+    The (N, n) matrix of 0-based ranks is the only state: comparison rows
+    are built from it a row block at a time (``comparison_block``), and never
+    stored. ``Permutation`` objects are built only when ``rankings`` or
+    indexing asks for them.
     """
 
     def __init__(self, rankings, labels=None):
@@ -292,24 +332,12 @@ class RankingSample:
             return self.rankings[i]
         return Permutation._trusted(self._ranks[i].tolist())
 
-    @cached_property
-    def comparisons(self) -> np.ndarray:
-        x = comparison_matrix(self._ranks)
-        x.setflags(write=False)
-        return x
-
     def subset(self, indices) -> "RankingSample":
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             raise RejectedInputError("empty sample")
         labels = None if self._labels is None else tuple(self._labels[i] for i in idx.tolist())
-        sub = RankingSample.__new__(RankingSample)
-        sub._set_state(self._ranks[idx], labels)
-        if "comparisons" in self.__dict__:
-            x = self.comparisons[idx]
-            x.setflags(write=False)
-            sub.comparisons = x
-        return sub
+        return RankingSample._trusted(self._ranks[idx], labels)
 
 
 @dataclass(frozen=True, eq=False)

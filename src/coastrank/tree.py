@@ -15,6 +15,11 @@ splitting criterion for every admissible pair at once.  Gram entries are
 integer counts, so a split node's matrix is kept for its children: the
 smaller child's is built from its rows and the larger's is the parent's
 minus it, exactly.
+
+X is never stored: growth, routing and leaf counts read the sample's rank
+matrix, building comparison rows one row block at a time
+(``perms.comparison_block``), and a split on pair (i, j) compares two rank
+columns.
 """
 
 from __future__ import annotations
@@ -29,7 +34,16 @@ import numpy as np
 from .cells import Cell, pair_distance_sum, v_hat_of_counts
 from .consensus import make_aggregator
 from .errors import RejectedInputError, TreeStateError, json_int
-from .perms import PairwiseMatrix, Permutation, RankingSample, pair_list
+from .perms import (
+    PairwiseMatrix,
+    Permutation,
+    RankingSample,
+    comparison_block,
+    comparison_counts,
+    comparison_rows,
+    num_pairs,
+    pair_list,
+)
 
 __all__ = [
     "SplitRule",
@@ -145,24 +159,6 @@ class CRD:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CRD":
-        try:
-            n = json_int(obj["n"], "CRD n")
-            atoms = tuple(
-                (
-                    float(a["weight"]),
-                    Permutation.from_one_based(a["median"], "median"),
-                    Cell.from_json_obj(n, a["cell"]),
-                )
-                for a in obj["atoms"]
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, RejectedInputError):
-                raise
-            raise RejectedInputError(f"malformed CRD document: {exc}") from exc
-        return cls(n, atoms)
-
 
 class CoastTree:
     """An immutable grown partition tree.
@@ -178,7 +174,6 @@ class CoastTree:
         self.frontier = tuple(sorted(frontier))
         self.aggregator = aggregator
         self._frontier_set = frozenset(self.frontier)
-        self._columns = {p: c for c, p in enumerate(pair_list(self.n))}
 
     # -- basic shape ---------------------------------------------------------
 
@@ -211,7 +206,7 @@ class CoastTree:
         """Vectorized routing: leaf node id per sample row."""
         if s.n != self.n:
             raise RejectedInputError("sample dimension mismatch")
-        x = s.comparisons
+        r = s.ranks_matrix
         out = np.empty(len(s), dtype=np.int64)
         stack = [(0, np.arange(len(s)))]
         while stack:
@@ -220,8 +215,7 @@ class CoastTree:
                 out[idx] = nid
                 continue
             node = self.nodes[nid]
-            bits = x[idx, self._columns[node.split]]
-            # child 0 keeps "i before j"; stored splits are (i, j) with i < j
+            bits = _before(r, idx, node.split)  # child 0 keeps split[0] before split[1]
             stack.append((node.children[0], idx[bits]))
             stack.append((node.children[1], idx[~bits]))
         return out
@@ -229,22 +223,16 @@ class CoastTree:
     def leaf_counts(self, s: RankingSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Leaf node id per row; per frontier leaf, its row count and column counts.
 
-        The counts are one leaf-indicator × comparison-matrix product, run in
-        _GRAM_ROWS-row float32 chunks and summed into int64, so they are
-        exact integers for the reason the split search's Gram entries are.
+        Each leaf's counts are summed from its own rows' comparison blocks,
+        in integers (``perms.comparison_counts``).
         """
         leaf_of = self.route_sample(s)
-        pos = np.searchsorted(self.frontier, leaf_of)
-        x, leaves = s.comparisons, np.arange(self.leaf_count)
-        # columns × leaves: a transposed chunk of the column-major comparison
-        # matrix is row-major, which BLAS reads fastest
-        counts = np.zeros((x.shape[1], self.leaf_count), dtype=np.int64)
-        for start in range(0, len(s), _GRAM_ROWS):
-            onehot = (pos[start : start + _GRAM_ROWS, None] == leaves).astype(np.float32)
-            chunk = x[start : start + _GRAM_ROWS].T.astype(np.float32) @ onehot
-            np.add(counts, chunk, out=counts, casting="unsafe", dtype=np.int64)
-        rows = np.bincount(pos, minlength=self.leaf_count)
-        return leaf_of, rows, counts.T
+        sizes = np.zeros(self.leaf_count, dtype=np.int64)
+        counts = np.zeros((self.leaf_count, num_pairs(self.n)), dtype=np.int64)
+        for k, nid in enumerate(self.frontier):
+            rows = np.flatnonzero(leaf_of == nid)
+            sizes[k], counts[k] = len(rows), comparison_counts(s.ranks_matrix, rows)
+        return leaf_of, sizes, counts
 
     # -- readout -------------------------------------------------------------
 
@@ -431,9 +419,6 @@ def _score(m: int, counts: np.ndarray) -> float:
     return pair_distance_sum(counts, m) / (m - 1) if m >= 2 else 0.0
 
 
-#: Rows per chunk of the split search's Gram matrix.
-_GRAM_ROWS = 1024
-
 #: Columns per panel of a Gram chunk's products.
 _GRAM_PANEL = 256
 
@@ -445,30 +430,31 @@ _SCORE_ROWS = 64
 _GRAM_KEEP_BYTES = 1 << 30
 
 
-def _gram(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """X'X over the given rows of x, as unsigned counts in the smallest type that holds len(rows).
+def _gram(ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """X'X over the comparison rows of ranks[rows], as unsigned counts in the
+    smallest type that holds len(rows).
 
-    Each _GRAM_ROWS chunk is cast into one float32 buffer and multiplied one
-    _GRAM_PANEL-column panel at a time: the panel's diagonal block is a
-    symmetric product, the block right of it a general one. A product counts
-    at most _GRAM_ROWS rows, and no more than len(rows), so its entries are
-    exact integers that the counts' type holds; np.add casts them to that
-    type and adds them in it. The lower triangle is copied from the upper
-    one at the end.
+    Each block of comparison_rows(n) rows is built straight into one float32
+    (C, block) buffer, its transpose, and multiplied one _GRAM_PANEL-row panel
+    at a time: the panel's diagonal block is a symmetric product, the block
+    right of it a general one. A product counts at most one block of rows,
+    and no more than len(rows), so its entries are exact integers that the
+    counts' type holds; np.add casts them to that type and adds them in it.
+    The lower triangle is copied from the upper one at the end.
     """
-    c = x.shape[1]
+    c, step = num_pairs(ranks.shape[1]), comparison_rows(ranks.shape[1])
     gram = np.zeros((c, c), dtype=np.min_scalar_type(len(rows)))
-    buf = np.empty((min(len(rows), _GRAM_ROWS), c), dtype=np.float32)
-    for start in range(0, len(rows), _GRAM_ROWS):
-        chunk = rows[start : start + _GRAM_ROWS]
-        xc = buf[: len(chunk)]
-        xc[...] = x[chunk]
+    buf = np.empty((c, min(len(rows), step)), dtype=np.float32)
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        xt = buf[:, : len(chunk)]
+        comparison_block(ranks, chunk, xt)
         for p in range(0, c, _GRAM_PANEL):
             q = p + _GRAM_PANEL
-            a, diag, right = xc[:, p:q], gram[p:q, p:q], gram[p:q, q:]
-            np.add(diag, a.T @ a, out=diag, casting="unsafe", dtype=gram.dtype)
+            a, diag, right = xt[p:q], gram[p:q, p:q], gram[p:q, q:]
+            np.add(diag, a @ a.T, out=diag, casting="unsafe", dtype=gram.dtype)
             if q < c:
-                np.add(right, a.T @ xc[:, q:], out=right, casting="unsafe", dtype=gram.dtype)
+                np.add(right, a @ xt[q:].T, out=right, casting="unsafe", dtype=gram.dtype)
     for p in range(_GRAM_PANEL, c, _GRAM_PANEL):
         gram[p:, p - _GRAM_PANEL : p] = gram[p - _GRAM_PANEL : p, p:].T
     return gram
@@ -506,7 +492,6 @@ def _split_sums(
 class _SplitPlan:
     node_id: int
     pair: tuple[int, int]
-    column: int
     reduction: float  # parent score minus both child scores (N-free units)
     child_ms: tuple[int, int]
     child_counts: tuple[np.ndarray, np.ndarray]
@@ -526,7 +511,6 @@ def _plan_min_distortion(
     return _SplitPlan(
         node_id=node.node_id,
         pair=pairs[col],
-        column=col,
         reduction=float(_score(m, t) - score[k]),
         child_ms=(int(m0[k]), int(m1[k])),
         child_counts=(c0, t - c0),
@@ -534,23 +518,27 @@ def _plan_min_distortion(
 
 
 def _plan_balanced(
-    x: np.ndarray, node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
+    ranks: np.ndarray, node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
 ) -> _SplitPlan:
     m = node.count
     t = node.counts
     k = int(np.argmin(np.abs(t[candidates] / m - 0.5)))
-    col = int(candidates[k])
-    rows0 = node.indices[x[node.indices, col]]
-    m0, c0 = len(rows0), x[rows0].sum(axis=0, dtype=np.int64)
+    pair = pairs[int(candidates[k])]
+    rows0 = node.indices[_before(ranks, node.indices, pair)]
+    m0, c0 = len(rows0), comparison_counts(ranks, rows0)
     m1, c1 = m - m0, t - c0
     return _SplitPlan(
         node_id=node.node_id,
-        pair=pairs[col],
-        column=col,
+        pair=pair,
         reduction=float(_score(m, t) - (_score(m0, c0) + _score(m1, c1))),
         child_ms=(m0, m1),
         child_counts=(c0, c1),
     )
+
+
+def _before(ranks: np.ndarray, rows: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Which of the given rows rank pair[0] before pair[1]: one comparison column."""
+    return ranks[rows, pair[0]] < ranks[rows, pair[1]]
 
 
 # --- growth -----------------------------------------------------------------
@@ -594,10 +582,10 @@ def grow(
     else:
         agg = make_aggregator(str(aggregator), seed=seed)
     pairs = pair_list(s.n)
-    x = s.comparisons
+    r = s.ranks_matrix
 
     t0 = time.perf_counter()
-    counts = x.sum(axis=0, dtype=np.int64)
+    counts = comparison_counts(r, np.arange(n_total))
     root = CoastNode(
         node_id=0,
         cell=Cell.root(s.n),
@@ -610,7 +598,7 @@ def grow(
     )
     nodes = [root]
     frontier: set[int] = {0}
-    gram_size = x.shape[1] ** 2
+    gram_size = len(pairs) ** 2
 
     def criterion_now() -> float:
         return sum(nodes[i].contribution for i in frontier)
@@ -624,12 +612,12 @@ def grow(
         cand = candidates_of(node)
         if len(cand) == 0:  # cannot happen for v_hat > 0; guard anyway
             return []
-        return [(_plan_balanced(x, node, cand, pairs), None)]
+        return [(_plan_balanced(r, node, cand, pairs), None)]
 
     def gram_of(nid: int) -> np.ndarray:
         nonlocal gram_rows
         gram_rows += nodes[nid].count
-        return _gram(x, nodes[nid].indices)
+        return _gram(r, nodes[nid].indices)
 
     def plan_min_distortion(job, keep: set[int]) -> list[tuple[_SplitPlan, np.ndarray | None]]:
         """Plans for one node, or for the eligible children of one kept parent.
@@ -728,7 +716,7 @@ def grow(
         for plan in plans:
             parent = nodes[plan.node_id]
             cell0, cell1 = parent.cell.split(plan.pair)
-            bits = x[parent.indices, plan.column]
+            bits = _before(r, parent.indices, plan.pair)
             idx_children = (parent.indices[bits], parent.indices[~bits])
             child_ids = []
             for side in (0, 1):

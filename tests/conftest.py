@@ -11,7 +11,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from coastrank.perms import DiscreteRankingDistribution, PairwiseMatrix, Permutation, RankingSample
+import coastrank.perms as perms_mod
+from coastrank.perms import (
+    DiscreteRankingDistribution,
+    PairwiseMatrix,
+    Permutation,
+    RankingSample,
+    comparison_matrix,
+    num_pairs,
+)
+
+
+def set_comparison_rows(monkeypatch, n: int, rows: int) -> None:
+    """Make every pass over comparison rows of n items take blocks of ``rows`` rows."""
+    monkeypatch.setattr(perms_mod, "COMPARISON_ENTRIES", rows * num_pairs(n))
 
 
 def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
@@ -25,7 +38,7 @@ def random_sample(rng: np.random.Generator, n: int, size: int) -> RankingSample:
 def random_marginals(rng: np.random.Generator, n: int, size: int) -> PairwiseMatrix:
     """Pairwise marginals of a random sample of the given size."""
     s = random_sample(rng, n, size)
-    return PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+    return PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
 
 
 def reversal(n: int) -> Permutation:

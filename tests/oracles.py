@@ -22,7 +22,9 @@ from coastrank.errors import (
     EnumerationLimitError,
     RankingParseError,
     RejectedInputError,
+    json_int,
 )
+from coastrank.fileio import RunManifest
 from coastrank.models import MallowsParams, MixtureSpec, PlackettLuceParams, mallows_normalizer
 from coastrank.perms import (
     DiscreteRankingDistribution,
@@ -30,6 +32,7 @@ from coastrank.perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    comparison_matrix,
     hamming_cross,
     num_pairs,
     pair_list,
@@ -37,6 +40,7 @@ from coastrank.perms import (
     symmetric_group,
 )
 from coastrank.transport import _DEGENERATE_RUN
+from coastrank.tree import CRD
 
 
 def enumerate_permutations(n: int, limit: int = ENUMERATION_LIMIT):
@@ -47,6 +51,56 @@ def enumerate_permutations(n: int, limit: int = ENUMERATION_LIMIT):
         raise EnumerationLimitError(f"n={n} exceeds enumeration limit {limit}")
     for ranks in itertools.permutations(range(n)):
         yield Permutation._trusted(ranks)
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """Function composition (formerly ``Permutation.compose``): (a . b)(i) = a(b(i))."""
+    if a.n != b.n:
+        raise DimensionMismatchError("compose: size mismatch")
+    return Permutation(tuple(a.ranks[r] for r in b.ranks))
+
+
+def admissible_pairs(cell: Cell) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, with neither order implied by the cell's closure
+    (formerly ``Cell.admissible_pairs``)."""
+    return [(i, j) for i, j in pair_list(cell.n) if cell.is_admissible(i, j)]
+
+
+def crd_from_json_obj(obj: dict) -> CRD:
+    """A CRD read back from ``CRD.to_json_obj`` (formerly ``CRD.from_json_obj``)."""
+    try:
+        n = json_int(obj["n"], "CRD n")
+        atoms = tuple(
+            (
+                float(a["weight"]),
+                Permutation.from_one_based(a["median"], "median"),
+                Cell.from_json_obj(n, a["cell"]),
+            )
+            for a in obj["atoms"]
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, RejectedInputError):
+            raise
+        raise RejectedInputError(f"malformed CRD document: {exc}") from exc
+    return CRD(n, atoms)
+
+
+def manifest_from_json_obj(obj: dict) -> RunManifest:
+    """A manifest read back from ``RunManifest.to_json_obj`` (formerly
+    ``RunManifest.from_json_obj``)."""
+    try:
+        return RunManifest(
+            command=str(obj["command"]),
+            argv=tuple(str(a) for a in obj["argv"]),
+            seed=None if obj.get("seed") is None else json_int(obj["seed"], "manifest seed"),
+            config=dict(obj["config"]),
+            inputs=dict(obj["inputs"]),
+            outputs=dict(obj["outputs"]),
+            wall_times=dict(obj["wall_times"]),
+            counters=dict(obj.get("counters", {})),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RejectedInputError(f"malformed run manifest: {exc}") from exc
 
 
 def gathered_comparison_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -147,7 +201,7 @@ def condition(dist: DiscreteRankingDistribution, mask):
 
 def v_hat_of_indices(s: RankingSample, indices) -> float:
     """Cell variability estimate of the given sample rows, from their column counts."""
-    return v_hat_of_counts(s.comparisons[indices].sum(axis=0, dtype=np.int64), len(indices))
+    return v_hat_of_counts(comparison_matrix(s.ranks_matrix)[indices].sum(axis=0, dtype=np.int64), len(indices))
 
 
 def route_one(tree, sigma: Permutation) -> int:
@@ -204,12 +258,12 @@ def partition_criterion(s: RankingSample, cells) -> float:
     ranking matched by exactly one cell).
     """
     cells = list(cells)
-    owners = cell_owners(s.n, s.comparisons, cells)
+    owners = cell_owners(s.n, comparison_matrix(s.ranks_matrix), cells)
     total = 0.0
     for ci in range(len(cells)):
         mask = owners == ci
         m = int(mask.sum())
-        total += (m / s.size) * v_hat_of_counts(s.comparisons[mask].sum(axis=0, dtype=np.int64), m)
+        total += (m / s.size) * v_hat_of_counts(comparison_matrix(s.ranks_matrix)[mask].sum(axis=0, dtype=np.int64), m)
     return float(total)
 
 
@@ -463,7 +517,7 @@ def hamming_depths(qx: np.ndarray, fx: np.ndarray, max_depth: float) -> np.ndarr
 def brute_local_depths(tree, s_fit: RankingSample, s_query: RankingSample):
     """(local, global) depth arrays, routing every ranking one at a time."""
     top = float(tree.n * (tree.n - 1) // 2)
-    qx, fx = s_query.comparisons, s_fit.comparisons
+    qx, fx = comparison_matrix(s_query.ranks_matrix), comparison_matrix(s_fit.ranks_matrix)
     q_leaf = [route_one(tree, p) for p in s_query.rankings]
     f_leaf = np.array([route_one(tree, p) for p in s_fit.rankings])
     local = np.array(
@@ -472,10 +526,50 @@ def brute_local_depths(tree, s_fit: RankingSample, s_query: RankingSample):
     return local, hamming_depths(qx, fx, top)
 
 
+def stored_route_sample(tree, x: np.ndarray) -> np.ndarray:
+    """Leaf node id per row of a stored comparison matrix x, reading one bit
+    column per split node."""
+    column = {pair: c for c, pair in enumerate(pair_list(tree.n))}
+    leaves = set(tree.frontier)
+    out = np.empty(len(x), dtype=np.int64)
+    stack = [(0, np.arange(len(x)))]
+    while stack:
+        nid, idx = stack.pop()
+        if nid in leaves:
+            out[idx] = nid
+            continue
+        node = tree.nodes[nid]
+        bits = x[idx, column[node.split]]
+        stack += [(node.children[0], idx[bits]), (node.children[1], idx[~bits])]
+    return out
+
+
+def stored_split(x: np.ndarray, n: int, rule: str) -> tuple[int, int]:
+    """A node's split pair from its stored comparison rows x over n items, by
+    the formulas grow uses: int64 Gram sums for min-distortion, the count
+    nearest m/2 for balanced; ties go to the first pair."""
+    m, xi = len(x), x.astype(np.int64)
+    t = xi.sum(axis=0)
+    cand = np.nonzero((t > 0) & (t < m))[0]
+    if rule == "balanced":
+        return pair_list(n)[int(cand[np.argmin(np.abs(t[cand] / m - 0.5))])]
+    c0, m0 = (xi.T @ xi)[cand], t[cand][:, None]
+    c1, m1 = t[None, :] - c0, m - m0
+
+    def score(mm, ss):
+        return np.where(mm >= 2, ss / np.maximum(mm - 1, 1), 0.0)
+
+    total = score(m0[:, 0], (c0 * (m0 - c0)).sum(axis=1)) + score(
+        m1[:, 0], (c1 * (m1 - c1)).sum(axis=1)
+    )
+    return pair_list(n)[int(cand[np.argmin(total)])]
+
+
 def mask_leaf_counts(tree, s: RankingSample):
-    """(rows, int64 column counts) per frontier leaf, one boolean mask per leaf."""
-    leaf_of = tree.route_sample(s)
-    x = s.comparisons
+    """(rows, int64 column counts) per frontier leaf, routed and summed over
+    the stored comparison matrix, one boolean mask per leaf."""
+    x = comparison_matrix(s.ranks_matrix)
+    leaf_of = stored_route_sample(tree, x)
     masks = [leaf_of == nid for nid in tree.frontier]
     rows = np.array([int(m.sum()) for m in masks], dtype=np.int64)
     counts = np.array([x[m].sum(axis=0, dtype=np.int64) for m in masks]).reshape(len(masks), -1)
@@ -899,7 +993,7 @@ def local_stats(s: RankingSample, c: Cell) -> LocalStats:
     """
     mask = c.membership_mask(s)
     idx = np.flatnonzero(mask)
-    marg = PairwiseMatrix.from_comparisons(s.n, s.comparisons[mask])
+    marg = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix)[mask])
     return LocalStats(cell=c, count=int(idx.size), marginals=marg, v_hat=brute_v_hat(s, idx))
 
 

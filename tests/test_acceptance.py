@@ -34,6 +34,7 @@ from coastrank.perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    comparison_matrix,
     kendall_tau,
     num_pairs,
     ranking_risk,
@@ -42,7 +43,14 @@ from coastrank.transport import distortion_report, wasserstein
 from coastrank.tree import grow, prune_sequence
 
 from conftest import random_permutation, random_rational_distribution, random_sample
-from oracles import condition, crd_distribution, enumerate_permutations, l2_distance, members_of
+from oracles import (
+    admissible_pairs,
+    condition,
+    crd_distribution,
+    enumerate_permutations,
+    l2_distance,
+    members_of,
+)
 from test_analysis import random_strict_sst_distribution
 
 
@@ -59,7 +67,7 @@ def _random_partition(rng, n, max_splits=3):
     cells = [Cell.root(n)]
     for _ in range(int(rng.integers(0, max_splits + 1))):
         idx = int(rng.integers(0, len(cells)))
-        pairs = cells[idx].admissible_pairs()
+        pairs = admissible_pairs(cells[idx])
         if not pairs:
             continue
         pair = pairs[int(rng.integers(0, len(pairs)))]
@@ -138,7 +146,7 @@ def test_c02_pairwise_winner_equals_exact_median():
             center=random_permutation(rng, n), phi=float(rng.uniform(0.4, 1.4))
         )
         s = sample_mallows(params, size, rng)
-        m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+        m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
         if sst_status(m).kind is not SstKind.STRICT:
             continue
         dist = DiscreteRankingDistribution.empirical(s)
@@ -462,7 +470,7 @@ def test_c11_partition_identities():
                 )
                 assert np.allclose(p_base, dist.marginals().p, atol=1e-12)
                 for idx, cell in enumerate(cells):
-                    for pair in cell.admissible_pairs():
+                    for pair in admissible_pairs(cell):
                         c0, c1 = cell.split(pair)
                         refined = cells[:idx] + [c0, c1] + cells[idx + 1 :]
                         assert _exact_criterion(dist, refined) <= base + 1e-12

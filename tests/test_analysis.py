@@ -41,13 +41,19 @@ from coastrank.perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    comparison_matrix,
     kendall_tau,
     num_pairs,
     ranking_risk,
 )
 from coastrank.tree import CoastTree, grow
 
-from conftest import random_permutation, random_rational_distribution, random_sample
+from conftest import (
+    random_permutation,
+    random_rational_distribution,
+    random_sample,
+    set_comparison_rows,
+)
 from oracles import (
     brute_local_depths,
     condition,
@@ -184,9 +190,9 @@ def test_depths_match_hamming_oracle(q):
     top = float(num_pairs(7))
     for leaf in tree.frontier:
         table = ddplot_table(tree, s_fit, s_query, leaf)
-        ref_rows = s_fit.comparisons[tree.route_sample(s_fit) == leaf]
+        ref_rows = comparison_matrix(s_fit.ranks_matrix)[tree.route_sample(s_fit) == leaf]
         local, global_depth = _depth_arrays(table)
-        assert np.array_equal(local, hamming_depths(s_query.comparisons, ref_rows, top))
+        assert np.array_equal(local, hamming_depths(comparison_matrix(s_query.ranks_matrix), ref_rows, top))
         assert np.array_equal(global_depth, want_global)
 
 
@@ -211,9 +217,6 @@ def test_depths_match_oracle_with_empty_leaf():
 
 
 def test_chunked_depths_match_oracle_with_empty_leaf(monkeypatch):
-    import coastrank.analysis as analysis_mod
-    import coastrank.tree as tree_mod
-
     spec = random_mallows_mixture_spec(n=7, k=3, phi=1.0, seed=11)
     s = sample_mixture(spec, 300)
     s_query = sample_mixture(spec.with_seed(12), 40)
@@ -222,8 +225,7 @@ def test_chunked_depths_match_oracle_with_empty_leaf(monkeypatch):
     # the fit sample leaves out every row of one leaf
     s_fit = s.subset(np.flatnonzero(tree.route_sample(s) != empty))
     assert (tree.route_sample(s_query) == empty).any()
-    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", 7)
-    monkeypatch.setattr(analysis_mod, "_QUERY_ROWS", 5)
+    set_comparison_rows(monkeypatch, 7, 5)
     table = local_depths(tree, s_fit, s_query)
     want_local, want_global = brute_local_depths(tree, s_fit, s_query)
     assert np.array_equal(table.local_depth, want_local)
@@ -231,9 +233,23 @@ def test_chunked_depths_match_oracle_with_empty_leaf(monkeypatch):
     assert (table.local_depth[table.cell == empty] == 0.0).all()
     top = float(num_pairs(7))
     for leaf in tree.frontier:
-        ref_rows = s_fit.comparisons[tree.route_sample(s_fit) == leaf]
+        ref_rows = comparison_matrix(s_fit.ranks_matrix)[tree.route_sample(s_fit) == leaf]
         table = ddplot_table(tree, s_fit, s_query, leaf)
-        assert np.array_equal(table.local_depth, hamming_depths(s_query.comparisons, ref_rows, top))
+        assert np.array_equal(table.local_depth, hamming_depths(comparison_matrix(s_query.ranks_matrix), ref_rows, top))
+        assert np.array_equal(table.global_depth, want_global)
+
+
+def test_local_depths_equal_the_stored_matrix_oracle_on_random_trees(rng, monkeypatch):
+    for _ in range(5):
+        n = int(rng.choice([2, 4, 6, 9, 20]))
+        s_fit = random_sample(rng, n, int(rng.integers(2, 150)))
+        s_query = random_sample(rng, n, int(rng.integers(1, 60)))
+        tree, _ = grow(s_fit, epsilon=0.0, max_leaves=int(rng.integers(1, 9)),
+                       aggregator="copeland")
+        set_comparison_rows(monkeypatch, n, int(rng.integers(1, 25)))
+        table = local_depths(tree, s_fit, s_query)
+        want_local, want_global = brute_local_depths(tree, s_fit, s_query)
+        assert np.array_equal(table.local_depth, want_local)
         assert np.array_equal(table.global_depth, want_global)
 
 
@@ -571,7 +587,7 @@ def test_smooth_marginals_equal_sub_sample_marginals(rng):
         if not mask.any():
             continue
         sub = s.subset(np.flatnonzero(mask))
-        want = PairwiseMatrix.from_comparisons(sub.n, sub.comparisons)
+        want = PairwiseMatrix.from_comparisons(sub.n, comparison_matrix(sub.ranks_matrix))
         got = smooth_cell(s, cell, "enumeration").marginals
         assert (got.p == want.p).all()
 

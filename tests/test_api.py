@@ -34,6 +34,11 @@ DROPPED_MEMBERS = [
     ("coastrank.transport", "TransportPlan", "row_sums"),
     ("coastrank.transport", "TransportPlan", "col_sums"),
     ("coastrank.perms", "Permutation", "reverse"),
+    ("coastrank.perms", "Permutation", "compose"),
+    ("coastrank.perms", "RankingSample", "comparisons"),
+    ("coastrank.cells", "Cell", "admissible_pairs"),
+    ("coastrank.tree", "CRD", "from_json_obj"),
+    ("coastrank.fileio", "RunManifest", "from_json_obj"),
 ]
 
 

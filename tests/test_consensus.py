@@ -27,6 +27,7 @@ from coastrank.perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    comparison_matrix,
     num_pairs,
     pair_list,
     ranking_risk,
@@ -74,7 +75,7 @@ def strict_sst_sample(rng, n, tries=500):
                 order[r], order[r + 1] = order[r + 1], order[r]
             perms.append(Permutation.from_ordering(order))
         s = RankingSample(tuple(perms))
-        if sst_status(PairwiseMatrix.from_comparisons(s.n, s.comparisons)).kind is SstKind.STRICT:
+        if sst_status(PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))).kind is SstKind.STRICT:
             return s
     raise AssertionError("could not generate a strictly SST sample")
 
@@ -176,7 +177,7 @@ def test_copeland_equals_kemeny_on_strict_sst(rng):
         n = int(rng.integers(3, 6))
         s = strict_sst_sample(rng, n)
         d = DiscreteRankingDistribution.empirical(s)
-        m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+        m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
         cope = copeland_median(m)
         res = exact_kemeny(d)
         assert cope in res.medians
@@ -192,7 +193,7 @@ def test_depth_climb_reaches_exact_median_on_sst(rng):
         s = strict_sst_sample(rng, n)
         med = exact_kemeny(DiscreteRankingDistribution.empirical(s)).median
         for seed in range(4):
-            m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+            m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
             got = depth_climb_median(m, restarts=1, rng=np.random.default_rng(seed))
             assert got.median == med
 
@@ -200,7 +201,7 @@ def test_depth_climb_reaches_exact_median_on_sst(rng):
 def test_depth_climb_improves_over_start(rng):
     s = random_sample(rng, 6, 40)
     d = DiscreteRankingDistribution.empirical(s)
-    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+    m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
     res = depth_climb_median(m, restarts=8, rng=np.random.default_rng(1))
     assert res.risk == pytest.approx(ranking_risk(d, res.median), abs=1e-9)
     # local optimality: no adjacent swap improves
@@ -256,7 +257,7 @@ def climb_cases(rng, n):
     cases += [random_marginals(rng, n, size) for size in (1, 3, 4, 200)]
     if 2 < n <= 20:
         s = strict_sst_sample(rng, n)
-        cases.append(PairwiseMatrix.from_comparisons(s.n, s.comparisons))
+        cases.append(PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix)))
     return cases
 
 
@@ -311,7 +312,7 @@ def test_depth_climb_draws_every_start_from_the_generator(rng, n):
 
 def test_depth_climb_deterministic(rng):
     s = random_sample(rng, 5, 30)
-    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+    m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
     a = depth_climb_median(m, restarts=8, rng=np.random.default_rng(3)).median
     b = depth_climb_median(m, restarts=8, rng=np.random.default_rng(3)).median
     assert a == b
@@ -400,7 +401,7 @@ def test_low_noise_bound(rng):
 def test_aggregator_auto_exact_small_n(rng):
     s = random_sample(rng, 5, 21)
     agg = make_aggregator("auto", seed=1)
-    med = agg(PairwiseMatrix.from_comparisons(s.n, s.comparisons), node_id=0)
+    med = agg(PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix)), node_id=0)
     assert med == exact_kemeny(DiscreteRankingDistribution.empirical(s)).median
 
 
@@ -413,7 +414,7 @@ def test_aggregator_copeland_fallback(rng):
     ]
     s = RankingSample(tuple(perms))
     agg = make_aggregator("copeland", seed=0)
-    med = agg(PairwiseMatrix.from_comparisons(s.n, s.comparisons), node_id=3)
+    med = agg(PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix)), node_id=3)
     assert isinstance(med, Permutation)
 
 

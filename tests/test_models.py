@@ -175,7 +175,7 @@ def test_mallows_point_mass_at_large_phi(rng):
 def test_mallows_uniform_limit(rng):
     params = MallowsParams(Permutation.identity(3), 1e-9)
     s = sample_mallows(params, 6000, rng)
-    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+    m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
     off = m.p[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off - 0.5) < 0.05)
 
@@ -195,7 +195,7 @@ def test_mallows_mode_frequency(rng):
 def test_mallows_sample_sst_ordered_with_center(rng):
     center = random_permutation(rng, 8)
     s = sample_mallows(MallowsParams(center, 0.7), 6000, rng)
-    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+    m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
     assert sst_status(m).kind is SstKind.STRICT
     assert copeland_median(m) == center
 
@@ -264,7 +264,7 @@ def test_pl_first_choice_law(rng):
 
 def test_pl_uniform_worths_symmetric(rng):
     s = sample_plackett_luce(PlackettLuceParams((1.0, 1.0, 1.0)), 6000, rng)
-    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+    m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
     off = m.p[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off - 0.5) < 0.05)
 

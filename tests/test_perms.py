@@ -15,7 +15,10 @@ from coastrank.perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    comparison_block,
+    comparison_counts,
     comparison_matrix,
+    comparison_rows,
     inverse_rows,
     kendall_tau,
     num_pairs,
@@ -25,9 +28,16 @@ from coastrank.perms import (
     symmetric_group,
 )
 
-from conftest import random_marginals, random_permutation, random_sample, reversal
+from conftest import (
+    random_marginals,
+    random_permutation,
+    random_sample,
+    reversal,
+    set_comparison_rows,
+)
 from oracles import (
     brute_risk,
+    compose,
     condition,
     dict_from_pairs,
     enumerate_permutations,
@@ -104,7 +114,7 @@ def test_kendall_right_invariance(rng):
     for _ in range(300):
         n = int(rng.integers(2, 9))
         a, b, c = (random_permutation(rng, n) for _ in range(3))
-        assert kendall_tau(a.compose(c), b.compose(c)) == kendall_tau(a, b)
+        assert kendall_tau(compose(a, c), compose(b, c)) == kendall_tau(a, b)
 
 
 def test_kendall_size_mismatch():
@@ -130,7 +140,7 @@ def test_marginals_complement_exact(rng):
     for trial in range(20):
         n = int(rng.integers(2, 8))
         s = random_sample(rng, n, int(rng.integers(1, 120)))
-        m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+        m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
         # complement holds exactly for empirical counts, not just within tolerance
         assert np.all(m.p + m.p.T == 1.0)
         assert np.all(np.diag(m.p) == 0.5)
@@ -138,13 +148,13 @@ def test_marginals_complement_exact(rng):
 
 def test_marginals_uniform_sample():
     s = RankingSample(tuple(enumerate_permutations(3)))
-    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+    m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
     assert np.all(m.p == 0.5)
 
 
 def test_marginals_against_counts(rng):
     s = random_sample(rng, 5, 37)
-    m = PairwiseMatrix.from_comparisons(s.n, s.comparisons)
+    m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
     for i, j in itertools.combinations(range(5), 2):
         cnt = sum(1 for p in s.rankings if p.ranks[i] < p.ranks[j])
         assert m.p[i, j] == cnt / 37
@@ -415,11 +425,13 @@ def test_from_ranks_matches_permutation_constructor(rng):
     t = RankingSample.from_ranks(s.ranks_matrix.astype(np.int64), labels=range(40))
     assert t.rankings == s.rankings
     assert t[7] == s[7] and t[-1] == s[-1]
-    assert np.array_equal(t.comparisons, s.comparisons)
+    assert t.ranks_matrix.dtype == np.int32 and np.array_equal(t.ranks_matrix, s.ranks_matrix)
     assert t.labels == tuple(range(40))
     sub = t.subset([3, 1, 3])
     assert sub.rankings == (s[3], s[1], s[3]) and sub.labels == (3, 1, 3)
-    assert np.array_equal(sub.comparisons, s.comparisons[[3, 1, 3]])
+    assert np.array_equal(sub.ranks_matrix, s.ranks_matrix[[3, 1, 3]])
+    # the rank matrix is a sample's only state: no comparison matrix is kept
+    assert not hasattr(sub, "comparisons") and not hasattr(RankingSample, "comparisons")
 
 
 @pytest.mark.parametrize(
@@ -473,3 +485,61 @@ def test_comparison_matrix_equals_gathered_form(rng, n, size, dtype):
     assert x.dtype == bool and x.shape == (size, num_pairs(n))
     assert x.flags["F_CONTIGUOUS"]  # weighted marginals and exact_kemeny sum in this order
     assert np.array_equal(x, gathered_comparison_matrix(ranks))
+
+
+def block_rows_of(rng, size: int, kind: str) -> np.ndarray:
+    """Row indices of each kind a block of comparison rows is built from."""
+    return {
+        "sorted": np.sort(rng.choice(size, size // 3, replace=False)),
+        "unsorted": rng.permutation(size)[: size // 3],
+        "repeated": rng.integers(0, size, size),
+        "empty": np.arange(0),
+    }[kind]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 50])
+@pytest.mark.parametrize("kind", ["sorted", "unsorted", "repeated", "empty"])
+def test_comparison_block_equals_the_matrix_rows(rng, n, kind):
+    ranks = np.argsort(rng.random((45, n)), axis=1).astype(np.int32)
+    rows = block_rows_of(rng, 45, kind)
+    want = comparison_matrix(ranks)[rows]
+    for dtype in (bool, np.float32, np.float64):
+        # a caller's buffer is often a view of a wider one
+        buf = np.ones((num_pairs(n), len(rows) + 3), dtype=dtype)
+        out = buf[:, : len(rows)]
+        got = comparison_block(ranks, rows, out)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(out.T, want) and (buf[:, len(rows) :] == 1).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 50])
+@pytest.mark.parametrize("kind", ["sorted", "unsorted", "repeated", "empty"])
+def test_comparison_counts_sum_the_matrix_rows_in_blocks(rng, monkeypatch, n, kind):
+    ranks = np.argsort(rng.random((45, n)), axis=1).astype(np.int32)
+    rows = block_rows_of(rng, 45, kind)
+    want = comparison_matrix(ranks)[rows].sum(axis=0, dtype=np.int64)
+    for block in (1, 4, 1000):
+        set_comparison_rows(monkeypatch, n, block)
+        got = comparison_counts(ranks, rows)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_comparison_rows_hold_a_fixed_number_of_entries():
+    import coastrank.perms as perms_mod
+
+    entries = perms_mod.COMPARISON_ENTRIES
+    assert comparison_rows(50) == entries // 1225 and comparison_rows(20) == entries // 190
+    # no pairs: one row counts as one entry; the rule never reaches 2**24 rows,
+    # so a float32 product over one block stays exact
+    assert comparison_rows(1) == comparison_rows(2) == entries < 2**24
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_comparison_counts_hold_full_byte_lanes(rng, n):
+    """Blocks of thousands of rows, and columns every row sets: each byte of a
+    word sum reaches 255 and none carries."""
+    ranks = np.argsort(rng.random((6000, n)), axis=1).astype(np.int32)
+    ranks[:4100] = ranks[0]  # the same ranking, so its 'before' columns are all set
+    for rows in (np.arange(6000), np.arange(4100), rng.permutation(6000)[:5003]):
+        want = comparison_matrix(ranks)[rows].sum(axis=0, dtype=np.int64)
+        assert np.array_equal(comparison_counts(ranks, rows), want)

@@ -28,6 +28,7 @@ from coastrank.transport import (
 
 from conftest import random_permutation, random_rational_distribution, random_sample, reversal
 from oracles import (
+    admissible_pairs,
     bland_transport,
     brute_wasserstein,
     condition,
@@ -262,7 +263,7 @@ def random_partition(rng, n, splits):
     cells = [Cell.root(n)]
     for _ in range(splits):
         k = int(rng.integers(len(cells)))
-        pairs = cells[k].admissible_pairs()
+        pairs = admissible_pairs(cells[k])
         if pairs:
             cells[k : k + 1] = cells[k].split(pairs[int(rng.integers(len(pairs)))])
     return cells

@@ -26,19 +26,25 @@ from coastrank.perms import (
     PairwiseMatrix,
     Permutation,
     RankingSample,
+    comparison_matrix,
+    comparison_rows,
     num_pairs,
     pair_list,
 )
 from coastrank.tree import CRD, CoastTree, GrowthTrace, grow, prune_sequence, select_subtree
 
-from conftest import random_sample, reversal
+from conftest import random_sample, reversal, set_comparison_rows
 from oracles import (
+    admissible_pairs,
     brute_v_hat,
     crd_distribution,
+    crd_from_json_obj,
     mask_leaf_counts,
     naive_kendall,
     partition_criterion,
     route_one,
+    stored_route_sample,
+    stored_split,
     v_hat_of_indices,
 )
 
@@ -49,7 +55,7 @@ def brute_best_split(s, cell=None, v_hat=brute_v_hat):
     idx = np.nonzero(cell.membership_mask(s))[0]
     ranks = s.ranks_matrix
     best = None
-    for (i, j) in sorted(cell.admissible_pairs()):
+    for (i, j) in sorted(admissible_pairs(cell)):
         mask = ranks[idx, i] < ranks[idx, j]
         i0, i1 = idx[mask], idx[~mask]
         if len(i0) == 0 or len(i1) == 0:
@@ -149,7 +155,7 @@ def test_split_preconditions():
         tree, _ = grow(RankingSample((Permutation.identity(3),)), rule=rule)
         assert tree.leaf_count == 1 and tree.root.split is None
     chain = Cell(3, frozenset({(0, 1), (1, 2)}))  # single-permutation cell
-    assert chain.admissible_pairs() == []
+    assert admissible_pairs(chain) == []
     with pytest.raises(InadmissiblePairError):
         chain.split((0, 2))
 
@@ -329,16 +335,14 @@ def descendant_leaves(tree, nid):
 @pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
 @pytest.mark.parametrize("chunks", [1, 4])
 def test_node_counts_are_column_sums_of_routed_rows(monkeypatch, rule, chunks):
-    import coastrank.tree as tree_mod
-
     s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
-    # the root Gram matrix is summed over this many row chunks
-    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", -(-s.size // chunks))
+    # the root counts and Gram matrix are summed over this many row blocks
+    set_comparison_rows(monkeypatch, s.n, -(-s.size // chunks))
     tree, _ = grow(s, epsilon=0.0, rule=rule, max_leaves=10)
     assert len(tree.nodes) > 10
     leaf_of = tree.route_sample(s)
     for node in tree.nodes:
-        rows = s.comparisons[np.isin(leaf_of, list(descendant_leaves(tree, node.node_id)))]
+        rows = comparison_matrix(s.ranks_matrix)[np.isin(leaf_of, list(descendant_leaves(tree, node.node_id)))]
         assert node.count == len(rows)
         assert node.counts.dtype == np.int64
         assert np.array_equal(node.counts, rows.sum(axis=0))
@@ -357,7 +361,7 @@ def rebuilt_median(kind, seed, sub, node_id):
     for the exact route, its own marginals otherwise."""
     if kind == "exact" or (kind == "auto" and sub.n <= 7):
         return exact_kemeny(DiscreteRankingDistribution.empirical(sub)).median
-    marginals = PairwiseMatrix.from_comparisons(sub.n, sub.comparisons)
+    marginals = PairwiseMatrix.from_comparisons(sub.n, comparison_matrix(sub.ranks_matrix))
     return make_aggregator(kind, seed)(marginals, node_id)
 
 
@@ -407,7 +411,7 @@ def test_crd_merging_and_json():
     assert d.support == (med,)
     assert d.weights[0] == pytest.approx(1.0)
     blob = json.dumps(crd.to_json_obj())
-    back = CRD.from_json_obj(json.loads(blob))
+    back = crd_from_json_obj(json.loads(blob))
     assert back.n == 3 and back.k == 2
     assert back.atoms[0][0] == pytest.approx(0.6)
     assert back.atoms[0][1] == med
@@ -420,13 +424,13 @@ def test_crd_document_integer_fields_must_be_integers():
     doc = CRD(3, ((1.0, med, cell),)).to_json_obj()
     for edit, field in (({"n": 3.0}, "CRD n"), ({"n": True}, "CRD n")):
         with pytest.raises(RejectedInputError, match=f"{field} must be an integer"):
-            CRD.from_json_obj(dict(doc, **edit))
+            crd_from_json_obj(dict(doc, **edit))
     for key, value, field in (("median", [1.0, 2, 3], "median entry"),
                               ("cell", [[1, 2.5]], "constraint entry")):
         bad = json.loads(json.dumps(doc))
         bad["atoms"][0][key] = value
         with pytest.raises(RejectedInputError, match=f"{field} must be an integer"):
-            CRD.from_json_obj(bad)
+            crd_from_json_obj(bad)
 
 
 # --- serialization --------------------------------------------------------------
@@ -478,12 +482,10 @@ def test_prune_sequence_nested_and_monotone():
 
 @pytest.mark.parametrize("gram_rows", [1024, 7])
 def test_leaf_counts_equal_per_leaf_mask_sums(monkeypatch, gram_rows):
-    import coastrank.tree as tree_mod
-
     s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
     tree, _ = grow(s, epsilon=0.0, max_leaves=10)
     subtrees = prune_sequence(tree, s)[::3]
-    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", gram_rows)
+    set_comparison_rows(monkeypatch, s.n, gram_rows)
     # the 5-row sample leaves most leaves without rows
     for sample in (s, s.subset(np.arange(5))):
         for sub in subtrees:
@@ -496,13 +498,11 @@ def test_leaf_counts_equal_per_leaf_mask_sums(monkeypatch, gram_rows):
 
 
 def test_prune_sequence_does_not_depend_on_count_chunks(monkeypatch):
-    import coastrank.tree as tree_mod
-
     s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
     doc = grow(s, epsilon=0.0, max_leaves=10)[0].to_json_obj()
     assert any(node["median"] is None for node in doc["nodes"])  # prune aggregates these
     whole = [tree_json(t) for t in prune_sequence(CoastTree.from_json_obj(doc), s)]
-    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", 7)
+    set_comparison_rows(monkeypatch, s.n, 7)
     chunked = [tree_json(t) for t in prune_sequence(CoastTree.from_json_obj(doc), s)]
     assert chunked == whole and len(whole) > 4
 
@@ -625,11 +625,9 @@ def test_reversed_split_routes_alike():
 
 
 def test_gram_chunks_do_not_change_the_tree(monkeypatch):
-    import coastrank.tree as tree_mod
-
     s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
     whole, _ = grow(s, epsilon=0.0, max_leaves=8)
-    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", 7)
+    set_comparison_rows(monkeypatch, s.n, 7)
     chunked, _ = grow(s, epsilon=0.0, max_leaves=8)
     assert json.dumps(chunked.to_json_obj()) == json.dumps(whole.to_json_obj())
 
@@ -644,9 +642,9 @@ def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, chunk
     import coastrank.tree as tree_mod
 
     s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
-    # the root Gram matrix is summed over this many row chunks
-    monkeypatch.setattr(tree_mod, "_GRAM_ROWS", -(-s.size // chunks))
-    x = s.comparisons
+    # the root Gram matrix is summed over this many row blocks
+    set_comparison_rows(monkeypatch, s.n, -(-s.size // chunks))
+    x = comparison_matrix(s.ranks_matrix)
     checked, built = [], []
     plan, gram_of = tree_mod._plan_min_distortion, tree_mod._gram
 
@@ -656,9 +654,9 @@ def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, chunk
         checked.append(node.node_id)
         return plan(gram, node, candidates, pairs)
 
-    def counting(x_, rows):
+    def counting(ranks, rows):
         built.append(len(rows))
-        return gram_of(x_, rows)
+        return gram_of(ranks, rows)
 
     monkeypatch.setattr(tree_mod, "_plan_min_distortion", checking)
     monkeypatch.setattr(tree_mod, "_gram", counting)
@@ -719,10 +717,10 @@ def test_gram_counts_take_the_smallest_unsigned_type():
     import coastrank.tree as tree_mod
 
     s = large_n4_sample()
-    x = s.comparisons
+    x = comparison_matrix(s.ranks_matrix)
     for size, dtype in ((6, np.uint8), (300, np.uint16), (70_000, np.uint32)):
         rows = np.arange(0, 70_000, 70_000 // size)[:size]
-        gram = tree_mod._gram(x, rows)
+        gram = tree_mod._gram(s.ranks_matrix, rows)
         xi = x[rows].astype(np.int64)
         assert gram.dtype == dtype
         assert np.array_equal(gram.astype(np.int64), xi.T @ xi)
@@ -745,7 +743,7 @@ def test_uint8_child_of_uint16_parent_gives_exact_sibling_grams(monkeypatch):
     import coastrank.tree as tree_mod
 
     s = mixture_sample(n=6, k=2, phi=1.0, seed=3, size=300)
-    x = s.comparisons
+    x = comparison_matrix(s.ranks_matrix)
     seen = {}
     plan = tree_mod._plan_min_distortion
 
@@ -769,15 +767,16 @@ def test_gram_holds_one_float32_chunk_and_one_panel_product():
     import coastrank.tree as tree_mod
 
     rng = np.random.default_rng(8)
-    x = RankingSample.from_ranks(np.argsort(rng.random((5000, 50)), axis=1)).comparisons
-    rows, c = np.arange(5000), x.shape[1]
+    ranks = np.argsort(rng.random((5000, 50)), axis=1).astype(np.int32)
+    rows, c = np.arange(5000), num_pairs(50)
     tracemalloc.start()
     try:
-        gram = tree_mod._gram(x, rows)
+        gram = tree_mod._gram(ranks, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk = tree_mod._GRAM_ROWS * c * 4
+    # one block of comparison rows, filled as float32
+    chunk = comparison_rows(50) * c * 4
     panel = tree_mod._GRAM_PANEL * (c - tree_mod._GRAM_PANEL) * 4
     assert gram.dtype == np.uint16
     assert peak <= gram.nbytes + chunk + panel + (1 << 20)
@@ -789,18 +788,75 @@ def test_split_sums_equal_the_column_count_formula(rng, monkeypatch):
     monkeypatch.setattr(tree_mod, "_SCORE_ROWS", 5)  # several blocks
     for _ in range(20):
         n = int(rng.integers(3, 9))
-        x = random_sample(rng, n, int(rng.integers(2, 60))).comparisons
+        ranks = random_sample(rng, n, int(rng.integers(2, 60))).ranks_matrix
+        x = comparison_matrix(ranks)
         rows = np.flatnonzero(rng.random(len(x)) < 0.7)
         if len(rows) < 2:
             continue
         m, t = len(rows), x[rows].sum(axis=0, dtype=np.int64)
         candidates = np.nonzero((t > 0) & (t < m))[0]
-        gram = np.rint(tree_mod._gram(x, rows)).astype(np.int64)
+        gram = np.rint(tree_mod._gram(ranks, rows)).astype(np.int64)
         c0 = gram[candidates, :]
         want_m0 = t[candidates][:, None]
         c1, want_m1 = t[None, :] - c0, m - want_m0
-        m0, m1, s0, s1 = tree_mod._split_sums(tree_mod._gram(x, rows), t, m, candidates)
+        m0, m1, s0, s1 = tree_mod._split_sums(tree_mod._gram(ranks, rows), t, m, candidates)
         assert s0.dtype == s1.dtype == np.int64
         assert np.array_equal(m0, want_m0[:, 0]) and np.array_equal(m1, want_m1[:, 0])
         assert np.array_equal(s0, (c0 * (want_m0 - c0)).sum(axis=1))
         assert np.array_equal(s1, (c1 * (want_m1 - c1)).sum(axis=1))
+
+
+@pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
+def test_growth_routing_and_leaf_counts_equal_the_stored_matrix_oracle(rng, monkeypatch, rule):
+    """Random trees, grown and pruned, read from blocks as from the stored comparison matrix."""
+    for _ in range(6):
+        n = int(rng.choice([2, 3, 5, 8, 12, 20]))
+        s = random_sample(rng, n, int(rng.integers(2, 300)))
+        query = random_sample(rng, n, int(rng.integers(1, 40)))
+        set_comparison_rows(monkeypatch, n, int(rng.integers(1, 40)))
+        tree, _ = grow(s, epsilon=0.0, rule=rule, max_leaves=int(rng.integers(1, 12)),
+                       aggregator="copeland")
+        x = comparison_matrix(s.ranks_matrix)
+        leaf_of = stored_route_sample(tree, x)
+        for node in tree.nodes:
+            rows = x[np.isin(leaf_of, list(descendant_leaves(tree, node.node_id)))]
+            assert node.count == len(rows) and np.array_equal(node.counts, rows.sum(axis=0))
+            if node.split is not None:
+                assert node.split == stored_split(rows, n, rule)
+        for sub in prune_sequence(tree, s)[::2]:
+            for sample in (s, query):
+                want_leaf = stored_route_sample(sub, comparison_matrix(sample.ranks_matrix))
+                got_leaf, sizes, counts = sub.leaf_counts(sample)
+                want_sizes, want_counts = mask_leaf_counts(sub, sample)
+                assert np.array_equal(sub.route_sample(sample), want_leaf)
+                assert np.array_equal(got_leaf, want_leaf)
+                assert np.array_equal(sizes, want_sizes) and np.array_equal(counts, want_counts)
+
+
+def test_grow_prune_and_depths_hold_less_than_the_stored_matrix():
+    """At n = 50, N = 20,000 the stored comparison matrix would be 23.4 MiB; each stage
+    builds its comparison rows a block at a time, so each peaks below that."""
+    import tracemalloc
+
+    from coastrank.analysis import local_depths
+
+    spec = random_mallows_mixture_spec(n=50, k=4, phi=0.3, seed=31)
+    ranks = sample_mixture(spec, 20_000).ranks_matrix
+    stored = ranks.shape[0] * num_pairs(50)
+
+    def peak(stage):
+        # a fresh sample per stage, so that nothing it builds is held over
+        s = RankingSample.from_ranks(ranks)
+        tracemalloc.start()
+        try:
+            result = stage(s)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (tree, _), grow_peak = peak(lambda s: grow(s, max_leaves=8, aggregator="copeland"))
+    assert tree.leaf_count == 8
+    _, prune_peak = peak(lambda s: prune_sequence(tree, s))
+    query = sample_mixture(spec.with_seed(32), 2_000)
+    _, depth_peak = peak(lambda s: local_depths(tree, s, query))
+    assert max(grow_peak, prune_peak, depth_peak) < stored, (grow_peak, prune_peak, depth_peak)
