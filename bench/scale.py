@@ -8,7 +8,13 @@ to this file and needs numpy only. For each n in ``ITEMS`` and each N, one
 child process draws a ranking file with ``coastrank sample`` from a fixed
 Mallows mixture; that is the ``sample`` stage. Then ``REPEATS`` fresh child
 processes each import coastrank and time one ``load_rankings`` of that
-file; that is the ``load`` stage. A row of the output is
+file; that is the ``load`` stage. For n in ``GROW_ITEMS``, one more child
+loads the file and times ``grow`` to ``GROW_LEAVES`` leaves (epsilon 0,
+the ``auto`` medians), writing the tree; that is the ``grow`` stage. A last
+child loads the file and the tree and times ``prune_sequence``; that is the
+``prune`` stage. Once a ``grow`` or ``prune`` run of some n takes longer
+than ``CAP_S`` seconds, the larger N of that n run neither stage. A row of
+the output is
 
     {"workload": "n20-N1000000", "stage": "load", "wall_s": ..., "peak_mb": ...,
      "counters": {"rows": ...}}
@@ -16,10 +22,12 @@ file; that is the ``load`` stage. A row of the output is
 A ``sample`` row's ``wall_s`` is the time of the one ``coastrank sample``
 command, from the call of its ``main`` to its return: drawing, writing the
 file and its manifest. A ``load`` row's ``wall_s`` is the median of the
-children's load times. ``peak_mb`` is the child's ``ru_maxrss``, the largest
+children's load times; a ``grow`` or ``prune`` row's is the stage call alone,
+without the load. ``peak_mb`` is the child's ``ru_maxrss``, the largest
 among them for ``load``, so it counts the interpreter and numpy (about 30
-MB) as well as the stage. Every child runs with one BLAS thread. The files
-go to a temporary directory that is removed at the end.
+MB), and for ``grow`` and ``prune`` the loaded sample, as well as the
+stage. Every child runs with one BLAS thread. The files go to a temporary
+directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ ROOT = Path(__file__).resolve().parents[1]
 ITEMS = (8, 20, 50)
 SIZES = (10**4, 10**5, 10**6)
 REPEATS = 3
+GROW_ITEMS = (20, 50)
+GROW_LEAVES = 16
+#: A grow or prune run longer than this, in seconds, ends the larger N of its n.
+CAP_S = 300
 #: Seed of the mixture centers and of the draws.
 SEED = 20260307
 
@@ -64,6 +76,37 @@ sys.exit(code)
 """
 
 
+GROW = """
+import json, resource, sys, time
+from coastrank.fileio import load_rankings
+from coastrank.tree import grow
+sample = load_rankings(sys.argv[1])
+start = time.perf_counter()
+tree, trace = grow(sample, epsilon=0.0, max_leaves=int(sys.argv[3]))
+wall = time.perf_counter() - start
+with open(sys.argv[2], "w") as fh:
+    json.dump(tree.to_json_obj(), fh)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "peak_mb": peak, "rows": len(sample),
+                  "leaves": tree.leaf_count,
+                  "gram_rows": sum(step.gram_rows for step in trace.steps)}))
+"""
+
+PRUNE = """
+import json, resource, sys, time
+from coastrank.fileio import load_rankings
+from coastrank.tree import CoastTree, prune_sequence
+sample = load_rankings(sys.argv[1])
+with open(sys.argv[2]) as fh:
+    tree = CoastTree.from_json_obj(json.load(fh))
+start = time.perf_counter()
+seq = prune_sequence(tree, sample)
+wall = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "peak_mb": peak, "rows": len(sample), "subtrees": len(seq)}))
+"""
+
+
 def spec(n: int) -> dict:
     """Four equal Mallows components with seeded centers, as 1-based rank vectors."""
     rng = np.random.default_rng([SEED, n])
@@ -82,29 +125,41 @@ def child(args: list[str]) -> str:
     return done.stdout
 
 
+def row(workload: str, stage: str, run: dict, **counters) -> dict:
+    return {"workload": workload, "stage": stage, "wall_s": round(run["wall_s"], 4),
+            "peak_mb": round(run["peak_mb"], 1), "counters": counters}
+
+
 def stage_rows(n: int, sizes, tmp: Path) -> list[dict]:
-    """The ``sample`` and ``load`` rows of n items at each N."""
+    """The ``sample`` and ``load`` rows of n items at each N, and the ``grow``
+    and ``prune`` rows for n in GROW_ITEMS up to the first N past CAP_S."""
     spec_path = tmp / f"spec-n{n}.json"
     spec_path.write_text(json.dumps(spec(n)))
-    rows = []
+    rows, grows = [], n in GROW_ITEMS
     for size in sizes:
-        path = tmp / f"n{n}-N{size}.rnk"
+        path, tree = tmp / f"n{n}-N{size}.rnk", tmp / f"n{n}-N{size}.json"
+        workload = f"n{n}-N{size}"
         drawn = json.loads(child(["-c", SAMPLE, "sample", "--spec", str(spec_path),
                                   "--size", str(size), "--out", str(path)]))
         runs = [json.loads(child(["-c", LOAD, str(path)])) for _ in range(REPEATS)]
+        new = [row(workload, "sample", drawn, rows=size),
+               row(workload, "load", {"wall_s": statistics.median(r["wall_s"] for r in runs),
+                                      "peak_mb": max(r["peak_mb"] for r in runs)},
+                   rows=runs[0]["rows"])]
+        if grows:
+            grown = json.loads(child(["-c", GROW, str(path), str(tree), str(GROW_LEAVES)]))
+            pruned = json.loads(child(["-c", PRUNE, str(path), str(tree)]))
+            new += [row(workload, "grow", grown, rows=grown["rows"], leaves=grown["leaves"],
+                        gram_rows=grown["gram_rows"]),
+                    row(workload, "prune", pruned, rows=pruned["rows"],
+                        subtrees=pruned["subtrees"])]
+            grows = max(grown["wall_s"], pruned["wall_s"]) <= CAP_S
+            tree.unlink()
         path.unlink()
         Path(f"{path}.manifest.json").unlink(missing_ok=True)
-        workload = f"n{n}-N{size}"
-        for row in (
-            {"workload": workload, "stage": "sample", "wall_s": round(drawn["wall_s"], 4),
-             "peak_mb": round(drawn["peak_mb"], 1), "counters": {"rows": size}},
-            {"workload": workload, "stage": "load",
-             "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
-             "peak_mb": round(max(r["peak_mb"] for r in runs), 1),
-             "counters": {"rows": runs[0]["rows"]}},
-        ):
-            print(json.dumps(row), flush=True)
-            rows.append(row)
+        for r in new:
+            print(json.dumps(r), flush=True)
+        rows += new
     return rows
 
 

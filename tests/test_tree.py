@@ -480,12 +480,12 @@ def test_prune_sequence_nested_and_monotone():
         assert t.crd().k == t.leaf_count
 
 
-@pytest.mark.parametrize("gram_rows", [1024, 7])
-def test_leaf_counts_equal_per_leaf_mask_sums(monkeypatch, gram_rows):
+@pytest.mark.parametrize("block_rows", [1024, 7])
+def test_leaf_counts_equal_per_leaf_mask_sums(monkeypatch, block_rows):
     s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=500)
     tree, _ = grow(s, epsilon=0.0, max_leaves=10)
     subtrees = prune_sequence(tree, s)[::3]
-    set_comparison_rows(monkeypatch, s.n, gram_rows)
+    set_comparison_rows(monkeypatch, s.n, block_rows)
     # the 5-row sample leaves most leaves without rows
     for sample in (s, s.subset(np.arange(5))):
         for sub in subtrees:
