@@ -497,7 +497,7 @@ def block_rows_of(rng, size: int, kind: str) -> np.ndarray:
     }[kind]
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 20, 50])
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 50, 300])  # 300: ranks compared as uint16
 @pytest.mark.parametrize("kind", ["sorted", "unsorted", "repeated", "empty"])
 def test_comparison_block_equals_the_matrix_rows(rng, n, kind):
     ranks = np.argsort(rng.random((45, n)), axis=1).astype(np.int32)
