@@ -266,8 +266,8 @@ def uniform_cell_marginals(cell: Cell, method="enumeration") -> PairwiseMatrix:
             raise CapacityError(
                 f"uniform_cell_marginals enumeration needs n <= {ENUMERATION_LIMIT}"
             )
-        _, cmp = symmetric_group(n)
-        mask = cell.comparison_mask(cmp)
+        ranks, cmp = symmetric_group(n)
+        mask = cell.rank_mask(ranks)
         return PairwiseMatrix.from_counts(n, cmp[mask].sum(axis=0), int(mask.sum()))
     if not _item_disjoint(cell.constraints):
         raise RejectedInputError(
@@ -391,8 +391,8 @@ def smooth_cell(
 
     members, scores = np.empty((0, cell.n), dtype=np.uint8), np.empty(0)
     if cell.n <= ENUMERATION_LIMIT:
-        ranks, cmp = symmetric_group(cell.n)
-        members = ranks[cell.comparison_mask(cmp)]
+        ranks, _ = symmetric_group(cell.n)
+        members = ranks[cell.rank_mask(ranks)]
         order = inverse_rows(members)
         # one position pair at a time, in the order a Python sum over the
         # pairs would add them, so every score is that sum to the last bit

@@ -19,7 +19,7 @@ from .errors import (
     RejectedInputError,
     json_int,
 )
-from .perms import Permutation, RankingSample, pair_list
+from .perms import Permutation, RankingSample
 
 
 def _closure_of(n: int, edges) -> np.ndarray:
@@ -68,23 +68,16 @@ class Cell:
         return all(r[a] < r[b] for a, b in self.constraints)
 
     def membership_mask(self, s: RankingSample) -> np.ndarray:
-        """Boolean mask of sample rows lying in this cell, from two rank columns per constraint."""
+        """Boolean mask of sample rows lying in this cell."""
         if s.n != self.n:
             raise DimensionMismatchError("membership: size mismatch")
-        r = s.ranks_matrix
-        mask = np.ones(len(s), dtype=bool)
-        for a, b in self.constraints:
-            mask &= r[:, a] < r[:, b]
-        return mask
+        return self.rank_mask(s.ranks_matrix)
 
-    def comparison_mask(self, x: np.ndarray) -> np.ndarray:
-        """Boolean mask of the rows of a comparison matrix lying in this cell."""
-        mask = np.ones(x.shape[0], dtype=bool)
-        if not self.constraints:
-            return mask
-        col = {pair: c for c, pair in enumerate(pair_list(self.n))}
+    def rank_mask(self, ranks: np.ndarray) -> np.ndarray:
+        """Which rows of a rank matrix lie in this cell: two rank columns per constraint."""
+        mask = np.ones(len(ranks), dtype=bool)
         for a, b in self.constraints:
-            mask &= x[:, col[(a, b)]] if a < b else ~x[:, col[(b, a)]]
+            mask &= ranks[:, a] < ranks[:, b]
         return mask
 
     def is_admissible(self, i: int, j: int) -> bool:

@@ -41,21 +41,21 @@ class SstStatus:
     tied_pair: tuple[int, int] | None = None  # a pair with p exactly 1/2, if any
 
 
-def sst_status(m: PairwiseMatrix, tie_tol: float = 0.0) -> SstStatus:
+def sst_status(m: PairwiseMatrix) -> SstStatus:
     """Classify m as strictly/weakly stochastically transitive or neither.
 
     Weak transitivity: p[i,j] >= 1/2 and p[j,k] >= 1/2 imply p[i,k] >= 1/2
     for all triples of distinct items. Strict additionally requires no
-    off-diagonal entry equal to 1/2 (within tie_tol).
+    off-diagonal entry equal to 1/2.
     """
     p = m.p
     n = m.n
-    ge = p >= 0.5 - tie_tol
+    ge = p >= 0.5
     distinct = ~np.eye(n, dtype=bool)
     # viol[i,j,k] for distinct i,j,k with i>=j, j>=k but not i>=k
     viol = ge[:, :, None] & ge[None, :, :] & ~ge[:, None, :]
     viol &= distinct[:, :, None] & distinct[None, :, :] & distinct[:, None, :]
-    off = np.abs(p - 0.5) <= tie_tol
+    off = p == 0.5
     np.fill_diagonal(off, False)
     ties = np.argwhere(off)
     tied_pair = tuple(int(x) for x in ties[0]) if ties.size else None

@@ -123,34 +123,55 @@ def _header(line: str, delimiter) -> tuple[bool, bool]:
     return has_header, has_header and head[-1].strip().lower() == "label"
 
 
-def _block_fields(block: np.ndarray, lines: int, width: int, comma: bool) -> np.ndarray:
+def _canonical(block: np.ndarray, comma: bool) -> np.ndarray:
+    """A block of digits and separators rewritten with one separator between fields.
+
+    A comma block loses every blank; ValueError if that joins two digit
+    runs, as then a field held a blank. A whitespace block loses each blank
+    followed by a separator. Both then lose each line end followed by
+    another, so no line is empty, and each blank right after a line end.
+    The block still starts and ends with a line end.
+    """
+    drop = (block == 32) | (block == 9)
+    if not comma:
+        drop[:-1] &= block[1:] < 48
+    if drop.any():
+        runs = _digit_runs(block)
+        block = block[~drop]
+        if _digit_runs(block) != runs:
+            raise ValueError("a comma-separated field holds a blank")
+    end = block == 10
+    drop = end & np.append(end[1:], False)
+    drop[1:] |= end[:-1] & ((block[1:] == 32) | (block[1:] == 9))
+    return block[~drop] if drop.any() else block
+
+
+def _block_fields(raw: bytes, width: int, comma: bool) -> np.ndarray:
     """The rows of ``width`` values in a block of digits and separators.
 
-    The block starts with a line end and holds ``lines`` more. A separator
-    right after a digit closes a field, and each field is read from its
-    last digits back, one gather per digit.
+    The block starts with a line end. A separator right after a digit
+    closes a field, and each field is read from its last digits back, one
+    gather per digit. Unless every separator closes a field, the block's
+    canonical form is read instead.
     """
-    seps = np.flatnonzero(block < 48)[1:]
-    last = block[seps - 1]
-    closes = last >= 48
-    if closes.all():
-        # rows·width fields, a line end closing every width-th one, leave no
-        # line end to close any other
-        if len(seps) != lines * width or (block[seps[width - 1 :: width]] != 10).any():
-            raise ValueError("rows hold different numbers of fields")
+    block, lines = np.frombuffer(raw, dtype=np.uint8), raw.count(b"\n") - 1
+    # in a comma block that holds blanks, only commas and line ends separate
+    # fields, and a digit run must end at each, so blanks stand only before fields
+    blanks = comma and (b" " in raw or b"\t" in raw)
+    for rewrite in (False, True):
+        if rewrite:
+            block, blanks = _canonical(block, comma), False
+            lines = int(np.count_nonzero(block == 10)) - 1
+        seps = np.flatnonzero((block == 44) | (block == 10) if blanks else block < 48)[1:]
+        last = block[seps - 1]
+        if (last >= 48).all() and not (blanks and _digit_runs(block) != len(seps)):
+            break
     else:
-        # a blank line, or blanks around whitespace-separated fields
-        idle = ~closes
-        if comma and ((block[seps[idle]] != 10) | (last[idle] != 10)).any():
-            raise ValueError("an empty comma-separated field")
-        ends = block[seps] == 10
-        line = (np.cumsum(ends) - ends)[closes]
-        seps, last = seps[closes], last[closes]
-        if len(seps) % width:
-            raise ValueError("rows hold different numbers of fields")
-        line = line.reshape(-1, width)
-        if (line[:, 0] != line[:, -1]).any() or (line[1:, 0] <= line[:-1, -1]).any():
-            raise ValueError("rows hold different numbers of fields")
+        raise ValueError("an empty comma-separated field")
+    # rows·width fields, a line end closing every width-th one, leave no
+    # line end to close any other
+    if len(seps) != lines * width or (block[seps[width - 1 :: width]] != 10).any():
+        raise ValueError("rows hold different numbers of fields")
     return _field_values(block, seps, last, width)
 
 
@@ -176,37 +197,6 @@ def _digit_runs(block: np.ndarray) -> int:
     """The digit runs in a block that ends with a line end."""
     digit = block >= 48
     return int(np.count_nonzero(digit[:-1] > digit[1:]))
-
-
-def _comma_fields_after_blanks(block: np.ndarray, lines: int, width: int) -> np.ndarray | None:
-    """The rows of a comma-separated block with blanks, or None unless no blank ends a field.
-
-    Then every digit run ends right at a comma or line end, so blanks only
-    stand before fields, and the fields are read as if the blanks were gone.
-    """
-    seps = np.flatnonzero((block == 44) | (block == 10))[1:]
-    last = block[seps - 1]
-    if (
-        len(seps) != lines * width
-        or (last < 48).any()
-        or _digit_runs(block) != len(seps)
-        or (block[seps[width - 1 :: width]] != 10).any()
-    ):
-        return None
-    return _field_values(block, seps, last, width)
-
-
-def _without_blanks(block: np.ndarray) -> np.ndarray:
-    """A block's bytes without blanks; ValueError if blanks stand between two digits.
-
-    Deleting such blanks would join two digit runs, so the check counts
-    the runs before and after.
-    """
-    runs = _digit_runs(block)
-    block = block[np.flatnonzero((block != 32) & (block != 9))]
-    if _digit_runs(block) != runs:
-        raise ValueError("a comma-separated field holds a blank")
-    return block
 
 
 def _body_blocks(raw: bytes, start: int):
@@ -291,13 +281,7 @@ def _parse_bytes(raw: bytes, delimiter, ordering: bool) -> tuple[np.ndarray, tup
             size = raw.count(b"\n", start) + (not raw.endswith(b"\n"))
             size = min(size, (len(raw) - start + 2) // (2 * width))
             out = np.empty((size, width - (labeled and not split)), dtype=np.int32)
-        data, lines, vals = np.frombuffer(block, dtype=np.uint8), block.count(b"\n") - 1, None
-        if comma and (b" " in block or b"\t" in block):
-            vals = _comma_fields_after_blanks(data, lines, width)
-            if vals is None:
-                data = _without_blanks(data)
-        if vals is None:
-            vals = _block_fields(data, lines, width, comma)
+        vals = _block_fields(block, width, comma)
         if split and len(vals) != len(rows):
             raise ValueError("a labeled row has no ranking fields")
         if labeled and not split:

@@ -417,7 +417,7 @@ def _cell_stats(dist: DiscreteRankingDistribution, cell: Cell) -> _CellStats:
     if cell.n != dist.n:
         raise DimensionMismatchError("cell over wrong item count")
     x, weights = dist.support_comparisons, dist.weights
-    mask = cell.comparison_mask(x)
+    mask = cell.rank_mask(dist.ranks)
     mass = float(weights[mask].sum())
     count = None if dist.counts is None else int(dist.counts[mask].sum())
     if mass <= 0.0:  # a massless cell adds no atom, so its statistics are never read

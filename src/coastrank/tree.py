@@ -95,7 +95,6 @@ class CoastNode:
     split: tuple[int, int] | None = None
     children: tuple[int, int] | None = None
     median: Permutation | None = None
-    indices: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def contribution(self) -> float:
@@ -518,13 +517,18 @@ def _plan_min_distortion(
 
 
 def _plan_balanced(
-    ranks: np.ndarray, node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
+    ranks: np.ndarray,
+    node: CoastNode,
+    rows: np.ndarray,
+    candidates: np.ndarray,
+    pairs: list[tuple[int, int]],
 ) -> _SplitPlan:
+    """The split of a node, whose sample rows are ``rows``, nearest to halving them."""
     m = node.count
     t = node.counts
     k = int(np.argmin(np.abs(t[candidates] / m - 0.5)))
     pair = pairs[int(candidates[k])]
-    rows0 = node.indices[_before(ranks, node.indices, pair)]
+    rows0 = rows[_before(ranks, rows, pair)]
     m0, c0 = len(rows0), comparison_counts(ranks, rows0)
     m1, c1 = m - m0, t - c0
     return _SplitPlan(
@@ -585,7 +589,8 @@ def grow(
     r = s.ranks_matrix
 
     t0 = time.perf_counter()
-    counts = comparison_counts(r, np.arange(n_total))
+    rows = {0: np.arange(n_total)}  # the sample rows of each leaf
+    counts = comparison_counts(r, rows[0])
     root = CoastNode(
         node_id=0,
         cell=Cell.root(s.n),
@@ -594,7 +599,6 @@ def grow(
         v_hat=v_hat_of_counts(counts, n_total),
         count=n_total,
         counts=counts,
-        indices=np.arange(n_total),
     )
     nodes = [root]
     frontier: set[int] = {0}
@@ -612,12 +616,12 @@ def grow(
         cand = candidates_of(node)
         if len(cand) == 0:  # cannot happen for v_hat > 0; guard anyway
             return []
-        return [(_plan_balanced(r, node, cand, pairs), None)]
+        return [(_plan_balanced(r, node, rows[nid], cand, pairs), None)]
 
     def gram_of(nid: int) -> np.ndarray:
         nonlocal gram_rows
         gram_rows += nodes[nid].count
-        return _gram(r, nodes[nid].indices)
+        return _gram(r, rows[nid])
 
     def plan_min_distortion(job, keep: set[int]) -> list[tuple[_SplitPlan, np.ndarray | None]]:
         """Plans for one node, or for the eligible children of one kept parent.
@@ -716,8 +720,9 @@ def grow(
         for plan in plans:
             parent = nodes[plan.node_id]
             cell0, cell1 = parent.cell.split(plan.pair)
-            bits = _before(r, parent.indices, plan.pair)
-            idx_children = (parent.indices[bits], parent.indices[~bits])
+            idx = rows.pop(plan.node_id)
+            bits = _before(r, idx, plan.pair)
+            idx_children = (idx[bits], idx[~bits])
             child_ids = []
             for side in (0, 1):
                 cm, cc = plan.child_ms[side], plan.child_counts[side]
@@ -729,8 +734,8 @@ def grow(
                     v_hat=v_hat_of_counts(cc, cm),
                     count=cm,
                     counts=cc,
-                    indices=idx_children[side],
                 )
+                rows[child.node_id] = idx_children[side]
                 nodes.append(child)
                 child_ids.append(child.node_id)
             parent.split = plan.pair

@@ -234,8 +234,17 @@ def verify_plan(
 
 def enumerate_members(cell: Cell) -> list[Permutation]:
     """All permutations in the cell, in the S_n table's lexicographic order."""
-    ranks, cmp = symmetric_group(cell.n)
-    return [Permutation._trusted(r) for r in ranks[cell.comparison_mask(cmp)].tolist()]
+    ranks, _ = symmetric_group(cell.n)
+    return [Permutation._trusted(r) for r in ranks[cell.rank_mask(ranks)].tolist()]
+
+
+def comparison_mask(cell: Cell, x: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of a comparison matrix lying in the cell."""
+    col = {pair: c for c, pair in enumerate(pair_list(cell.n))}
+    mask = np.ones(x.shape[0], dtype=bool)
+    for a, b in cell.constraints:
+        mask &= x[:, col[(a, b)]] if a < b else ~x[:, col[(b, a)]]
+    return mask
 
 
 def cell_owners(n: int, x: np.ndarray, cells) -> np.ndarray:
@@ -248,7 +257,7 @@ def cell_owners(n: int, x: np.ndarray, cells) -> np.ndarray:
     for cell in cells:
         if cell.n != n:
             raise DimensionMismatchError("cell over wrong item count")
-    return tile_owners([cell.comparison_mask(x) for cell in cells])
+    return tile_owners([comparison_mask(cell, x) for cell in cells])
 
 
 def partition_criterion(s: RankingSample, cells) -> float:

@@ -39,6 +39,8 @@ DROPPED_MEMBERS = [
     ("coastrank.cells", "Cell", "admissible_pairs"),
     ("coastrank.tree", "CRD", "from_json_obj"),
     ("coastrank.fileio", "RunManifest", "from_json_obj"),
+    ("coastrank.tree", "CoastNode", "indices"),
+    ("coastrank.cells", "Cell", "comparison_mask"),
 ]
 
 

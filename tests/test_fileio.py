@@ -317,7 +317,8 @@ def _random_ranking_file(rng, items=(1, 2, 3, 5, 12), label_bound=4) -> tuple[by
     header = [f"{stem}_{k + 1}" for k in range(n)] + (["label"] if kind not in ("none", "header") else [])
     lines = [sep.join(r) for r in rows]
     conventional = True
-    fault = str(rng.choice(["none"] * 4 + ["edit", "trailing comma", "ragged", "duplicate", "mixed", "byte"]))
+    faults = ["edit", "trailing comma", "ragged", "duplicate", "mixed", "blank", "byte"]
+    fault = str(rng.choice(["none"] * 4 + faults))
     if fault != "none" and rows:
         conventional = False
         k = int(rng.integers(len(rows)))
@@ -335,6 +336,10 @@ def _random_ranking_file(rng, items=(1, 2, 3, 5, 12), label_bound=4) -> tuple[by
             lines[k] = sep.join(rows[k])
         elif fault == "mixed":
             lines[k] = (" " if comma else ",").join(rows[k])
+        elif fault == "blank" and "," in lines[k]:  # one comma of the row becomes a blank
+            commas = [i for i, ch in enumerate(lines[k]) if ch == ","]
+            at = commas[int(rng.integers(len(commas)))]
+            lines[k] = lines[k][:at] + str(rng.choice([" ", "\t"])) + lines[k][at + 1 :]
     for _ in range(int(rng.integers(0, 4))):
         lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "  ", "\t", " \t "])))
     if kind != "none":
@@ -456,6 +461,10 @@ def test_short_bodies_and_bare_carriage_returns_take_the_byte_parse(tmp_path, mo
         (b"1 2 \n1\n2 2 1\n", 2),  # and after a trailing blank
         (b"2,1\n1 2,1\n", 2),  # 1 2 read from its last digit would pass as 2
         (b"1, 2\n1, 2, 1\n2\n", 2),  # ragged rows, with blanks, that regroup
+        (b"1,2,3\n1 2,3\n", 2),  # a blank for a comma: the field is 1 2
+        (b"1,2,3\n3 1,2\n2,1,3\n", 2),
+        (b"1,2,3\n1\t2,3\n", 2),
+        (b"1,2,3,4\n1 2,3,4\n", 2),
     ],
 )
 def test_rows_that_would_regroup_are_refused_like_the_row_oracle(tmp_path, monkeypatch, text, row):

@@ -649,7 +649,7 @@ def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, chunk
     plan, gram_of = tree_mod._plan_min_distortion, tree_mod._gram
 
     def checking(gram, node, candidates, pairs):
-        xf = x[node.indices].astype(np.float64)
+        xf = x[node.cell.membership_mask(s)].astype(np.float64)
         assert np.array_equal(gram, xf.T @ xf)  # entry for entry, whatever the dtype
         checked.append(node.node_id)
         return plan(gram, node, candidates, pairs)
@@ -748,7 +748,7 @@ def test_uint8_child_of_uint16_parent_gives_exact_sibling_grams(monkeypatch):
     plan = tree_mod._plan_min_distortion
 
     def checking(gram, node, candidates, pairs):
-        xi = x[node.indices].astype(np.int64)
+        xi = x[node.cell.membership_mask(s)].astype(np.int64)
         assert np.array_equal(gram.astype(np.int64), xi.T @ xi)
         seen[node.node_id] = gram.dtype
         return plan(gram, node, candidates, pairs)
