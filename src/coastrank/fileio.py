@@ -128,22 +128,23 @@ def _canonical(block: np.ndarray, comma: bool) -> np.ndarray:
 
     A comma block loses every blank; ValueError if that joins two digit
     runs, as then a field held a blank. A whitespace block loses each blank
-    followed by a separator. Both then lose each line end followed by
-    another, so no line is empty, and each blank right after a line end.
-    The block still starts and ends with a line end.
+    followed by a separator, which joins no runs, so only a comma block is
+    checked. Both then lose each line end followed by another, so no line
+    is empty, and each blank right after a line end. The block still starts
+    and ends with a line end.
     """
     drop = (block == 32) | (block == 9)
     if not comma:
         drop[:-1] &= block[1:] < 48
     if drop.any():
-        runs = _digit_runs(block)
-        block = block[~drop]
-        if _digit_runs(block) != runs:
+        kept = block.compress(~drop)  # many blanks go: faster than a boolean index
+        if comma and _digit_runs(kept) != _digit_runs(block):
             raise ValueError("a comma-separated field holds a blank")
+        block = kept
     end = block == 10
     drop = end & np.append(end[1:], False)
     drop[1:] |= end[:-1] & ((block[1:] == 32) | (block[1:] == 9))
-    return block[~drop] if drop.any() else block
+    return block[~drop] if drop.any() else block  # few line ends go: a boolean index is faster
 
 
 def _block_fields(raw: bytes, width: int, comma: bool) -> np.ndarray:
@@ -154,22 +155,20 @@ def _block_fields(raw: bytes, width: int, comma: bool) -> np.ndarray:
     gather per digit. Unless every separator closes a field, the block's
     canonical form is read instead.
     """
-    block, lines = np.frombuffer(raw, dtype=np.uint8), raw.count(b"\n") - 1
-    # in a comma block that holds blanks, only commas and line ends separate
-    # fields, and a digit run must end at each, so blanks stand only before fields
-    blanks = comma and (b" " in raw or b"\t" in raw)
-    for rewrite in (False, True):
+    block = np.frombuffer(raw, dtype=np.uint8)
+    # a blank in a comma block separates no fields, so that block is rewritten first
+    for rewrite in (comma and (b" " in raw or b"\t" in raw), True):
         if rewrite:
-            block, blanks = _canonical(block, comma), False
-            lines = int(np.count_nonzero(block == 10)) - 1
-        seps = np.flatnonzero((block == 44) | (block == 10) if blanks else block < 48)[1:]
+            block = _canonical(block, comma)
+        seps = np.flatnonzero(block < 48)[1:]
         last = block[seps - 1]
-        if (last >= 48).all() and not (blanks and _digit_runs(block) != len(seps)):
+        if (last >= 48).all():
             break
     else:
         raise ValueError("an empty comma-separated field")
     # rows·width fields, a line end closing every width-th one, leave no
     # line end to close any other
+    lines = int(np.count_nonzero(block == 10)) - 1
     if len(seps) != lines * width or (block[seps[width - 1 :: width]] != 10).any():
         raise ValueError("rows hold different numbers of fields")
     return _field_values(block, seps, last, width)

@@ -299,7 +299,10 @@ def _random_ranking_file(rng, items=(1, 2, 3, 5, 12), label_bound=4) -> tuple[by
     n = int(rng.choice(list(items)))
     size = int(rng.choice([0, 1, 2, 7, 30])) if rng.random() < 0.1 else int(rng.integers(1, 30))
     fmt = str(rng.choice(["ordering", "ranks"]))
-    sep = str(rng.choice([",", ", ", " ,", " , ", " ", "\t", "  ", " \t"]))
+    faults = ["edit", "trailing comma", "ragged", "duplicate", "mixed", "blank", "byte"]
+    fault = str(rng.choice(["none"] * 4 + faults))
+    # only a plain comma leaves the blank fault's blank between two digits
+    sep = "," if fault == "blank" else str(rng.choice([",", ", ", " ,", " , ", " ", "\t", "  ", " \t"]))
     eol = "\r\n" if rng.random() < 0.3 else "\n"
     kind = str(rng.choice(["none", "header", "int", "str", "decimal"]))
     comma = "," in sep
@@ -317,8 +320,6 @@ def _random_ranking_file(rng, items=(1, 2, 3, 5, 12), label_bound=4) -> tuple[by
     header = [f"{stem}_{k + 1}" for k in range(n)] + (["label"] if kind not in ("none", "header") else [])
     lines = [sep.join(r) for r in rows]
     conventional = True
-    faults = ["edit", "trailing comma", "ragged", "duplicate", "mixed", "blank", "byte"]
-    fault = str(rng.choice(["none"] * 4 + faults))
     if fault != "none" and rows:
         conventional = False
         k = int(rng.integers(len(rows)))
