@@ -130,7 +130,8 @@ def cmd_fit(args) -> int:
         extra_times={"grow": trace.total_wall_time},
         counters={
             "rounds": [
-                {"splits": len(st.splits), "gram_rows": st.gram_rows} for st in trace.steps[1:]
+                {"splits": len(st.splits), "gram_rows": st.gram_rows, "kept_bytes": st.kept_bytes}
+                for st in trace.steps[1:]
             ]
         },
     )

@@ -352,10 +352,7 @@ class PairwiseMatrix:
         object.__setattr__(self, "p", p)
         if p.shape != (self.n, self.n):
             raise DimensionMismatchError(f"marginal matrix shape {p.shape} != ({self.n}, {self.n})")
-        if not np.isfinite(p).all():  # every check below is false for NaN
-            raise RejectedInputError("marginals must be finite")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-            raise RejectedInputError("marginals outside [0, 1]")
+        _check_unit(p)
         if np.max(np.abs(p + p.T - 1.0)) > 1e-12:
             raise RejectedInputError("marginals violate p[i,j] + p[j,i] = 1")
         if np.max(np.abs(np.diag(p) - 0.5)) > 0:
@@ -396,11 +393,25 @@ class PairwiseMatrix:
 
     @classmethod
     def _from_upper(cls, n: int, upper) -> "PairwiseMatrix":
+        """The matrix with the given upper triangle, its exact complement below
+        and 1/2 on the diagonal; only ``upper`` needs checking."""
+        _check_unit(np.asarray(upper))
         i, j = pair_indices(n)
         p = np.full((n, n), 0.5)
         p[i, j] = upper
         p[j, i] = 1.0 - upper
-        return cls(n, p)
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "p", p)
+        return m
+
+
+def _check_unit(p: np.ndarray) -> None:
+    """Marginals must be finite and within [0, 1], up to 1e-12 of rounding."""
+    if not np.isfinite(p).all():  # every check below is false for NaN
+        raise RejectedInputError("marginals must be finite")
+    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+        raise RejectedInputError("marginals outside [0, 1]")
 
 
 def _rank_rows(perms) -> np.ndarray:

@@ -14,7 +14,12 @@ split come from the Gram matrix X'X.  One small matmul evaluates the exact
 splitting criterion for every admissible pair at once.  Gram entries are
 integer counts, so a split node's matrix is kept for its children: the
 smaller child's is built from its rows and the larger's is the parent's
-minus it, exactly.
+minus it, exactly.  X'X is symmetric, so it is held as its upper panels
+G[p:p+256, p:] (about 60% of the C×C entries at C = 1,225, just over half
+for larger C), and the split sums read each panel's part right of its
+diagonal block down its columns for the lower triangle.  A round after
+which the frontier reaches ``max_leaves`` keeps no matrix, and a parent's
+is freed as soon as its children are planned.
 
 X is never stored: growth, routing and leaf counts read the sample's rank
 matrix, building comparison rows one row block at a time
@@ -110,6 +115,7 @@ class GrowthStep:
     splits: tuple[tuple[int, tuple[int, int]], ...]
     wall_time: float
     gram_rows: int = 0  # sample rows multiplied into Gram matrices this round
+    kept_bytes: int = 0  # bytes of Gram matrices carried into the next round
 
 
 @dataclass(frozen=True)
@@ -418,10 +424,10 @@ def _score(m: int, counts: np.ndarray) -> float:
     return pair_distance_sum(counts, m) / (m - 1) if m >= 2 else 0.0
 
 
-#: Columns per panel of a Gram chunk's products.
+#: Rows per upper panel of a Gram matrix.
 _GRAM_PANEL = 256
 
-#: Candidate rows per int64 block when scoring splits from a Gram matrix.
+#: Panel rows per int64 block when summing a Gram matrix's rows.
 _SCORE_ROWS = 64
 
 #: Bytes of Gram matrices that grow keeps from one round to the next, so that
@@ -429,38 +435,44 @@ _SCORE_ROWS = 64
 _GRAM_KEEP_BYTES = 1 << 30
 
 
-def _gram(ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """X'X over the comparison rows of ranks[rows], as unsigned counts in the
-    smallest type that holds len(rows).
+def _gram(ranks: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+    """X'X over the comparison rows of ranks[rows], as its upper panels
+    G[p:p+_GRAM_PANEL, p:], in unsigned counts of the smallest type that
+    holds len(rows).
 
-    Each block of comparison_rows(n) rows is built straight into one float32
-    (C, block) buffer, its transpose, and multiplied one _GRAM_PANEL-row panel
-    at a time: the panel's diagonal block is a symmetric product, the block
-    right of it a general one. A product counts at most one block of rows,
-    and no more than len(rows), so its entries are exact integers that the
-    counts' type holds; np.add casts them to that type and adds them in it.
-    The lower triangle is copied from the upper one at the end.
+    The rows are split into blocks of at most comparison_rows(n), all of
+    about one size. Each block is built straight into one float32 (C, block)
+    buffer and multiplied into each panel with one product. A product counts
+    at most one block of rows, and no more than len(rows), so its entries are
+    exact integers that the counts' type holds; np.add casts them to that
+    type and adds them in it.
     """
-    c, step = num_pairs(ranks.shape[1]), comparison_rows(ranks.shape[1])
-    gram = np.zeros((c, c), dtype=np.min_scalar_type(len(rows)))
-    buf = np.empty((c, min(len(rows), step)), dtype=np.float32)
+    c = num_pairs(ranks.shape[1])
+    blocks = -(-len(rows) // comparison_rows(ranks.shape[1]))
+    step = -(-len(rows) // blocks)
+    dtype = np.min_scalar_type(len(rows))
+    panels = [np.zeros((min(_GRAM_PANEL, c - p), c - p), dtype) for p in range(0, c, _GRAM_PANEL)]
+    buf = np.empty((c, step), dtype=np.float32)
     for start in range(0, len(rows), step):
         chunk = rows[start : start + step]
         xt = buf[:, : len(chunk)]
         comparison_block(ranks, chunk, xt)
-        for p in range(0, c, _GRAM_PANEL):
-            q = p + _GRAM_PANEL
-            a, diag, right = xt[p:q], gram[p:q, p:q], gram[p:q, q:]
-            np.add(diag, a @ a.T, out=diag, casting="unsafe", dtype=gram.dtype)
-            if q < c:
-                np.add(right, a @ xt[q:].T, out=right, casting="unsafe", dtype=gram.dtype)
-    for p in range(_GRAM_PANEL, c, _GRAM_PANEL):
-        gram[p:, p - _GRAM_PANEL : p] = gram[p - _GRAM_PANEL : p, p:].T
-    return gram
+        for p, panel in zip(range(0, c, _GRAM_PANEL), panels):
+            a = xt[p : p + _GRAM_PANEL]
+            np.add(panel, a @ xt[p:].T, out=panel, casting="unsafe", dtype=dtype)
+    return panels
+
+
+def _gram_row(gram: list[np.ndarray], col: int) -> np.ndarray:
+    """Row ``col`` of the Gram matrix held as upper panels, in int64: the
+    panels above its own give its entries left of that panel by symmetry."""
+    k = col // _GRAM_PANEL
+    above = [panel[:, col - i * _GRAM_PANEL] for i, panel in enumerate(gram[:k])]
+    return np.concatenate(above + [gram[k][col - k * _GRAM_PANEL]]).astype(np.int64)
 
 
 def _split_sums(
-    gram: np.ndarray, t: np.ndarray, m: int, candidates: np.ndarray
+    gram: list[np.ndarray], t: np.ndarray, m: int, candidates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows and pair-distance sums of both children of each candidate split.
 
@@ -468,20 +480,30 @@ def _split_sums(
     1's. With r = ΣG, q = ΣG² and m0 = t[k], m1 = m - m0:
     s0 = Σ G·(m0 - G) = m0·r - q and
     s1 = Σ (t - G)·(m1 - t + G) = m1·Σt - Σt² + 2·G·t - m1·r - q.
-    Rows are read in int64 blocks of _SCORE_ROWS, so every term is exact and
-    no C×C integer temporary is made.
+    r, q and G·t are summed for every column from the upper panels: a
+    panel's rows give their own rows' sums over columns p.., and its part
+    right of the diagonal block, read down its columns, the later rows' sums
+    over the panel's columns. Panel rows are read in int64 blocks of
+    _SCORE_ROWS, so every term is exact and no panel-sized integer temporary
+    is made.
     """
-    r = np.empty(len(candidates), dtype=np.int64)
-    q = np.empty_like(r)
-    gt = np.empty_like(r)
-    for start in range(0, len(candidates), _SCORE_ROWS):
-        block = slice(start, start + _SCORE_ROWS)
-        g = gram[candidates[block]].astype(np.int64)
-        r[block] = g.sum(axis=1)
-        q[block] = np.einsum("ij,ij->i", g, g)
-        gt[block] = g @ t
+    c = len(t)
+    r, q, gt = (np.zeros(c, dtype=np.int64) for _ in range(3))
+    for p, panel in zip(range(0, c, _GRAM_PANEL), gram):
+        end = p + len(panel)
+        for start in range(0, len(panel), _SCORE_ROWS):
+            g = panel[start : start + _SCORE_ROWS].astype(np.int64)
+            rows = slice(p + start, p + start + len(g))
+            r[rows] += g.sum(axis=1)
+            q[rows] += np.einsum("ij,ij->i", g, g)
+            gt[rows] += g @ t[p:]
+            right = g[:, end - p :]
+            r[end:] += right.sum(axis=0)
+            q[end:] += np.einsum("ij,ij->j", right, right)
+            gt[end:] += t[rows] @ right
     m0 = t[candidates]
     m1 = m - m0
+    r, q, gt = r[candidates], q[candidates], gt[candidates]
     s0 = m0 * r - q
     s1 = m1 * t.sum() - (t * t).sum() + 2 * gt - m1 * r - q
     return m0, m1, s0, s1
@@ -497,16 +519,16 @@ class _SplitPlan:
 
 
 def _plan_min_distortion(
-    gram: np.ndarray, node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
+    gram: list[np.ndarray], node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
 ) -> _SplitPlan:
-    """Best split of a node from its Gram matrix X'X of unsigned counts."""
+    """Best split of a node from the upper panels of its Gram matrix X'X."""
     m = node.count
     t = node.counts  # the diagonal of gram
     m0, m1, s0, s1 = _split_sums(gram, t, m, candidates)
     score = _child_score(m0, s0) + _child_score(m1, s1)
     k = int(np.argmin(score))  # first minimum = lexicographic tie-break
     col = int(candidates[k])
-    c0 = gram[col].astype(np.int64)
+    c0 = _gram_row(gram, col)
     return _SplitPlan(
         node_id=node.node_id,
         pair=pairs[col],
@@ -602,10 +624,14 @@ def grow(
     )
     nodes = [root]
     frontier: set[int] = {0}
-    gram_size = len(pairs) ** 2
+    cols = len(pairs)
+    gram_size = sum(min(_GRAM_PANEL, cols - p) * (cols - p) for p in range(0, cols, _GRAM_PANEL))
 
     def criterion_now() -> float:
         return sum(nodes[i].contribution for i in frontier)
+
+    def gram_bytes(grams) -> int:
+        return sum(panel.nbytes for gram in grams if gram is not None for panel in gram)
 
     def candidates_of(node: CoastNode) -> np.ndarray:
         """Columns the rows disagree on; the cell orders none of them, so all are admissible."""
@@ -618,30 +644,34 @@ def grow(
             return []
         return [(_plan_balanced(r, node, rows[nid], cand, pairs), None)]
 
-    def gram_of(nid: int) -> np.ndarray:
+    def gram_of(nid: int) -> list[np.ndarray]:
         nonlocal gram_rows
         gram_rows += nodes[nid].count
         return _gram(r, rows[nid])
 
-    def plan_min_distortion(job, keep: set[int]) -> list[tuple[_SplitPlan, np.ndarray | None]]:
+    def plan_min_distortion(ids, parent, parent_gram, keep: set[int]) -> list[tuple]:
         """Plans for one node, or for the eligible children of one kept parent.
 
         A kept parent's children get the smaller child's Gram matrix from its
         rows (ties go to child 0) and the other's by subtracting it from the
         parent's in place; the small child's rows are some of the parent's,
-        so its counts fit the parent's type and none underflows. Each plan
-        comes with its Gram matrix if its node is in ``keep``.
+        so its counts fit the parent's type and none underflows. The parent's
+        matrix is dropped before the build if the large child is not planned.
+        Each plan comes with its Gram matrix if its node is in ``keep``.
         """
-        ids, parent, parent_gram = job
+        grams = {}
         if parent_gram is None:
-            grams = {ids[0]: gram_of(ids[0])}
+            grams[ids[0]] = gram_of(ids[0])
         else:
             c0, c1 = nodes[parent].children
             small, large = (c0, c1) if nodes[c0].count <= nodes[c1].count else (c1, c0)
-            grams = {small: gram_of(small)}
-            if large in ids:
-                parent_gram -= grams[small]
-                grams[large] = parent_gram
+            if large not in ids:
+                parent_gram = None
+            grams[small] = gram_of(small)
+            if parent_gram is not None:
+                for big, part in zip(parent_gram, grams[small]):
+                    big -= part
+                grams[large], parent_gram = parent_gram, None  # freed once planned, unless kept
         out = []
         for nid in ids:
             node, gram = nodes[nid], grams.pop(nid)
@@ -651,36 +681,43 @@ def grow(
                 out.append((plan, gram if nid in keep else None))
         return out
 
-    def plan_round(eligible: list[int], parents: dict[int, np.ndarray], pending: dict):
+    def plan_round(eligible: list[int], parents: dict[int, list], pending: dict):
         """This round's plans, and the Gram matrices to keep for their children.
 
         ``parents`` holds the Gram matrices kept from the last round; it is
-        emptied, so a parent none of whose children is eligible is freed.
-        ``pending`` maps each leaf planned in an earlier round but not split
-        to its plan and kept Gram matrix. A plan depends only on its leaf's
-        rows, so such a leaf is not planned again; this round's unapplied
-        plans replace the map's contents.
+        emptied as its matrices are used, and a parent none of whose children
+        is eligible is freed first. ``pending`` maps each leaf planned in an
+        earlier round but not split to its plan and kept Gram matrix. A plan
+        depends only on its leaf's rows, so such a leaf is not planned again;
+        this round's unapplied plans replace the map's contents. A round
+        after which the frontier holds ``max_leaves`` leaves is the last, so
+        it keeps no matrix, pending plans' included.
         """
         to_plan = [nid for nid in eligible if nid not in pending]
+        last = len(frontier) + (1 if one_split_per_iter else len(eligible)) >= max_leaves
+        if last:
+            pending.update({nid: (plan, None) for nid, (plan, _) in pending.items()})
         planned = list(pending.values())
         if rule is SplitRule.MIN_DISTORTION:
             keep = set()
-            spare = _GRAM_KEEP_BYTES - sum(g.nbytes for _, g in pending.values() if g is not None)
-            for nid in to_plan:
-                size = gram_size * np.min_scalar_type(nodes[nid].count).itemsize
-                if size <= spare:
-                    keep.add(nid)
-                    spare -= size
-            new_ids, derived, work = set(to_plan), set(), []
-            for pid, gram in parents.items():
+            if not last:
+                spare = _GRAM_KEEP_BYTES - gram_bytes(g for _, g in pending.values())
+                for nid in to_plan:
+                    size = gram_size * np.min_scalar_type(nodes[nid].count).itemsize
+                    if size <= spare:
+                        keep.add(nid)
+                        spare -= size
+            new_ids = set(to_plan)
+            for pid in [pid for pid in parents if new_ids.isdisjoint(nodes[pid].children)]:
+                del parents[pid]
+            derived = {c for pid in parents for c in nodes[pid].children}
+            # cheapest build first, so that the costliest runs with the fewest parents held
+            for pid in sorted(parents, key=lambda p: min(nodes[c].count for c in nodes[p].children)):
                 ids = [c for c in nodes[pid].children if c in new_ids]
-                if ids:
-                    work.append((ids, pid, gram))
-                    derived.update(ids)
-            parents.clear()
-            work += [([nid], None, None) for nid in to_plan if nid not in derived]
-            for job in work:
-                planned += plan_min_distortion(job, keep)
+                planned += plan_min_distortion(ids, pid, parents.pop(pid), keep)
+            for nid in to_plan:
+                if nid not in derived:
+                    planned += plan_min_distortion([nid], None, None, keep)
         else:
             for nid in to_plan:
                 planned += plan_balanced(nid)
@@ -694,7 +731,7 @@ def grow(
 
     steps = [GrowthStep(0, 1, criterion_now(), (), time.perf_counter() - t0)]
     iteration = 0
-    kept: dict[int, np.ndarray] = {}  # Gram matrices of the last round's split nodes
+    kept: dict[int, list] = {}  # Gram matrices of the last round's split nodes
     pending: dict[int, tuple] = {}  # plans of leaves not yet split, one split per round
     while True:
         iteration += 1
@@ -713,6 +750,7 @@ def grow(
             break
 
         plans, kept = plan_round(eligible, kept, pending)
+        kept_bytes = gram_bytes(kept.values()) + gram_bytes(g for _, g in pending.values())
         if not plans:
             break
 
@@ -751,6 +789,7 @@ def grow(
                 tuple(applied),
                 time.perf_counter() - t_iter,
                 gram_rows,
+                kept_bytes,
             )
         )
     kept.clear()  # free the Gram matrices before aggregating

@@ -574,6 +574,20 @@ def stored_split(x: np.ndarray, n: int, rule: str) -> tuple[int, int]:
     return pair_list(n)[int(cand[np.argmin(total)])]
 
 
+def full_gram(panels) -> np.ndarray:
+    """The C×C Gram matrix, in the panels' dtype, from its upper panels
+    G[p:p+P, p:] as ``tree._gram`` returns them."""
+    c = panels[0].shape[1]
+    gram = np.zeros((c, c), dtype=panels[0].dtype)
+    p = 0
+    for panel in panels:
+        q = p + panel.shape[0]
+        gram[p:q, p:] = panel
+        gram[q:, p:q] = panel[:, q - p :].T
+        p = q
+    return gram
+
+
 def mask_leaf_counts(tree, s: RankingSample):
     """(rows, int64 column counts) per frontier leaf, routed and summed over
     the stored comparison matrix, one boolean mask per leaf."""

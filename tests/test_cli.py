@@ -445,6 +445,11 @@ def test_fit_manifest_counts_splits_and_gram_rows_per_round(tmp_path, spec_path,
         # the root's matrix takes every row; a split node's children take
         # only the smaller child's rows, at most half the parent's
         assert gram_rows[0] == 300 and all(0 < g <= 150 for g in gram_rows[1:])
+    # Gram bytes carried into the next round: none from the round that fills
+    # max_leaves, and none at all under the balanced rule
+    kept = [r["kept_bytes"] for r in rounds]
+    assert kept[-1] == 0
+    assert all(b > 0 for b in kept[:-1]) if rule == "min-distortion" else not any(kept)
 
 
 def test_eval_blank_fields_beyond_enumeration_limit(tmp_path):

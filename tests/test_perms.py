@@ -170,6 +170,25 @@ def test_pairwise_matrix_validation():
     assert PairwiseMatrix(3, good).margin() == pytest.approx(0.0)
 
 
+def test_from_counts_checks_only_its_upper_triangle():
+    m = PairwiseMatrix.from_counts(3, np.array([3, 0, 5]), 5)
+    assert np.array_equal(m.p, [[0.5, 0.6, 0.0], [0.4, 0.5, 1.0], [1.0, 0.0, 0.5]])
+    assert np.array_equal(PairwiseMatrix(3, m.p).p, m.p)  # it passes every public check
+    for counts in ([6, 0, 5], [-1, 0, 5]):  # more rows before than rows, or fewer than none
+        with pytest.raises(RejectedInputError, match="outside"):
+            PairwiseMatrix.from_counts(3, np.array(counts), 5)
+    with pytest.raises(RejectedInputError, match="finite"):
+        PairwiseMatrix.from_counts(3, np.array([np.nan, 0.0, 5.0]), 5)
+    with pytest.raises(RejectedInputError, match="finite"):
+        PairwiseMatrix.from_comparisons(3, np.ones((2, 3), dtype=bool), [np.nan, 1.0])
+    # the public constructor still checks the complement and the diagonal
+    for broken in ((0, 1, 0.7), (1, 1, 0.4)):
+        p = m.p.copy()
+        p[broken[:2]] = broken[2]
+        with pytest.raises(RejectedInputError):
+            PairwiseMatrix(3, p)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_pairwise_matrix_rejects_non_finite_entries(value):
     # every range and complement check is false for NaN, so it is caught first

@@ -39,6 +39,7 @@ from oracles import (
     brute_v_hat,
     crd_distribution,
     crd_from_json_obj,
+    full_gram,
     mask_leaf_counts,
     naive_kendall,
     partition_criterion,
@@ -650,7 +651,7 @@ def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, chunk
 
     def checking(gram, node, candidates, pairs):
         xf = x[node.cell.membership_mask(s)].astype(np.float64)
-        assert np.array_equal(gram, xf.T @ xf)  # entry for entry, whatever the dtype
+        assert np.array_equal(full_gram(gram), xf.T @ xf)  # entry for entry, whatever the dtype
         checked.append(node.node_id)
         return plan(gram, node, candidates, pairs)
 
@@ -720,10 +721,10 @@ def test_gram_counts_take_the_smallest_unsigned_type():
     x = comparison_matrix(s.ranks_matrix)
     for size, dtype in ((6, np.uint8), (300, np.uint16), (70_000, np.uint32)):
         rows = np.arange(0, 70_000, 70_000 // size)[:size]
-        gram = tree_mod._gram(s.ranks_matrix, rows)
+        panels = tree_mod._gram(s.ranks_matrix, rows)
         xi = x[rows].astype(np.int64)
-        assert gram.dtype == dtype
-        assert np.array_equal(gram.astype(np.int64), xi.T @ xi)
+        assert all(panel.dtype == dtype for panel in panels)
+        assert np.array_equal(full_gram(panels).astype(np.int64), xi.T @ xi)
 
 
 def test_uint32_root_split_matches_exhaustive():
@@ -749,8 +750,8 @@ def test_uint8_child_of_uint16_parent_gives_exact_sibling_grams(monkeypatch):
 
     def checking(gram, node, candidates, pairs):
         xi = x[node.cell.membership_mask(s)].astype(np.int64)
-        assert np.array_equal(gram.astype(np.int64), xi.T @ xi)
-        seen[node.node_id] = gram.dtype
+        assert np.array_equal(full_gram(gram).astype(np.int64), xi.T @ xi)
+        seen[node.node_id] = gram[0].dtype
         return plan(gram, node, candidates, pairs)
 
     monkeypatch.setattr(tree_mod, "_plan_min_distortion", checking)
@@ -759,6 +760,13 @@ def test_uint8_child_of_uint16_parent_gives_exact_sibling_grams(monkeypatch):
     assert tree.node(small).count < 256 <= tree.root.count
     # the small child's matrix is built in uint8; the large one is the root's minus it
     assert (seen[0], seen[small], seen[large]) == (np.uint16, np.uint8, np.uint16)
+
+
+def balanced_block_bytes(n: int, m: int) -> int:
+    """Bytes of the float32 comparison block of an m-row Gram build: m rows
+    cut into the fewest blocks of at most comparison_rows(n), all of about one size."""
+    blocks = -(-m // comparison_rows(n))
+    return -(-m // blocks) * num_pairs(n) * 4
 
 
 def test_gram_holds_one_float32_chunk_and_one_panel_product():
@@ -771,15 +779,49 @@ def test_gram_holds_one_float32_chunk_and_one_panel_product():
     rows, c = np.arange(5000), num_pairs(50)
     tracemalloc.start()
     try:
-        gram = tree_mod._gram(ranks, rows)
+        panels = tree_mod._gram(ranks, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block of comparison rows, filled as float32
-    chunk = comparison_rows(50) * c * 4
-    panel = tree_mod._GRAM_PANEL * (c - tree_mod._GRAM_PANEL) * 4
-    assert gram.dtype == np.uint16
-    assert peak <= gram.nbytes + chunk + panel + (1 << 20)
+    held = sum(panel.nbytes for panel in panels)
+    # the upper panels hold about 60% of the C x C matrix at C = 1,225
+    assert all(panel.dtype == np.uint16 for panel in panels) and held < 0.61 * c * c * 2
+    # the widest panel product, first panel by all C columns
+    product = tree_mod._GRAM_PANEL * c * 4
+    assert peak <= held + balanced_block_bytes(50, 5000) + product + (1 << 20)
+
+
+@pytest.mark.parametrize("one_split", [False, True])
+def test_round_that_fills_max_leaves_keeps_no_gram(one_split):
+    s = mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500)
+    tree, trace = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=one_split)
+    assert tree.leaf_count == 8
+    kept = [st.kept_bytes for st in trace.steps[1:]]
+    assert kept[-1] == 0 and all(b > 0 for b in kept[:-1]) and len(kept) >= 2
+
+
+def test_grow_holds_two_kept_panel_sets_and_one_build():
+    """Growth to 8 leaves holds at most two kept parents' panel sets, one new
+    set, one float32 block and one panel product: the last round keeps no
+    matrix, a used parent's is freed, and the cheapest build runs first."""
+    import tracemalloc
+
+    import coastrank.tree as tree_mod
+
+    spec = random_mallows_mixture_spec(n=50, k=4, phi=0.3, seed=31)
+    s = sample_mixture(spec, 5000)
+    c = num_pairs(50)
+    tracemalloc.start()
+    try:
+        tree, _ = grow(s, max_leaves=8, aggregator="copeland")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.leaf_count == 8
+    width = tree_mod._GRAM_PANEL
+    panels = sum(min(width, c - p) * (c - p) for p in range(0, c, width)) * 2  # uint16
+    # the root's float32 block, and the widest panel product
+    assert peak < 3 * panels + balanced_block_bytes(50, 5000) + width * c * 4 + (1 << 20), peak
 
 
 def test_split_sums_equal_the_column_count_formula(rng, monkeypatch):
@@ -795,15 +837,34 @@ def test_split_sums_equal_the_column_count_formula(rng, monkeypatch):
             continue
         m, t = len(rows), x[rows].sum(axis=0, dtype=np.int64)
         candidates = np.nonzero((t > 0) & (t < m))[0]
-        gram = np.rint(tree_mod._gram(ranks, rows)).astype(np.int64)
-        c0 = gram[candidates, :]
         want_m0 = t[candidates][:, None]
-        c1, want_m1 = t[None, :] - c0, m - want_m0
-        m0, m1, s0, s1 = tree_mod._split_sums(tree_mod._gram(ranks, rows), t, m, candidates)
-        assert s0.dtype == s1.dtype == np.int64
-        assert np.array_equal(m0, want_m0[:, 0]) and np.array_equal(m1, want_m1[:, 0])
-        assert np.array_equal(s0, (c0 * (want_m0 - c0)).sum(axis=1))
-        assert np.array_equal(s1, (c1 * (want_m1 - c1)).sum(axis=1))
+        want_m1 = m - want_m0
+        # one panel, and panels of 5 rows that need not divide the columns
+        for panel in (256, 5):
+            monkeypatch.setattr(tree_mod, "_GRAM_PANEL", panel)
+            panels = tree_mod._gram(ranks, rows)
+            c0 = full_gram(panels).astype(np.int64)[candidates, :]
+            c1 = t[None, :] - c0
+            m0, m1, s0, s1 = tree_mod._split_sums(panels, t, m, candidates)
+            assert s0.dtype == s1.dtype == np.int64
+            assert np.array_equal(m0, want_m0[:, 0]) and np.array_equal(m1, want_m1[:, 0])
+            assert np.array_equal(s0, (c0 * (want_m0 - c0)).sum(axis=1))
+            assert np.array_equal(s1, (c1 * (want_m1 - c1)).sum(axis=1))
+
+
+def test_gram_row_equals_the_full_matrix_row(rng, monkeypatch):
+    import coastrank.tree as tree_mod
+
+    monkeypatch.setattr(tree_mod, "_GRAM_PANEL", 5)
+    ranks = random_sample(rng, 8, 40).ranks_matrix  # 28 columns: five full panels and a short one
+    x = comparison_matrix(ranks).astype(np.int64)
+    rows = np.arange(0, 40, 3)
+    panels = tree_mod._gram(ranks, rows)
+    assert [len(panel) for panel in panels] == [5, 5, 5, 5, 5, 3]
+    for col in range(num_pairs(8)):
+        row = tree_mod._gram_row(panels, col)
+        assert row.dtype == np.int64
+        assert np.array_equal(row, x[rows].T @ x[rows][:, col])
 
 
 @pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
