@@ -7,6 +7,7 @@ transitivity, and depth climbing is the general-purpose local search.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -198,21 +199,31 @@ def _climb(rows: list[list[float]], start: Permutation) -> Permutation:
     ``rows`` comes from _climb_rows. Each step makes the adjacent swap that
     lowers the risk most; ties go to the first such position. A swap at r
     changes only the risk changes of swaps r - 1, r and r + 1, so only
-    those are recomputed.
+    those are recomputed. The improving swaps sit in a heap of
+    (risk change, position); an entry whose value no longer matches its
+    position's is stale and skipped.
     """
     end = len(rows) - 1  # the sentinel item
     order = [end, *start.ordering(), end]
     delta = [2.0 * rows[a][b] - 1.0 for a, b in zip(order, order[1:])]  # risk change of each swap
-    while True:
-        best = min(delta)
-        if not best < -_CLIMB_TOL:
-            break
-        r = delta.index(best)
+    heap = [(d, r) for r, d in enumerate(delta) if d < -_CLIMB_TOL]
+    heapq.heapify(heap)
+    pop, push, tol = heapq.heappop, heapq.heappush, -_CLIMB_TOL
+    while heap:
+        best, r = pop(heap)
+        if best != delta[r]:
+            continue
         a, b = order[r + 1], order[r]
         order[r], order[r + 1] = a, b
-        delta[r - 1] = 2.0 * rows[order[r - 1]][a] - 1.0
-        delta[r] = 2.0 * rows[a][b] - 1.0
-        delta[r + 1] = 2.0 * rows[b][order[r + 2]] - 1.0
+        delta[r] = d = 2.0 * rows[a][b] - 1.0
+        if d < tol:
+            push(heap, (d, r))
+        delta[r - 1] = d = 2.0 * rows[order[r - 1]][a] - 1.0
+        if d < tol:
+            push(heap, (d, r - 1))
+        delta[r + 1] = d = 2.0 * rows[b][order[r + 2]] - 1.0
+        if d < tol:
+            push(heap, (d, r + 1))
     return Permutation.from_ordering(order[1:-1])
 
 

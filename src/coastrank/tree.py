@@ -17,9 +17,11 @@ smaller child's is built from its rows and the larger's is the parent's
 minus it, exactly.  X'X is symmetric, so it is held as its upper panels
 G[p:p+256, p:] (about 60% of the C×C entries at C = 1,225, just over half
 for larger C), and the split sums read each panel's part right of its
-diagonal block down its columns for the lower triangle.  A round after
-which the frontier reaches ``max_leaves`` keeps no matrix, and a parent's
-is freed as soon as its children are planned.
+diagonal block down its columns for the lower triangle.  Every panel but
+the last, square one packs two of its rows into one float32 operand row, in
+base 2**12, so its product does half the multiply-adds and stays exact (see
+_gram).  A round after which the frontier reaches ``max_leaves`` keeps no
+matrix, and a parent's is freed as soon as its children are planned.
 
 X is never stored: growth, routing and leaf counts read the sample's rank
 matrix, building comparison rows one row block at a time
@@ -427,6 +429,9 @@ def _score(m: int, counts: np.ndarray) -> float:
 #: Rows per upper panel of a Gram matrix.
 _GRAM_PANEL = 256
 
+#: Base of a packed Gram operand row: a low panel row plus this times a high one.
+_PACK_BASE = 1 << 12
+
 #: Panel rows per int64 block when summing a Gram matrix's rows.
 _SCORE_ROWS = 64
 
@@ -442,24 +447,57 @@ def _gram(ranks: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
 
     The rows are split into blocks of at most comparison_rows(n), all of
     about one size. Each block is built straight into one float32 (C, block)
-    buffer and multiplied into each panel with one product. A product counts
-    at most one block of rows, and no more than len(rows), so its entries are
-    exact integers that the counts' type holds; np.add casts them to that
-    type and adds them in it.
+    buffer and multiplied into each panel with one product.
+
+    Every panel but the last is packed: its R = _GRAM_PANEL rows become one
+    half-height operand, its first h = ⌈R/2⌉ rows plus _PACK_BASE = 2**12
+    times its last R - h. One product entry v is then a low row's count
+    plus 2**12 times a high row's. Blocks are capped at 4,095 rows when a
+    panel is packed, so both counts are at most 4,095 and every partial sum
+    is an integer of at most 4,095 + 4,096·4,095 = 2**24 - 1, exact in
+    float32 whatever the BLAS summation order or thread count. v & 4095 is
+    the low row's count and v >> 12 the high row's. The last panel is square
+    and keeps numpy's symmetric product, which already halves its work; at
+    C ≤ _GRAM_PANEL (n ≤ 23) it is the only panel. np.add casts each block's
+    counts to the panels' type and adds them in it. Two buffers, reused
+    across panels and blocks, hold the operand, the products and the decoded
+    counts.
     """
     c = num_pairs(ranks.shape[1])
-    blocks = -(-len(rows) // comparison_rows(ranks.shape[1]))
-    step = -(-len(rows) // blocks)
     dtype = np.min_scalar_type(len(rows))
-    panels = [np.zeros((min(_GRAM_PANEL, c - p), c - p), dtype) for p in range(0, c, _GRAM_PANEL)]
+    starts = range(0, c, _GRAM_PANEL)
+    panels = [np.zeros((min(_GRAM_PANEL, c - p), c - p), dtype) for p in starts]
+    h, k = -(-_GRAM_PANEL // 2), _GRAM_PANEL // 2  # a packed panel's low and high rows
+    lows = h if len(panels) > 1 else 0  # a lone panel is square and packs nothing
+    cap = comparison_rows(ranks.shape[1])
+    blocks = -(-len(rows) // (min(cap, _PACK_BASE - 1) if lows else cap))
+    step = -(-len(rows) // blocks)
+    last = len(panels[-1])
     buf = np.empty((c, step), dtype=np.float32)
+    product = np.empty(max(lows * c, last * last), dtype=np.float32)
+    spare = np.empty(lows * max(c, step), dtype=np.float32)  # the operand, then the counts
     for start in range(0, len(rows), step):
         chunk = rows[start : start + step]
         xt = buf[:, : len(chunk)]
         comparison_block(ranks, chunk, xt)
-        for p, panel in zip(range(0, c, _GRAM_PANEL), panels):
-            a = xt[p : p + _GRAM_PANEL]
-            np.add(panel, a @ xt[p:].T, out=panel, casting="unsafe", dtype=dtype)
+        for p, panel in zip(starts, panels[:-1]):
+            a = spare[: h * len(chunk)].reshape(h, len(chunk))
+            np.multiply(xt[p + h : p + _GRAM_PANEL], _PACK_BASE, out=a[:k])
+            np.add(a[:k], xt[p : p + k], out=a[:k])
+            a[k:] = xt[p + k : p + h]  # an odd panel's middle row has no high partner
+            v = np.matmul(a, xt[p:].T, out=product[: h * (c - p)].reshape(h, c - p))
+            # the operand is spent, so its buffer takes the counts, and once they
+            # are read, the product's buffer takes the high rows' counts
+            low = spare.view(np.int32)[: h * (c - p)].reshape(h, c - p)
+            np.copyto(low, v, casting="unsafe")
+            high = v.view(np.int32)
+            np.right_shift(low[:k], 12, out=high[:k])
+            np.add(panel[h:], high[:k], out=panel[h:], casting="unsafe", dtype=dtype)
+            np.bitwise_and(low, _PACK_BASE - 1, out=low)
+            np.add(panel[:h], low, out=panel[:h], casting="unsafe", dtype=dtype)
+        a = xt[c - last :]
+        v = np.matmul(a, a.T, out=product[: last * last].reshape(last, last))
+        np.add(panels[-1], v, out=panels[-1], casting="unsafe", dtype=dtype)
     return panels
 
 

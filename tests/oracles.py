@@ -493,6 +493,29 @@ def loop_climb(m: PairwiseMatrix, start: Permutation) -> Permutation:
         order[best_r], order[best_r + 1] = order[best_r + 1], order[best_r]
 
 
+def scan_climb(m: PairwiseMatrix, start: Permutation) -> Permutation:
+    """The climb that scans its list of swap risk changes every step: ``min``
+    for the best change and ``index`` for its first position. A swap updates
+    only its own change and its two neighbours'; sentinels at both ends of
+    the order have changes of +inf."""
+    inf = float("inf")
+    rows = [row + [inf] for row in m.p.tolist()] + [[inf] * (m.n + 1)]
+    end = m.n
+    order = [end, *start.ordering(), end]
+    delta = [2.0 * rows[a][b] - 1.0 for a, b in zip(order, order[1:])]
+    while True:
+        best = min(delta)
+        if not best < -1e-15:
+            break
+        r = delta.index(best)
+        a, b = order[r + 1], order[r]
+        order[r], order[r + 1] = a, b
+        delta[r - 1] = 2.0 * rows[order[r - 1]][a] - 1.0
+        delta[r] = 2.0 * rows[a][b] - 1.0
+        delta[r + 1] = 2.0 * rows[b][order[r + 2]] - 1.0
+    return Permutation.from_ordering(order[1:-1])
+
+
 def loop_risk_from_marginals(m: PairwiseMatrix, sigma: Permutation) -> float:
     """Risk from marginals as a Python sum over the pairs in lexicographic order."""
     r = sigma.ranks

@@ -49,6 +49,7 @@ from oracles import (
     loop_dispersion_v,
     loop_dispersion_v_prime,
     naive_kendall,
+    scan_climb,
     streamed_kemeny,
 )
 
@@ -230,6 +231,31 @@ def test_climb_matches_loop_reference_on_quantized_marginals(rng, n, size):
     for _ in range(5):
         start = random_permutation(rng, n)
         assert _climb(_climb_rows(m), start) == loop_climb(m, start)
+
+
+def test_heap_climb_takes_the_swaps_of_the_scan_climb(rng):
+    # marginals of 1 to 6 rows sit on a coarse grid, with many swaps tied and many p = 1/2
+    halves = 0
+    for _ in range(3000):
+        n = int(rng.integers(2, 30))
+        m = random_marginals(rng, n, int(rng.integers(1, 7)))
+        halves += int(np.any(m.p[np.triu_indices(n, 1)] == 0.5))
+        start = random_permutation(rng, n)
+        assert _climb(_climb_rows(m), start) == scan_climb(m, start)
+    assert halves > 1000
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 29])
+def test_heap_climb_matches_the_scan_climb_on_half_marginals(rng, n):
+    # every pair at p = 1/2 but a few: no swap or only a few improve
+    for k in range(20):
+        entries = {}
+        for _ in range(k % 4):
+            i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+            entries[(i, j)] = float(rng.choice([0.25, 0.5, 0.75]))
+        m = matrix_from_upper(entries, n)
+        start = random_permutation(rng, n)
+        assert _climb(_climb_rows(m), start) == scan_climb(m, start) == loop_climb(m, start)
 
 
 def linear_order_marginals(rng, n, tie=None):

@@ -867,6 +867,75 @@ def test_gram_row_equals_the_full_matrix_row(rng, monkeypatch):
         assert np.array_equal(row, x[rows].T @ x[rows][:, col])
 
 
+def packed_gram_equals_the_oracle(tree_mod, ranks, rows):
+    """_gram's upper panels of ranks[rows], checked entry for entry against
+    the brute-force X'X in int64; returns the panels."""
+    panels = tree_mod._gram(ranks, rows)
+    xi = comparison_matrix(ranks[rows]).astype(np.int64)
+    assert np.array_equal(full_gram(panels).astype(np.int64), xi.T @ xi)
+    return panels
+
+
+@pytest.mark.parametrize("block", [4094, 4095, 4096])
+def test_packed_gram_is_exact_at_the_block_cap(monkeypatch, block):
+    """Blocks of up to 4,095 rows keep a packed entry below 2**24; a block
+    set to 4,096 rows is cut, else one ranking repeated 4,096 times would
+    carry its low count into the high one."""
+    import coastrank.tree as tree_mod
+
+    monkeypatch.setattr(tree_mod, "_GRAM_PANEL", 5)  # 21 columns: four packed panels, one square
+    set_comparison_rows(monkeypatch, 7, block)
+    rng = np.random.default_rng(block)
+    repeated = np.tile(np.arange(7), (block, 1))  # every comparison bit is 1
+    mixed = np.argsort(rng.random((2 * block + 3, 7)), axis=1)
+    for ranks in (repeated, mixed):
+        packed_gram_equals_the_oracle(tree_mod, ranks, np.arange(len(ranks)))
+        packed_gram_equals_the_oracle(tree_mod, ranks, np.arange(1, len(ranks), 2))
+
+
+def test_packed_entries_reach_two_to_the_24_minus_one(monkeypatch):
+    import coastrank.tree as tree_mod
+
+    monkeypatch.setattr(tree_mod, "_GRAM_PANEL", 4)  # 15 columns: 4, 4 and 4 packed, 3 square
+    set_comparison_rows(monkeypatch, 6, 4095)
+    ranks = np.tile(np.arange(6), (4095, 1))
+    products = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        products.append(float(matmul(a, b, out=out).max()))
+        return out
+
+    monkeypatch.setattr(np, "matmul", recording)
+    panels = packed_gram_equals_the_oracle(tree_mod, ranks, np.arange(4095))
+    # one 4,095-row block: each packed entry is 4,095 + 4,096 * 4,095; the square panel's 4,095
+    assert products == [2.0**24 - 1] * 3 + [4095.0]
+    assert all(panel.dtype == np.uint16 and np.all(panel == 4095) for panel in panels)
+
+
+def test_gram_of_two_items_is_one_count(rng):
+    import coastrank.tree as tree_mod
+
+    ranks = np.argsort(rng.random((300, 2)), axis=1)
+    panels = packed_gram_equals_the_oracle(tree_mod, ranks, np.arange(300))
+    assert [panel.shape for panel in panels] == [(1, 1)]
+    assert panels[0][0, 0] == np.count_nonzero(ranks[:, 0] < ranks[:, 1])
+
+
+@pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16),
+                                          (65_535, np.uint16), (65_536, np.uint32)])
+def test_packed_gram_fills_each_unsigned_type(monkeypatch, size, dtype):
+    """One ranking repeated: every count is the row count, the largest the type must hold."""
+    import coastrank.tree as tree_mod
+
+    monkeypatch.setattr(tree_mod, "_GRAM_PANEL", 5)
+    ranks = np.tile(np.arange(7), (size, 1))
+    panels = packed_gram_equals_the_oracle(tree_mod, ranks, np.arange(size))
+    assert all(panel.dtype == dtype and np.all(panel == size) for panel in panels)
+    ranks[::3] = ranks[::3, ::-1]  # a third of the rows reversed
+    packed_gram_equals_the_oracle(tree_mod, ranks, np.arange(size))
+
+
 @pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
 def test_growth_routing_and_leaf_counts_equal_the_stored_matrix_oracle(rng, monkeypatch, rule):
     """Random trees, grown and pruned, read from blocks as from the stored comparison matrix."""
