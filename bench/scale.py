@@ -10,11 +10,13 @@ Mallows mixture; that is the ``sample`` stage. Then ``REPEATS`` fresh child
 processes each import coastrank and time one ``load_rankings`` of that
 file; that is the ``load`` stage. For n in ``GROW_ITEMS``, one more child
 loads the file and times ``grow`` to ``GROW_LEAVES`` leaves (epsilon 0,
-the ``auto`` medians), writing the tree; that is the ``grow`` stage. A last
+the ``auto`` medians), writing the tree; that is the ``grow`` stage. A
 child loads the file and the tree and times ``prune_sequence``; that is the
-``prune`` stage. Once a ``grow`` or ``prune`` run of some n takes longer
-than ``CAP_S`` seconds, the larger N of that n run neither stage. A row of
-the output is
+``prune`` stage. A last child times ``grow`` as the ``grow`` stage does but
+with ``one_split_per_iter``, one split per round; that is the
+``grow-one-split`` stage. Once a ``grow``, ``prune`` or ``grow-one-split``
+run of some n takes longer than ``CAP_S`` seconds, the larger N of that n
+run none of the three. A row of the output is
 
     {"workload": "n20-N1000000", "stage": "load", "wall_s": ..., "peak_mb": ...,
      "counters": {"rows": ...}}
@@ -22,10 +24,10 @@ the output is
 A ``sample`` row's ``wall_s`` is the time of the one ``coastrank sample``
 command, from the call of its ``main`` to its return: drawing, writing the
 file and its manifest. A ``load`` row's ``wall_s`` is the median of the
-children's load times; a ``grow`` or ``prune`` row's is the stage call alone,
-without the load. ``peak_mb`` is the child's ``ru_maxrss``, the largest
-among them for ``load``, so it counts the interpreter and numpy (about 30
-MB), and for ``grow`` and ``prune`` the loaded sample, as well as the
+children's load times; a ``grow``, ``prune`` or ``grow-one-split`` row's is the
+stage call alone, without the load. ``peak_mb`` is the child's ``ru_maxrss``,
+the largest among them for ``load``, so it counts the interpreter and numpy
+(about 30 MB), and for the other stages the loaded sample, as well as the
 stage. Every child runs with one BLAS thread. The files go to a temporary
 directory that is removed at the end.
 """
@@ -49,7 +51,8 @@ SIZES = (10**4, 10**5, 10**6)
 REPEATS = 3
 GROW_ITEMS = (20, 50)
 GROW_LEAVES = 16
-#: A grow or prune run longer than this, in seconds, ends the larger N of its n.
+#: A grow, prune or grow-one-split run longer than this, in seconds, ends the
+#: larger N of its n.
 CAP_S = 300
 #: Seed of the mixture centers and of the draws.
 SEED = 20260307
@@ -82,7 +85,8 @@ from coastrank.fileio import load_rankings
 from coastrank.tree import grow
 sample = load_rankings(sys.argv[1])
 start = time.perf_counter()
-tree, trace = grow(sample, epsilon=0.0, max_leaves=int(sys.argv[3]))
+tree, trace = grow(sample, epsilon=0.0, max_leaves=int(sys.argv[3]),
+                   one_split_per_iter=sys.argv[4] == "one-split")
 wall = time.perf_counter() - start
 with open(sys.argv[2], "w") as fh:
     json.dump(tree.to_json_obj(), fh)
@@ -131,8 +135,9 @@ def row(workload: str, stage: str, run: dict, **counters) -> dict:
 
 
 def stage_rows(n: int, sizes, tmp: Path) -> list[dict]:
-    """The ``sample`` and ``load`` rows of n items at each N, and the ``grow``
-    and ``prune`` rows for n in GROW_ITEMS up to the first N past CAP_S."""
+    """The ``sample`` and ``load`` rows of n items at each N, and the ``grow``,
+    ``prune`` and ``grow-one-split`` rows for n in GROW_ITEMS up to the first N
+    past CAP_S."""
     spec_path = tmp / f"spec-n{n}.json"
     spec_path.write_text(json.dumps(spec(n)))
     rows, grows = [], n in GROW_ITEMS
@@ -147,13 +152,17 @@ def stage_rows(n: int, sizes, tmp: Path) -> list[dict]:
                                       "peak_mb": max(r["peak_mb"] for r in runs)},
                    rows=runs[0]["rows"])]
         if grows:
-            grown = json.loads(child(["-c", GROW, str(path), str(tree), str(GROW_LEAVES)]))
+            grow_args = ["-c", GROW, str(path), str(tree), str(GROW_LEAVES)]
+            grown = json.loads(child([*grow_args, "every-leaf"]))
             pruned = json.loads(child(["-c", PRUNE, str(path), str(tree)]))
+            one = json.loads(child([*grow_args, "one-split"]))
             new += [row(workload, "grow", grown, rows=grown["rows"], leaves=grown["leaves"],
                         gram_rows=grown["gram_rows"]),
                     row(workload, "prune", pruned, rows=pruned["rows"],
-                        subtrees=pruned["subtrees"])]
-            grows = max(grown["wall_s"], pruned["wall_s"]) <= CAP_S
+                        subtrees=pruned["subtrees"]),
+                    row(workload, "grow-one-split", one, rows=one["rows"], leaves=one["leaves"],
+                        gram_rows=one["gram_rows"])]
+            grows = max(grown["wall_s"], pruned["wall_s"], one["wall_s"]) <= CAP_S
             tree.unlink()
         path.unlink()
         Path(f"{path}.manifest.json").unlink(missing_ok=True)

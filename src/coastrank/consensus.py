@@ -97,6 +97,11 @@ def copeland_median(m: PairwiseMatrix) -> Permutation:
             witness=status.witness,
             tied_pair=status.tied_pair,
         )
+    return _copeland_order(m)
+
+
+def _copeland_order(m: PairwiseMatrix) -> Permutation:
+    """Items ranked by their pairwise losses, for marginals already found strictly SST."""
     losses = (m.p < 0.5).sum(axis=1)
     ranks = tuple(int(x) for x in losses)
     return Permutation(ranks)
@@ -289,7 +294,7 @@ def make_aggregator(kind: str = "auto", seed: int = 0):
         if kind == "exact" or (kind == "auto" and m.n <= EXACT_N_LIMIT):
             return exact_kemeny(m).median
         if kind in ("copeland", "auto") and sst_status(m).kind is SstKind.STRICT:
-            return copeland_median(m)
+            return _copeland_order(m)
         rng = np.random.default_rng([seed, node_id])
         return depth_climb_median(m, restarts=CLIMB_RESTARTS, rng=rng).median
 

@@ -664,115 +664,45 @@ def grow(
     frontier: set[int] = {0}
     cols = len(pairs)
     gram_size = sum(min(_GRAM_PANEL, cols - p) * (cols - p) for p in range(0, cols, _GRAM_PANEL))
+    steps = [GrowthStep(0, 1, root.contribution, (), time.perf_counter() - t0)]
+    # A plan depends only on its leaf's rows, so each leaf is planned once: a
+    # leaf planned but not yet split keeps its plan here, with its Gram matrix
+    # if that is kept for its children.
+    plans: dict[int, tuple[_SplitPlan, list | None]] = {}
+    kept: dict[int, list] = {}  # Gram matrices of the nodes split last round
+    keep: set[int] = set()  # leaves planned this round whose Gram matrices are kept
 
-    def criterion_now() -> float:
-        return sum(nodes[i].contribution for i in frontier)
+    def plan(ids: list[int], parent: int | None = None) -> None:
+        """Plan one leaf from its Gram matrix, or the given children of a kept parent.
 
-    def gram_bytes(grams) -> int:
-        return sum(panel.nbytes for gram in grams if gram is not None for panel in gram)
-
-    def candidates_of(node: CoastNode) -> np.ndarray:
-        """Columns the rows disagree on; the cell orders none of them, so all are admissible."""
-        return np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
-
-    def plan_balanced(nid: int) -> list[tuple[_SplitPlan, None]]:
-        node = nodes[nid]
-        cand = candidates_of(node)
-        if len(cand) == 0:  # cannot happen for v_hat > 0; guard anyway
-            return []
-        return [(_plan_balanced(r, node, rows[nid], cand, pairs), None)]
-
-    def gram_of(nid: int) -> list[np.ndarray]:
-        nonlocal gram_rows
-        gram_rows += nodes[nid].count
-        return _gram(r, rows[nid])
-
-    def plan_min_distortion(ids, parent, parent_gram, keep: set[int]) -> list[tuple]:
-        """Plans for one node, or for the eligible children of one kept parent.
-
-        A kept parent's children get the smaller child's Gram matrix from its
-        rows (ties go to child 0) and the other's by subtracting it from the
-        parent's in place; the small child's rows are some of the parent's,
-        so its counts fit the parent's type and none underflows. The parent's
-        matrix is dropped before the build if the large child is not planned.
-        Each plan comes with its Gram matrix if its node is in ``keep``.
+        A parent's smaller child's matrix is built from its rows (ties go to
+        child 0) and the other's by subtracting it from the parent's in
+        place; the small child's rows are some of the parent's, so its counts
+        fit the parent's type and none underflows. The parent's matrix is
+        freed before the build if the large child is not planned, and each
+        matrix once its leaf is planned, unless the leaf is in ``keep``.
         """
-        grams = {}
-        if parent_gram is None:
-            grams[ids[0]] = gram_of(ids[0])
-        else:
+        nonlocal gram_rows
+        small, large, grams = ids[0], None, {}
+        if parent is not None:
             c0, c1 = nodes[parent].children
             small, large = (c0, c1) if nodes[c0].count <= nodes[c1].count else (c1, c0)
-            if large not in ids:
-                parent_gram = None
-            grams[small] = gram_of(small)
-            if parent_gram is not None:
-                for big, part in zip(parent_gram, grams[small]):
-                    big -= part
-                grams[large], parent_gram = parent_gram, None  # freed once planned, unless kept
-        out = []
+            if large in ids:
+                grams[large] = kept.pop(parent)
+            else:
+                del kept[parent]
+        gram_rows += nodes[small].count
+        grams[small] = _gram(r, rows[small])
+        if large in grams:
+            for big, part in zip(grams[large], grams[small]):
+                big -= part
         for nid in ids:
             node, gram = nodes[nid], grams.pop(nid)
-            cand = candidates_of(node)
-            if len(cand) > 0:  # always, for v_hat > 0
-                plan = _plan_min_distortion(gram, node, cand, pairs)
-                out.append((plan, gram if nid in keep else None))
-        return out
+            cand = np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
+            split = _plan_min_distortion(gram, node, cand, pairs)
+            plans[nid] = (split, gram if nid in keep else None)
 
-    def plan_round(eligible: list[int], parents: dict[int, list], pending: dict):
-        """This round's plans, and the Gram matrices to keep for their children.
-
-        ``parents`` holds the Gram matrices kept from the last round; it is
-        emptied as its matrices are used, and a parent none of whose children
-        is eligible is freed first. ``pending`` maps each leaf planned in an
-        earlier round but not split to its plan and kept Gram matrix. A plan
-        depends only on its leaf's rows, so such a leaf is not planned again;
-        this round's unapplied plans replace the map's contents. A round
-        after which the frontier holds ``max_leaves`` leaves is the last, so
-        it keeps no matrix, pending plans' included.
-        """
-        to_plan = [nid for nid in eligible if nid not in pending]
-        last = len(frontier) + (1 if one_split_per_iter else len(eligible)) >= max_leaves
-        if last:
-            pending.update({nid: (plan, None) for nid, (plan, _) in pending.items()})
-        planned = list(pending.values())
-        if rule is SplitRule.MIN_DISTORTION:
-            keep = set()
-            if not last:
-                spare = _GRAM_KEEP_BYTES - gram_bytes(g for _, g in pending.values())
-                for nid in to_plan:
-                    size = gram_size * np.min_scalar_type(nodes[nid].count).itemsize
-                    if size <= spare:
-                        keep.add(nid)
-                        spare -= size
-            new_ids = set(to_plan)
-            for pid in [pid for pid in parents if new_ids.isdisjoint(nodes[pid].children)]:
-                del parents[pid]
-            derived = {c for pid in parents for c in nodes[pid].children}
-            # cheapest build first, so that the costliest runs with the fewest parents held
-            for pid in sorted(parents, key=lambda p: min(nodes[c].count for c in nodes[p].children)):
-                ids = [c for c in nodes[pid].children if c in new_ids]
-                planned += plan_min_distortion(ids, pid, parents.pop(pid), keep)
-            for nid in to_plan:
-                if nid not in derived:
-                    planned += plan_min_distortion([nid], None, None, keep)
-        else:
-            for nid in to_plan:
-                planned += plan_balanced(nid)
-        planned.sort(key=lambda pg: pg[0].node_id)
-        pending.clear()
-        if one_split_per_iter and planned:
-            best = max(planned, key=lambda pg: (pg[0].reduction, -pg[0].node_id))
-            pending.update((pg[0].node_id, pg) for pg in planned if pg is not best)
-            planned = [best]
-        return [p for p, _ in planned], {p.node_id: g for p, g in planned if g is not None}
-
-    steps = [GrowthStep(0, 1, criterion_now(), (), time.perf_counter() - t0)]
-    iteration = 0
-    kept: dict[int, list] = {}  # Gram matrices of the last round's split nodes
-    pending: dict[int, tuple] = {}  # plans of leaves not yet split, one split per round
     while True:
-        iteration += 1
         t_iter = time.perf_counter()
         gram_rows = 0
         eligible = sorted(
@@ -784,54 +714,82 @@ def grow(
             break
         # every eligible leaf splits (or only the best one), so check the
         # leaf budget before planning rather than discard a round of plans
-        if len(frontier) + (1 if one_split_per_iter else len(eligible)) > max_leaves:
+        leaves = len(frontier) + (1 if one_split_per_iter else len(eligible))
+        if leaves > max_leaves:
             break
+        if leaves == max_leaves:  # the last round keeps no Gram matrix
+            plans = {nid: (plans[nid][0], None) for nid in plans}
+        # a leaf with v_hat > 0 has a column its rows disagree on, so every
+        # eligible leaf gets a plan; its cell orders no such column, so all
+        # of them are admissible
+        to_plan = [nid for nid in eligible if nid not in plans]
+        if rule is SplitRule.BALANCED:
+            for nid in to_plan:
+                node = nodes[nid]
+                cand = np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
+                plans[nid] = (_plan_balanced(r, node, rows[nid], cand, pairs), None)
+        else:
+            held = sum(a.nbytes for _, g in plans.values() if g is not None for a in g)
+            spare = _GRAM_KEEP_BYTES - held if leaves < max_leaves else 0
+            keep.clear()
+            for nid in to_plan:
+                size = gram_size * np.min_scalar_type(nodes[nid].count).itemsize
+                if size <= spare:
+                    keep.add(nid)
+                    spare -= size
+            # a kept parent none of whose children is planned is freed first
+            for pid in [pid for pid in kept if set(nodes[pid].children).isdisjoint(to_plan)]:
+                del kept[pid]
+            derived = {c for pid in kept for c in nodes[pid].children}
+            # cheapest build first, so that the costliest runs with the fewest parents held
+            for pid in sorted(kept, key=lambda p: min(nodes[c].count for c in nodes[p].children)):
+                plan([c for c in nodes[pid].children if c in to_plan], pid)
+            for nid in to_plan:
+                if nid not in derived:
+                    plan([nid])
 
-        plans, kept = plan_round(eligible, kept, pending)
-        kept_bytes = gram_bytes(kept.values()) + gram_bytes(g for _, g in pending.values())
-        if not plans:
-            break
-
-        applied = []
-        for plan in plans:
-            parent = nodes[plan.node_id]
-            cell0, cell1 = parent.cell.split(plan.pair)
-            idx = rows.pop(plan.node_id)
-            bits = _before(r, idx, plan.pair)
-            idx_children = (idx[bits], idx[~bits])
-            child_ids = []
-            for side in (0, 1):
-                cm, cc = plan.child_ms[side], plan.child_counts[side]
-                child = CoastNode(
-                    node_id=len(nodes),
-                    cell=(cell0, cell1)[side],
-                    depth=parent.depth + 1,
-                    weight=cm / n_total,
-                    v_hat=v_hat_of_counts(cc, cm),
-                    count=cm,
-                    counts=cc,
+        if one_split_per_iter:
+            split_ids = [max(plans, key=lambda nid: (plans[nid][0].reduction, -nid))]
+        else:
+            split_ids = sorted(plans)
+        kept = {nid: plans[nid][1] for nid in split_ids if plans[nid][1] is not None}
+        kept_bytes = sum(a.nbytes for _, g in plans.values() if g is not None for a in g)
+        for nid in split_ids:
+            split = plans.pop(nid)[0]
+            parent = nodes[nid]
+            idx = rows.pop(nid)
+            bits = _before(r, idx, split.pair)
+            parent.split = split.pair
+            parent.children = (len(nodes), len(nodes) + 1)
+            for side, cell in enumerate(parent.cell.split(split.pair)):
+                cm, cc = split.child_ms[side], split.child_counts[side]
+                rows[len(nodes)] = idx[bits] if side == 0 else idx[~bits]
+                nodes.append(
+                    CoastNode(
+                        node_id=len(nodes),
+                        cell=cell,
+                        depth=parent.depth + 1,
+                        weight=cm / n_total,
+                        v_hat=v_hat_of_counts(cc, cm),
+                        count=cm,
+                        counts=cc,
+                    )
                 )
-                rows[child.node_id] = idx_children[side]
-                nodes.append(child)
-                child_ids.append(child.node_id)
-            parent.split = plan.pair
-            parent.children = (child_ids[0], child_ids[1])
-            frontier.remove(plan.node_id)
-            frontier.update(child_ids)
-            applied.append((plan.node_id, plan.pair))
+            frontier.remove(nid)
+            frontier.update(parent.children)
         steps.append(
             GrowthStep(
-                iteration,
+                len(steps),
                 len(frontier),
-                criterion_now(),
-                tuple(applied),
+                sum(nodes[i].contribution for i in frontier),
+                tuple((nid, nodes[nid].split) for nid in split_ids),
                 time.perf_counter() - t_iter,
                 gram_rows,
                 kept_bytes,
             )
         )
     kept.clear()  # free the Gram matrices before aggregating
-    pending.clear()
+    plans.clear()
 
     for nid in sorted(frontier):
         node = nodes[nid]

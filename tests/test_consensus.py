@@ -444,6 +444,25 @@ def test_aggregator_copeland_fallback(rng):
     assert isinstance(med, Permutation)
 
 
+@pytest.mark.parametrize("kind", ["auto", "copeland"])
+def test_aggregator_checks_sst_once_per_node(monkeypatch, rng, kind):
+    import coastrank.consensus as consensus_mod
+
+    s = strict_sst_sample(rng, 9)  # n above EXACT_N_LIMIT, so auto takes the Copeland route
+    m = PairwiseMatrix.from_comparisons(s.n, comparison_matrix(s.ranks_matrix))
+    want = copeland_median(m)
+    calls = []
+    check = consensus_mod.sst_status
+
+    def counting(marginals):
+        calls.append(marginals)
+        return check(marginals)
+
+    monkeypatch.setattr(consensus_mod, "sst_status", counting)
+    assert make_aggregator(kind, seed=0)(m, node_id=2) == want
+    assert calls == [m]
+
+
 def test_aggregator_unknown_kind():
     with pytest.raises(RejectedInputError):
         make_aggregator("magic")

@@ -824,6 +824,67 @@ def test_grow_holds_two_kept_panel_sets_and_one_build():
     assert peak < 3 * panels + balanced_block_bytes(50, 5000) + width * c * 4 + (1 << 20), peak
 
 
+#: Min-distortion growth's per-round gram_rows and kept_bytes, and the rows of
+#: each _gram call in order. The cheapest derived build runs first, a kept
+#: parent gives its large child's matrix, the last round keeps nothing, and
+#: one split per round keeps the matrices of the leaves it plans but does not
+#: split until they split.
+GRAM_POLICY = {
+    ("n8", False): (
+        [500, 139, 161, 198],
+        [1568, 2352, 3920, 0],
+        [500, 139, 22, 139, 6, 42, 52, 98],
+    ),
+    ("n8", True): (
+        [500, 139, 139, 98, 22, 52, 46, 42, 35, 35, 26, 29, 9, 10, 29],
+        [1568, 2352, 3136, 3920, 4704, 5488, 6272, 7056, 7840, 8624, 9408, 10192, 10976,
+         11760, 0],
+        [500, 139, 139, 98, 22, 52, 46, 42, 35, 35, 26, 29, 9, 10, 29],
+    ),
+    ("n50", False): (
+        [5000, 2471, 2461],
+        [1803170, 3606340, 0],
+        [5000, 2471, 1229, 1232],
+    ),
+    ("n50", True): (
+        [5000, 2471, 1229, 1232, 529, 574, 544],
+        [1803170, 3606340, 5409510, 7212680, 9015850, 10819020, 0],
+        [5000, 2471, 1229, 1232, 529, 574, 544],
+    ),
+}
+
+
+@pytest.mark.parametrize("one_split", [False, True])
+@pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
+def test_grow_builds_and_keeps_the_pinned_gram_matrices(monkeypatch, rule, one_split):
+    import coastrank.tree as tree_mod
+
+    samples = {
+        "n8": (mixture_sample(n=8, k=4, phi=1.0, seed=9, size=500), 16),
+        "n50": (sample_mixture(random_mallows_mixture_spec(n=50, k=4, phi=0.3, seed=31), 5000), 8),
+    }
+    built = []
+    gram_of = tree_mod._gram
+
+    def counting(ranks, rows):
+        built.append(len(rows))
+        return gram_of(ranks, rows)
+
+    monkeypatch.setattr(tree_mod, "_gram", counting)
+    for name, (s, max_leaves) in samples.items():
+        built.clear()
+        _, trace = grow(
+            s, rule=rule, max_leaves=max_leaves, aggregator="copeland", one_split_per_iter=one_split
+        )
+        gram_rows, kept_bytes, calls = GRAM_POLICY[name, one_split]
+        if rule == "balanced":  # the same rounds, and no Gram matrix
+            gram_rows = kept_bytes = [0] * len(gram_rows)
+            calls = []
+        assert [st.gram_rows for st in trace.steps[1:]] == gram_rows
+        assert [st.kept_bytes for st in trace.steps[1:]] == kept_bytes
+        assert built == calls
+
+
 def test_split_sums_equal_the_column_count_formula(rng, monkeypatch):
     import coastrank.tree as tree_mod
 
