@@ -31,10 +31,13 @@ columns.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -85,20 +88,13 @@ def _as_rule(rule) -> SplitRule:
 
 @dataclass
 class CoastNode:
-    """One cell of the partition tree plus its cached sample statistics.
-
-    ``counts`` holds the int64 column counts of the node's rows (how many
-    rank i before j, per item pair); with ``count`` they fix the cell's
-    variability, split scores and pairwise marginals.
-    """
+    """One cell of the partition tree: what its tree document records."""
 
     node_id: int
     cell: Cell
     depth: int
     weight: float
     v_hat: float
-    count: int | None = None
-    counts: np.ndarray | None = field(default=None, repr=False)
     split: tuple[int, int] | None = None
     children: tuple[int, int] | None = None
     median: Permutation | None = None
@@ -177,10 +173,13 @@ class CoastTree:
 
     def __init__(self, n: int, nodes: list[CoastNode], frontier, aggregator=None):
         self.n = int(n)
-        self.nodes = list(nodes)
+        self.nodes = nodes
         self.frontier = tuple(sorted(frontier))
         self.aggregator = aggregator
-        self._frontier_set = frozenset(self.frontier)
+
+    @cached_property
+    def _frontier_set(self) -> frozenset:
+        return frozenset(self.frontier)
 
     # -- basic shape ---------------------------------------------------------
 
@@ -209,36 +208,42 @@ class CoastTree:
 
     # -- routing -------------------------------------------------------------
 
-    def route_sample(self, s: RankingSample) -> np.ndarray:
-        """Vectorized routing: leaf node id per sample row."""
+    def _leaf_rows(self, s: RankingSample):
+        """Vectorized routing: each frontier leaf's id and its sample rows, in
+        increasing order."""
         if s.n != self.n:
             raise RejectedInputError("sample dimension mismatch")
         r = s.ranks_matrix
-        out = np.empty(len(s), dtype=np.int64)
         stack = [(0, np.arange(len(s)))]
         while stack:
             nid, idx = stack.pop()
             if nid in self._frontier_set:
-                out[idx] = nid
+                yield nid, idx
                 continue
             node = self.nodes[nid]
             bits = _before(r, idx, node.split)  # child 0 keeps split[0] before split[1]
             stack.append((node.children[0], idx[bits]))
             stack.append((node.children[1], idx[~bits]))
+
+    def route_sample(self, s: RankingSample) -> np.ndarray:
+        """Leaf node id per sample row."""
+        out = np.empty(len(s), dtype=np.int64)
+        for nid, idx in self._leaf_rows(s):
+            out[idx] = nid
         return out
 
     def leaf_counts(self, s: RankingSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Leaf node id per row; per frontier leaf, its row count and column counts.
 
         Each leaf's counts are summed from its own rows' comparison blocks,
-        in integers (``perms.comparison_counts``).
+        in integers (``perms.comparison_counts``), as routing reaches it.
         """
-        leaf_of = self.route_sample(s)
+        leaf_of = np.empty(len(s), dtype=np.int64)
         sizes = np.zeros(self.leaf_count, dtype=np.int64)
         counts = np.zeros((self.leaf_count, num_pairs(self.n)), dtype=np.int64)
-        for k, nid in enumerate(self.frontier):
-            rows = np.flatnonzero(leaf_of == nid)
-            sizes[k], counts[k] = len(rows), comparison_counts(s.ranks_matrix, rows)
+        for nid, idx in self._leaf_rows(s):
+            k = bisect_left(self.frontier, nid)  # the frontier is sorted
+            leaf_of[idx], sizes[k], counts[k] = nid, len(idx), comparison_counts(s.ranks_matrix, idx)
         return leaf_of, sizes, counts
 
     # -- readout -------------------------------------------------------------
@@ -257,15 +262,10 @@ class CoastTree:
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        order: list[int] = [0]
-        seen = {0}
+        order = [0]  # breadth first; each node has one parent, so no node is seen twice
         for nid in order:
-            node = self.nodes[nid]
-            if nid not in self._frontier_set and node.children is not None:
-                for c in node.children:
-                    if c not in seen:
-                        seen.add(c)
-                        order.append(c)
+            if nid not in self._frontier_set:
+                order.extend(self.nodes[nid].children or ())
         renum = {nid: k for k, nid in enumerate(order)}
         out = []
         for nid in order:
@@ -549,53 +549,46 @@ def _split_sums(
 
 @dataclass(frozen=True)
 class _SplitPlan:
-    node_id: int
     pair: tuple[int, int]
     reduction: float  # parent score minus both child scores (N-free units)
-    child_ms: tuple[int, int]
     child_counts: tuple[np.ndarray, np.ndarray]
 
 
 def _plan_min_distortion(
-    gram: list[np.ndarray], node: CoastNode, candidates: np.ndarray, pairs: list[tuple[int, int]]
+    gram: list[np.ndarray], m: int, t: np.ndarray, pairs: list[tuple[int, int]]
 ) -> _SplitPlan:
-    """Best split of a node from the upper panels of its Gram matrix X'X."""
-    m = node.count
-    t = node.counts  # the diagonal of gram
+    """Best split of a node of m rows with column counts t (the diagonal of
+    its Gram matrix X'X) from the upper panels of that matrix. A node with
+    v_hat > 0 has a column its rows disagree on, and all such are admissible.
+    """
+    candidates = np.nonzero((t > 0) & (t < m))[0]
     m0, m1, s0, s1 = _split_sums(gram, t, m, candidates)
     score = _child_score(m0, s0) + _child_score(m1, s1)
     k = int(np.argmin(score))  # first minimum = lexicographic tie-break
     col = int(candidates[k])
     c0 = _gram_row(gram, col)
     return _SplitPlan(
-        node_id=node.node_id,
         pair=pairs[col],
         reduction=float(_score(m, t) - score[k]),
-        child_ms=(int(m0[k]), int(m1[k])),
         child_counts=(c0, t - c0),
     )
 
 
 def _plan_balanced(
-    ranks: np.ndarray,
-    node: CoastNode,
-    rows: np.ndarray,
-    candidates: np.ndarray,
-    pairs: list[tuple[int, int]],
+    ranks: np.ndarray, rows: np.ndarray, t: np.ndarray, pairs: list[tuple[int, int]]
 ) -> _SplitPlan:
-    """The split of a node, whose sample rows are ``rows``, nearest to halving them."""
-    m = node.count
-    t = node.counts
+    """The split of a node, whose sample rows are ``rows`` and column counts t,
+    nearest to halving them."""
+    m = len(rows)
+    candidates = np.nonzero((t > 0) & (t < m))[0]
     k = int(np.argmin(np.abs(t[candidates] / m - 0.5)))
     pair = pairs[int(candidates[k])]
     rows0 = rows[_before(ranks, rows, pair)]
     m0, c0 = len(rows0), comparison_counts(ranks, rows0)
     m1, c1 = m - m0, t - c0
     return _SplitPlan(
-        node_id=node.node_id,
         pair=pair,
         reduction=float(_score(m, t) - (_score(m0, c0) + _score(m1, c1))),
-        child_ms=(m0, m1),
         child_counts=(c0, c1),
     )
 
@@ -650,15 +643,13 @@ def grow(
 
     t0 = time.perf_counter()
     rows = {0: np.arange(n_total)}  # the sample rows of each leaf
-    counts = comparison_counts(r, rows[0])
+    counts = {0: comparison_counts(r, rows[0])}  # and their int64 column counts
     root = CoastNode(
         node_id=0,
         cell=Cell.root(s.n),
         depth=0,
         weight=1.0,
-        v_hat=v_hat_of_counts(counts, n_total),
-        count=n_total,
-        counts=counts,
+        v_hat=v_hat_of_counts(counts[0], n_total),
     )
     nodes = [root]
     frontier: set[int] = {0}
@@ -686,20 +677,19 @@ def grow(
         small, large, grams = ids[0], None, {}
         if parent is not None:
             c0, c1 = nodes[parent].children
-            small, large = (c0, c1) if nodes[c0].count <= nodes[c1].count else (c1, c0)
+            small, large = (c0, c1) if len(rows[c0]) <= len(rows[c1]) else (c1, c0)
             if large in ids:
                 grams[large] = kept.pop(parent)
             else:
                 del kept[parent]
-        gram_rows += nodes[small].count
+        gram_rows += len(rows[small])
         grams[small] = _gram(r, rows[small])
         if large in grams:
             for big, part in zip(grams[large], grams[small]):
                 big -= part
         for nid in ids:
-            node, gram = nodes[nid], grams.pop(nid)
-            cand = np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
-            split = _plan_min_distortion(gram, node, cand, pairs)
+            gram = grams.pop(nid)
+            split = _plan_min_distortion(gram, len(rows[nid]), counts[nid], pairs)
             plans[nid] = (split, gram if nid in keep else None)
 
     while True:
@@ -708,7 +698,7 @@ def grow(
         eligible = sorted(
             nid
             for nid in frontier
-            if nodes[nid].v_hat > epsilon and nodes[nid].count >= 2
+            if nodes[nid].v_hat > epsilon and len(rows[nid]) >= 2
         )
         if not eligible:
             break
@@ -719,21 +709,16 @@ def grow(
             break
         if leaves == max_leaves:  # the last round keeps no Gram matrix
             plans = {nid: (plans[nid][0], None) for nid in plans}
-        # a leaf with v_hat > 0 has a column its rows disagree on, so every
-        # eligible leaf gets a plan; its cell orders no such column, so all
-        # of them are admissible
         to_plan = [nid for nid in eligible if nid not in plans]
         if rule is SplitRule.BALANCED:
             for nid in to_plan:
-                node = nodes[nid]
-                cand = np.nonzero((node.counts > 0) & (node.counts < node.count))[0]
-                plans[nid] = (_plan_balanced(r, node, rows[nid], cand, pairs), None)
+                plans[nid] = (_plan_balanced(r, rows[nid], counts[nid], pairs), None)
         else:
             held = sum(a.nbytes for _, g in plans.values() if g is not None for a in g)
             spare = _GRAM_KEEP_BYTES - held if leaves < max_leaves else 0
             keep.clear()
             for nid in to_plan:
-                size = gram_size * np.min_scalar_type(nodes[nid].count).itemsize
+                size = gram_size * np.min_scalar_type(len(rows[nid])).itemsize
                 if size <= spare:
                     keep.add(nid)
                     spare -= size
@@ -742,7 +727,7 @@ def grow(
                 del kept[pid]
             derived = {c for pid in kept for c in nodes[pid].children}
             # cheapest build first, so that the costliest runs with the fewest parents held
-            for pid in sorted(kept, key=lambda p: min(nodes[c].count for c in nodes[p].children)):
+            for pid in sorted(kept, key=lambda p: min(len(rows[c]) for c in nodes[p].children)):
                 plan([c for c in nodes[pid].children if c in to_plan], pid)
             for nid in to_plan:
                 if nid not in derived:
@@ -758,12 +743,14 @@ def grow(
             split = plans.pop(nid)[0]
             parent = nodes[nid]
             idx = rows.pop(nid)
+            del counts[nid]
             bits = _before(r, idx, split.pair)
             parent.split = split.pair
             parent.children = (len(nodes), len(nodes) + 1)
             for side, cell in enumerate(parent.cell.split(split.pair)):
-                cm, cc = split.child_ms[side], split.child_counts[side]
                 rows[len(nodes)] = idx[bits] if side == 0 else idx[~bits]
+                cm, cc = len(rows[len(nodes)]), split.child_counts[side]
+                counts[len(nodes)] = cc
                 nodes.append(
                     CoastNode(
                         node_id=len(nodes),
@@ -771,8 +758,6 @@ def grow(
                         depth=parent.depth + 1,
                         weight=cm / n_total,
                         v_hat=v_hat_of_counts(cc, cm),
-                        count=cm,
-                        counts=cc,
                     )
                 )
             frontier.remove(nid)
@@ -792,8 +777,8 @@ def grow(
     plans.clear()
 
     for nid in sorted(frontier):
-        node = nodes[nid]
-        node.median = agg(PairwiseMatrix.from_counts(s.n, node.counts, node.count), nid)
+        m = len(rows.pop(nid))
+        nodes[nid].median = agg(PairwiseMatrix.from_counts(s.n, counts.pop(nid), m), nid)
     tree = CoastTree(s.n, nodes, frontier, aggregator=agg)
     return tree, GrowthTrace(tuple(steps))
 
@@ -806,9 +791,12 @@ def prune_sequence(tree: CoastTree, s: RankingSample) -> list[CoastTree]:
 
     Each step collapses the internal node, with both children in the
     current frontier, whose removal increases the partition criterion the
-    least; deltas come from cached node statistics. A collapsed node without
-    a median gets one from the column counts of its rows: the sample is
-    routed once, and a collapsed node's counts are its children's sums.
+    least, ties to the smaller node id. That increase is fixed by the node
+    and its children, so such a node enters a heap of (increase, node id)
+    once, when its second child becomes a leaf. A collapsed node without a
+    median gets one from the column counts of its rows: the sample is routed
+    once, and a collapsed node's counts are its children's sums. Every
+    subtree shares the tree's node list.
     """
     agg = tree.aggregator or make_aggregator("auto", seed=0)
     # only frontier nodes and the nodes above them are ever looked up
@@ -817,15 +805,18 @@ def prune_sequence(tree: CoastTree, s: RankingSample) -> list[CoastTree]:
     rows = {nid: (int(m), c) for nid, m, c in zip(tree.frontier, sizes, leaf_cnt)}
     frontier = set(tree.frontier)
     seq = [tree]
+    heap = []
 
-    def cost(p):  # the criterion's increase if p collapses, then p
-        a, b = (tree.nodes[c].contribution for c in tree.nodes[p].children)
-        return tree.nodes[p].contribution - a - b, p
+    def push(p):  # p enters the heap once both of its children are leaves
+        node = tree.nodes[p]
+        if frontier.issuperset(node.children):
+            a, b = (tree.nodes[c].contribution for c in node.children)
+            heapq.heappush(heap, (node.contribution - a - b, p))
 
-    while len(frontier) > 1:
-        parents = {parent_of[nid] for nid in frontier if nid in parent_of}
-        victim = min(sorted(p for p in parents if frontier.issuperset(tree.nodes[p].children)),
-                     key=cost)
+    for p in {parent_of[nid] for nid in frontier if nid in parent_of}:
+        push(p)
+    while heap:
+        victim = heapq.heappop(heap)[1]
         node = tree.nodes[victim]
         (m0, c0), (m1, c1) = (rows.pop(c) for c in node.children)
         frontier.difference_update(node.children)
@@ -836,6 +827,8 @@ def prune_sequence(tree: CoastTree, s: RankingSample) -> list[CoastTree]:
                 raise RejectedInputError(f"tree node {victim}: no sample rows to aggregate")
             node.median = agg(PairwiseMatrix.from_counts(s.n, counts, m), victim)
         seq.append(tree.subtree(frontier))
+        if victim in parent_of:
+            push(parent_of[victim])
     return seq
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from coastrank.cells import Cell, tile_owners, v_hat_of_counts
+from coastrank.consensus import make_aggregator
 from coastrank.errors import (
     DimensionMismatchError,
     EnumerationLimitError,
@@ -620,6 +621,38 @@ def mask_leaf_counts(tree, s: RankingSample):
     rows = np.array([int(m.sum()) for m in masks], dtype=np.int64)
     counts = np.array([x[m].sum(axis=0, dtype=np.int64) for m in masks]).reshape(len(masks), -1)
     return rows, counts
+
+
+def rescanning_prune_sequence(tree, s: RankingSample) -> list:
+    """Weakest-link collapse sequence, each victim the minimum (collapse
+    cost, node id) over a rescan of the whole frontier (formerly
+    ``tree.prune_sequence``), with leaf counts from ``mask_leaf_counts``."""
+    agg = tree.aggregator or make_aggregator("auto", seed=0)
+    parent_of = {c: p for p, node in enumerate(tree.nodes) for c in node.children or ()}
+    sizes, leaf_cnt = mask_leaf_counts(tree, s)
+    rows = {nid: (int(m), c) for nid, m, c in zip(tree.frontier, sizes, leaf_cnt)}
+    frontier = set(tree.frontier)
+    seq = [tree]
+
+    def cost(p):  # the criterion's increase if p collapses, then p
+        a, b = (tree.nodes[c].contribution for c in tree.nodes[p].children)
+        return tree.nodes[p].contribution - a - b, p
+
+    while len(frontier) > 1:
+        parents = {parent_of[nid] for nid in frontier if nid in parent_of}
+        victim = min(sorted(p for p in parents if frontier.issuperset(tree.nodes[p].children)),
+                     key=cost)
+        node = tree.nodes[victim]
+        (m0, c0), (m1, c1) = (rows.pop(c) for c in node.children)
+        frontier.difference_update(node.children)
+        frontier.add(victim)
+        m, counts = rows[victim] = (m0 + m1, c0 + c1)
+        if node.median is None:
+            if m == 0:
+                raise RejectedInputError(f"tree node {victim}: no sample rows to aggregate")
+            node.median = agg(PairwiseMatrix.from_counts(s.n, counts, m), victim)
+        seq.append(tree.subtree(frontier))
+    return seq
 
 
 def row_writer_depth_csv(table, path) -> None:

@@ -41,6 +41,8 @@ DROPPED_MEMBERS = [
     ("coastrank.fileio", "RunManifest", "from_json_obj"),
     ("coastrank.tree", "CoastNode", "indices"),
     ("coastrank.cells", "Cell", "comparison_mask"),
+    ("coastrank.tree", "CoastNode", "count"),
+    ("coastrank.tree", "CoastNode", "counts"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Tree growth, splitting rules, pruning, selection, CRD, serialization."""
 
+import copy
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coastrank.cells import Cell
+from coastrank.cells import Cell, v_hat_of_counts
 from coastrank.consensus import AGGREGATOR_KINDS, exact_kemeny, make_aggregator
 from coastrank.errors import (
     InadmissiblePairError,
@@ -43,6 +44,7 @@ from oracles import (
     mask_leaf_counts,
     naive_kendall,
     partition_criterion,
+    rescanning_prune_sequence,
     route_one,
     stored_route_sample,
     stored_split,
@@ -239,11 +241,12 @@ def test_tree_structural_invariants():
     s = mixture_sample(n=7, k=3, phi=0.8, seed=11, size=300)
     tree, _ = grow(s, epsilon=0.05, rule="min-distortion")
     assert tree.leaf_count >= 3
+    routed = routed_counts(tree, s)
     for node in tree.nodes:
         assert node.depth <= num_pairs(tree.n)
+        assert node.weight == routed[node.node_id][0] / len(s)
         if node.children is not None:
             c0, c1 = (tree.node(c) for c in node.children)
-            assert c0.count + c1.count == node.count
             assert c0.weight + c1.weight == pytest.approx(node.weight, abs=1e-12)
             # split pair admissible in the parent, consumed in both children
             assert node.cell.is_admissible(*node.split)
@@ -333,6 +336,18 @@ def descendant_leaves(tree, nid):
     return out
 
 
+def routed_counts(tree, s):
+    """Row count and int64 column counts of every node of a grown tree, summed
+    over its descendant leaves' ``tree.leaf_counts(s)``."""
+    _, sizes, counts = tree.leaf_counts(s)
+    out = {nid: (int(m), c) for nid, m, c in zip(tree.frontier, sizes, counts)}
+    for node in reversed(tree.nodes):  # children follow their parents in the node list
+        if node.node_id not in out:
+            (m0, c0), (m1, c1) = (out[c] for c in node.children)
+            out[node.node_id] = (m0 + m1, c0 + c1)
+    return out
+
+
 @pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
 @pytest.mark.parametrize("chunks", [1, 4])
 def test_node_counts_are_column_sums_of_routed_rows(monkeypatch, rule, chunks):
@@ -342,11 +357,13 @@ def test_node_counts_are_column_sums_of_routed_rows(monkeypatch, rule, chunks):
     tree, _ = grow(s, epsilon=0.0, rule=rule, max_leaves=10)
     assert len(tree.nodes) > 10
     leaf_of = tree.route_sample(s)
+    routed = routed_counts(tree, s)
     for node in tree.nodes:
         rows = comparison_matrix(s.ranks_matrix)[np.isin(leaf_of, list(descendant_leaves(tree, node.node_id)))]
-        assert node.count == len(rows)
-        assert node.counts.dtype == np.int64
-        assert np.array_equal(node.counts, rows.sum(axis=0))
+        m, counts = routed[node.node_id]
+        assert m == len(rows) and node.weight == m / len(s)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, rows.sum(axis=0))
         assert node.v_hat == brute_v_hat_of_rows(rows)
 
 
@@ -523,6 +540,95 @@ def test_prune_rejects_collapsing_a_node_without_rows():
         prune_sequence(tree, s)
 
 
+def assert_prune_path_equals_the_oracle(tree, s):
+    """prune_sequence and the rescanning oracle, each on its own copy of the
+    tree, give the same frontiers, criteria and documents; every subtree
+    shares its tree's node list. Returns the sequence."""
+    want = rescanning_prune_sequence(copy.deepcopy(tree), s)
+    tree = copy.deepcopy(tree)
+    got = prune_sequence(tree, s)
+    assert len(got) == len(want) == tree.leaf_count
+    for sub, ref in zip(got, want):
+        assert sub.nodes is tree.nodes
+        assert sub.frontier == ref.frontier and sub.criterion == ref.criterion
+        assert sub.to_json_obj() == ref.to_json_obj()
+    return got
+
+
+@pytest.mark.parametrize("n, size", [(7, 300), (20, 300)])
+def test_full_prune_path_equals_the_rescanning_oracle(n, size):
+    s = mixture_sample(n=n, k=4, phi=0.5, seed=n, size=size)
+    tree, _ = grow(s, epsilon=0.0)
+    # exhaustive growth: one leaf per distinct ranking
+    assert tree.leaf_count == len(np.unique(s.ranks_matrix, axis=0)) > 250
+    assert_prune_path_equals_the_oracle(tree, s)
+
+
+def test_prune_path_ties_go_to_the_smaller_node_id():
+    # nodes 1 and 2 cost 0.5 * 0.5 - 0.05 - 0.05 to collapse, node 3 only
+    # 0.025; node 1 becomes collapsible after node 2, and collapses first
+    leaf = {"v_hat": 0.2, "split": None, "children": None, "median": None, "weight": 0.25}
+    tree = CoastTree.from_json_obj({"n": 4, "nodes": [
+        dict(leaf, id=0, constraints=[], split=[1, 2], children=[1, 2], v_hat=0.8, weight=1.0),
+        dict(leaf, id=1, constraints=[[1, 2]], split=[3, 4], children=[3, 4], v_hat=0.5, weight=0.5),
+        dict(leaf, id=2, constraints=[[2, 1]], split=[3, 4], children=[5, 6], v_hat=0.5, weight=0.5),
+        dict(leaf, id=3, constraints=[[1, 2], [3, 4]], split=[1, 3], children=[7, 8]),
+        dict(leaf, id=4, constraints=[[1, 2], [4, 3]]),
+        dict(leaf, id=5, constraints=[[2, 1], [3, 4]]),
+        dict(leaf, id=6, constraints=[[2, 1], [4, 3]]),
+        dict(leaf, id=7, constraints=[[1, 2], [3, 4], [1, 3]], v_hat=0.1, weight=0.125),
+        dict(leaf, id=8, constraints=[[1, 2], [3, 4], [3, 1]], v_hat=0.1, weight=0.125),
+    ]})
+    s = RankingSample(tuple(Permutation(p) for p in itertools.permutations(range(4))))
+    seq = assert_prune_path_equals_the_oracle(tree, s)
+    assert [sub.frontier for sub in seq] == [
+        (4, 5, 6, 7, 8), (3, 4, 5, 6), (1, 5, 6), (1, 2), (0,)
+    ]
+
+
+def test_prune_path_with_a_callable_aggregator_equals_the_oracle():
+    s = mixture_sample(n=7, k=4, phi=0.8, seed=17, size=200)
+    calls = []
+    copeland = make_aggregator("copeland")
+
+    def agg(m, node_id):
+        calls.append(node_id)
+        return copeland(m, node_id)
+
+    tree, _ = grow(s, epsilon=0.0, max_leaves=40, aggregator=agg)
+    assert tree.aggregator is agg and tree.leaf_count > 20
+    calls.clear()
+    seq = assert_prune_path_equals_the_oracle(tree, s)
+    # the oracle's run and then prune_sequence's, each collapsed node in order
+    collapsed = [next(iter(set(b.frontier) - set(a.frontier))) for a, b in zip(seq, seq[1:])]
+    assert calls == collapsed + collapsed
+
+
+def test_prune_path_of_a_one_leaf_tree_is_that_tree():
+    s = mixture_sample(n=5, k=2, phi=1.0, seed=4, size=50)
+    tree, _ = grow(s, max_leaves=1)
+    assert tree.leaf_count == 1
+    seq = assert_prune_path_equals_the_oracle(tree, s)
+    assert [sub.frontier for sub in seq] == [(0,)]
+
+
+@pytest.mark.parametrize("rule", ["min-distortion", "balanced"])
+@pytest.mark.parametrize("one_split", [False, True])
+def test_grown_and_loaded_trees_hold_the_same_node_fields(rule, one_split):
+    s = mixture_sample(n=8, k=4, phi=1.0, seed=5, size=400)
+    tree, _ = grow(s, epsilon=0.0, rule=rule, max_leaves=12, one_split_per_iter=one_split)
+    loaded = CoastTree.from_json_obj(json.loads(tree_json(tree)))
+    assert len(loaded.nodes) == len(tree.nodes)
+    ids = [0]  # grown node ids in the document's breadth-first order
+    for nid in ids:
+        ids.extend(tree.node(nid).children or ())
+    renum = {nid: k for k, nid in enumerate(ids)}
+    for k, nid in enumerate(ids):
+        grown = vars(tree.node(nid))
+        children = grown["children"] and tuple(renum[c] for c in grown["children"])
+        assert dict(grown, node_id=k, children=children) == vars(loaded.node(k))
+
+
 def three_node_doc(weight, v_hat):
     node = {"weight": weight, "v_hat": v_hat, "split": None, "children": None}
     return {"n": 3, "nodes": [
@@ -571,25 +677,40 @@ def test_select_subtree_rules():
         select_subtree([], 0.0)
 
 
+def spy_plans(monkeypatch, tree_mod):
+    """Record each min-distortion plan's row count, column counts and full
+    Gram matrix, copied before growth subtracts from a kept one."""
+    calls = []
+    plan = tree_mod._plan_min_distortion
+
+    def spying(gram, m, t, pairs):
+        calls.append((m, t.copy(), full_gram(gram)))
+        return plan(gram, m, t, pairs)
+
+    monkeypatch.setattr(tree_mod, "_plan_min_distortion", spying)
+    return calls
+
+
+def planned_nodes(tree, s, calls):
+    """The node id of each recorded plan, known by its row count and column counts."""
+    node_of = {(m, c.tobytes()): nid for nid, (m, c) in routed_counts(tree, s).items()}
+    assert len(node_of) == len(tree.nodes)
+    return [node_of[(m, t.tobytes())] for m, t, _ in calls]
+
+
 @pytest.mark.parametrize("one_split", [False, True])
 def test_grow_plans_no_split_past_the_leaf_budget(monkeypatch, one_split):
     import coastrank.tree as tree_mod
 
     s = mixture_sample(n=8, k=4, phi=1.2, seed=3, size=400)
     want, _ = grow(s, epsilon=0.0, max_leaves=6, one_split_per_iter=one_split)
-    calls = []
-    plan = tree_mod._plan_min_distortion
-
-    def counting(gram, node, candidates, pairs):
-        calls.append(node.node_id)
-        return plan(gram, node, candidates, pairs)
-
-    monkeypatch.setattr(tree_mod, "_plan_min_distortion", counting)
+    calls = spy_plans(monkeypatch, tree_mod)
     tree, trace = grow(s, epsilon=0.0, max_leaves=6, one_split_per_iter=one_split)
     assert json.dumps(tree.to_json_obj()) == json.dumps(want.to_json_obj())
+    routed = routed_counts(tree, s)
 
     def eligible(nid):
-        return tree.node(nid).v_hat > 0 and tree.node(nid).count >= 2
+        return tree.node(nid).v_hat > 0 and routed[nid][0] >= 2
 
     # the budget binds: growth stops with leaves still eligible to split
     assert tree.leaf_count <= 6 and any(map(eligible, tree.frontier))
@@ -603,7 +724,7 @@ def test_grow_plans_no_split_past_the_leaf_budget(monkeypatch, one_split):
             frontier.remove(nid)
             frontier.update(tree.node(nid).children)
     assert frontier == set(tree.frontier)
-    assert sorted(calls) == sorted(planned)
+    assert sorted(planned_nodes(tree, s, calls)) == sorted(planned)
     if not one_split:
         assert len(planned) == sum(len(step.splits) for step in trace.steps)
 
@@ -646,25 +767,22 @@ def test_sibling_gram_matrices_equal_direct_builds(monkeypatch, one_split, chunk
     # the root Gram matrix is summed over this many row blocks
     set_comparison_rows(monkeypatch, s.n, -(-s.size // chunks))
     x = comparison_matrix(s.ranks_matrix)
-    checked, built = [], []
-    plan, gram_of = tree_mod._plan_min_distortion, tree_mod._gram
-
-    def checking(gram, node, candidates, pairs):
-        xf = x[node.cell.membership_mask(s)].astype(np.float64)
-        assert np.array_equal(full_gram(gram), xf.T @ xf)  # entry for entry, whatever the dtype
-        checked.append(node.node_id)
-        return plan(gram, node, candidates, pairs)
+    built = []
+    gram_of = tree_mod._gram
 
     def counting(ranks, rows):
         built.append(len(rows))
         return gram_of(ranks, rows)
 
-    monkeypatch.setattr(tree_mod, "_plan_min_distortion", checking)
+    calls = spy_plans(monkeypatch, tree_mod)
     monkeypatch.setattr(tree_mod, "_gram", counting)
     tree, _ = grow(s, epsilon=0.0, max_leaves=8, one_split_per_iter=one_split)
-    assert len(checked) >= 7
+    assert len(calls) >= 7
+    for nid, (_, _, gram) in zip(planned_nodes(tree, s, calls), calls):
+        xf = x[tree.node(nid).cell.membership_mask(s)].astype(np.float64)
+        assert np.array_equal(gram, xf.T @ xf)  # entry for entry, whatever the dtype
     # children of a split node were derived: fewer rows multiplied than planned
-    assert sum(built) < sum(tree.node(nid).count for nid in checked)
+    assert sum(built) < sum(m for m, _, _ in calls)
 
 
 def test_trees_do_not_depend_on_kept_gram_matrices(monkeypatch):
@@ -745,19 +863,16 @@ def test_uint8_child_of_uint16_parent_gives_exact_sibling_grams(monkeypatch):
 
     s = mixture_sample(n=6, k=2, phi=1.0, seed=3, size=300)
     x = comparison_matrix(s.ranks_matrix)
-    seen = {}
-    plan = tree_mod._plan_min_distortion
-
-    def checking(gram, node, candidates, pairs):
-        xi = x[node.cell.membership_mask(s)].astype(np.int64)
-        assert np.array_equal(full_gram(gram).astype(np.int64), xi.T @ xi)
-        seen[node.node_id] = gram[0].dtype
-        return plan(gram, node, candidates, pairs)
-
-    monkeypatch.setattr(tree_mod, "_plan_min_distortion", checking)
+    calls = spy_plans(monkeypatch, tree_mod)
     tree, _ = grow(s, epsilon=0.0, max_leaves=4)
-    small, large = sorted(tree.root.children, key=lambda c: tree.node(c).count)
-    assert tree.node(small).count < 256 <= tree.root.count
+    seen = {}
+    for nid, (_, _, gram) in zip(planned_nodes(tree, s, calls), calls):
+        xi = x[tree.node(nid).cell.membership_mask(s)].astype(np.int64)
+        assert np.array_equal(gram.astype(np.int64), xi.T @ xi)
+        seen[nid] = gram.dtype
+    routed = routed_counts(tree, s)
+    small, large = sorted(tree.root.children, key=lambda c: routed[c][0])
+    assert routed[small][0] < 256 <= routed[0][0]
     # the small child's matrix is built in uint8; the large one is the root's minus it
     assert (seen[0], seen[small], seen[large]) == (np.uint16, np.uint8, np.uint16)
 
@@ -1011,7 +1126,8 @@ def test_growth_routing_and_leaf_counts_equal_the_stored_matrix_oracle(rng, monk
         leaf_of = stored_route_sample(tree, x)
         for node in tree.nodes:
             rows = x[np.isin(leaf_of, list(descendant_leaves(tree, node.node_id)))]
-            assert node.count == len(rows) and np.array_equal(node.counts, rows.sum(axis=0))
+            assert node.weight == len(rows) / len(s)
+            assert node.v_hat == v_hat_of_counts(rows.sum(axis=0), len(rows))
             if node.split is not None:
                 assert node.split == stored_split(rows, n, rule)
         for sub in prune_sequence(tree, s)[::2]:
